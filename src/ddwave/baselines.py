@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal.windows import chebwin
 
-from . import channel as chan
-from .scfdma import zak_demodulate, zak_modulate
+from .scfdma import ProbedModem, zak_demodulate, zak_modulate
 from .transforms import (
     DimensionError,
     FrameGeometry,
@@ -67,7 +66,7 @@ class WindowSpec:
         raise ValueError(f"unknown window kind {self.kind!r}, expected one of {WINDOW_KINDS}")
 
 
-class RwOtfsModem:
+class RwOtfsModem(ProbedModem):
     """OTFS with a global delay-time window at the receiver (and optionally TX)."""
 
     name = "rw_otfs"
@@ -97,11 +96,6 @@ class RwOtfsModem:
         kept = r[self.geom.cp_len:] * self.window_values.reshape((-1,) + (1,) * (r.ndim - 1))
         return to_delay_doppler(full_dft(kept), self.geom)
 
-    def effective_channel(self, ch: chan.LtvChannelRealization) -> np.ndarray:
-        basis = self.modulate(np.eye(self.geom.n_sc, dtype=complex))
-        received = chan.apply_channel(basis, ch, out_len=self.rx_len)
-        return self.demodulate(received)
-
 
 @dataclass(frozen=True)
 class DrUfmcSpec:
@@ -112,7 +106,7 @@ class DrUfmcSpec:
     atten_db: float = 60.0
 
 
-class DrUfmcModem:
+class DrUfmcModem(ProbedModem):
     """Per-delay-block subband filtering with overlap-add between blocks.
 
     Each of the N delay blocks of the Zak-domain signal is treated as one
@@ -133,8 +127,7 @@ class DrUfmcModem:
         self.geom = geom
         self.spec = spec
         proto = design_chebyshev_prototype(spec.filter_len, spec.atten_db)
-        self.bank = FilterBankSpec(geom.M, spec.n_sc_rb, proto,
-                                   sidelobe_atten_db=spec.atten_db)
+        self.bank = FilterBankSpec(geom.M, spec.n_sc_rb, proto)
         # Predistorted per-block modulator; without it the per-bin gain
         # ripple of the bank (periodic across subbands) puts delay-domain
         # ghosts on the raw demodulated grid.
@@ -175,8 +168,3 @@ class DrUfmcModem:
         blocks = np.fft.ifft(f_blocks, axis=1) * np.sqrt(m)
         s_t = blocks.reshape((self.geom.n_sc,) + rest)
         return zak_demodulate(s_t, self.geom)
-
-    def effective_channel(self, ch: chan.LtvChannelRealization) -> np.ndarray:
-        basis = self.modulate(np.eye(self.geom.n_sc, dtype=complex))
-        received = chan.apply_channel(basis, ch, out_len=self.rx_len)
-        return self.demodulate(received)

@@ -66,13 +66,11 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class LtvChannelRealization:
-    """Per-tap delays and gain sequences over the frame span, plus noise variance."""
+    """Per-tap delays and gain sequences over the frame span."""
 
     tap_delays: np.ndarray            # int, strictly increasing
     gains: np.ndarray                 # (n_taps, span) complex
     doppler_hz: np.ndarray            # per-tap Doppler shift (Jakes: max shift)
-    noise_var: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         if self.gains.shape[0] != self.tap_delays.shape[0]:
@@ -161,8 +159,7 @@ def generate_channel(config: ChannelConfig, span_samples: int, seed,
         arg = 2.0 * np.pi * freqs[:, :, None] * i[None, None, :] * dt + phi_s[:, :, None]
         gains = amps[:, None] * np.exp(1j * arg).sum(axis=1) / np.sqrt(JAKES_N_SINUSOIDS)
 
-    return LtvChannelRealization(tap_delays=delays, gains=gains, doppler_hz=shifts,
-                                 seed=seed if isinstance(seed, int) else None)
+    return LtvChannelRealization(tap_delays=delays, gains=gains, doppler_hz=shifts)
 
 
 def identity_channel(span_samples: int) -> LtvChannelRealization:
@@ -212,18 +209,6 @@ def delay_time_matrix(ch: LtvChannelRealization, k: int) -> np.ndarray:
     return h
 
 
-def add_awgn(x: np.ndarray, noise_var: float, rng) -> np.ndarray:
-    """Add circularly symmetric complex Gaussian noise of per-sample variance noise_var."""
-    if noise_var < 0:
-        raise ValueError("noise_var must be nonnegative")
-    x = np.asarray(x)
-    if noise_var == 0.0:
-        return x.copy()
-    scale = np.sqrt(noise_var / 2.0)
-    noise = rng.normal(0.0, scale, x.shape) + 1j * rng.normal(0.0, scale, x.shape)
-    return x + noise
-
-
 def complex_noise(rng, n: int) -> np.ndarray:
     """Unit-variance circularly symmetric complex Gaussian vector.
 
@@ -233,14 +218,3 @@ def complex_noise(rng, n: int) -> np.ndarray:
     """
     z = rng.standard_normal((n, 2)) * np.sqrt(0.5)
     return z[:, 0] + 1j * z[:, 1]
-
-
-def export_realization(ch: LtvChannelRealization, path) -> None:
-    """Columnar text dump (tap, delay, sample, re, im) for cross-checking."""
-    with open(path, "w") as fh:
-        fh.write("tap delay sample re im\n")
-        for tap in range(ch.n_taps):
-            tau = int(ch.tap_delays[tap])
-            for i in range(ch.span):
-                g = ch.gains[tap, i]
-                fh.write(f"{tap} {tau} {i} {g.real:.17g} {g.imag:.17g}\n")

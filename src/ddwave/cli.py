@@ -10,7 +10,7 @@ import argparse
 import dataclasses
 import sys
 
-from .config import SCHEMES, ConfigError, parse_config
+from .config import SCHEMES, ConfigError, parse_config, validate_config
 from .experiments import NumericalFailure, oracle_checks, run_experiment
 
 
@@ -21,6 +21,7 @@ def _cmd_run(args) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.out)
+        validate_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -15,11 +15,11 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .baselines import WINDOW_KINDS
 from .channel import DOPPLER_MODELS, PROFILES
 
 EXPERIMENTS = ("loopback", "impulse_leakage", "sidelobes", "psd", "ber_sweep", "oracle_suite")
 SCHEMES = ("otfs", "gf_otfs", "rw_otfs", "dr_ufmc")
-WINDOW_KINDS = ("dolph_chebyshev", "raised_cosine", "rectangular")
 
 
 class ConfigError(ValueError):
@@ -156,6 +156,10 @@ def _expect(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_snr_grid(value) -> tuple[float, ...]:
     if isinstance(value, str):
         parts = value.split(":")
@@ -234,10 +238,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _expect(cfg.du_filter_len >= 1, "du_filter_len must be >= 1")
     _expect(cfg.du_filter_len - 1 <= cfg.m,
             f"du_filter_len: {cfg.du_filter_len} too long for m={cfg.m}")
+    for key in ("gf_atten_db", "du_atten_db"):
+        value = getattr(cfg, key)
+        _expect(_is_number(value) and value > 0, f"{key}: must be positive, got {value!r}")
     _expect(cfg.n_frames >= 1, "n_frames must be >= 1")
+    _expect(type(cfg.seed) is int and cfg.seed >= 0, f"seed: must be an int >= 0, got {cfg.seed!r}")
     _expect(len(cfg.snr_grid_db) > 0, "snr_grid_db must be nonempty")
     _expect(cfg.rw_window_kind in WINDOW_KINDS,
             f"rw_window_kind: unknown value {cfg.rw_window_kind!r}")
+    if cfg.rw_window_kind == "raised_cosine":
+        param = cfg.rw_window_param
+        _expect(_is_number(param) and 0.0 < param <= 1.0,
+                f"rw_window_param: raised_cosine roll-off must be in (0, 1], got {param!r}")
     if cfg.channel.profile is not None:
         _expect(cfg.channel.profile in PROFILES,
                 f"channel.profile: unknown value {cfg.channel.profile!r}")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -107,24 +105,3 @@ class MmseEqualizer:
                     "a positive noise variance is required") from exc
             raise
         return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-
-
-def mmse_detect(h_eff: np.ndarray, d_tilde: np.ndarray, noise_var: float) -> np.ndarray:
-    """One-shot MMSE equalization: (H^H H + var I)^-1 H^H d_tilde."""
-    return MmseEqualizer(h_eff).solve(d_tilde, noise_var)
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    d_hat: np.ndarray
-    bits_hat: np.ndarray
-    evm: np.ndarray  # per-symbol distance to the hard decision
-
-
-def detect_frame(h_eff: np.ndarray, d_tilde: np.ndarray, noise_var: float,
-                 qam_order: int) -> DetectionResult:
-    """Equalize and hard-demap one frame."""
-    d_hat = mmse_detect(h_eff, d_tilde, noise_var)
-    bits_hat = qam_demap(d_hat, qam_order)
-    decided = qam_map(bits_hat, qam_order)
-    return DetectionResult(d_hat=d_hat, bits_hat=bits_hat, evm=np.abs(d_hat - decided))

@@ -10,6 +10,7 @@ random numbers); per-SNR noise is the unit vector scaled by sigma.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import multiprocessing
 import time
@@ -20,11 +21,11 @@ import numpy as np
 from . import __version__
 from . import channel as chan
 from .baselines import DrUfmcModem, DrUfmcSpec, RwOtfsModem, WindowSpec
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .detect import MmseEqualizer, qam_demap, qam_map
 from .gfotfs import GfOtfsModem
 from .metrics import doppler_leakage, oob_metric, psd_welch, wilson_interval
-from .scfdma import OtfsModem
+from .scfdma import OtfsModem, zak_modulate
 from .transforms import FrameGeometry, oracle_matrix, to_delay_doppler, dft_matrix
 from .ufmc import FilterBankSpec, synthesis_matrix, ufmc_analyze
 
@@ -316,19 +317,22 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> tup
     bits_per_frame = cfg.n_sc * k
     totals = {name: np.zeros(len(cfg.snr_grid_db), dtype=np.int64) for name in cfg.schemes}
 
-    if workers <= 1:
-        _ber_init(cfg)
-        results = map(_ber_frame, range(cfg.n_frames))
-        for _, errors in results:
-            for name, per_snr in errors.items():
-                totals[name] += per_snr
-        _WORKER.clear()
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers, initializer=_ber_init, initargs=(cfg,)) as pool:
-            for _, errors in pool.imap_unordered(_ber_frame, range(cfg.n_frames)):
+    # Built here, before any pool exists, so that a bad scheme parameter
+    # raises in the caller; forked workers inherit the modems.
+    _ber_init(cfg)
+    try:
+        if workers <= 1:
+            results = map(_ber_frame, range(cfg.n_frames))
+            for _, errors in results:
                 for name, per_snr in errors.items():
                     totals[name] += per_snr
+        else:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                for _, errors in pool.imap_unordered(_ber_frame, range(cfg.n_frames)):
+                    for name, per_snr in errors.items():
+                        totals[name] += per_snr
+    finally:
+        _WORKER.clear()
 
     n_bits = cfg.n_frames * bits_per_frame
     summary, paths = {}, {}
@@ -350,7 +354,6 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> tup
 
 def oracle_checks() -> list[tuple[str, float, float]]:
     """Small-instance dense-matrix verification rows: (name, max_err, tolerance)."""
-    from .scfdma import scfdma_demodulate, zak_modulate
     rows = []
     for m_dim, n_dim in ((2, 2), (3, 2), (4, 3), (8, 3), (8, 4), (4, 4)):
         g = FrameGeometry(M=m_dim, N=n_dim, n_sc_rb=1)
@@ -371,7 +374,7 @@ def oracle_checks() -> list[tuple[str, float, float]]:
     b_cp = oracle_matrix("B_cp", g)
     rows.append(("cp_identity", float(np.max(np.abs(b_cp @ a_cp - np.eye(32)))), 0.0))
     x_t = a_cp @ s_t
-    d_rt = scfdma_demodulate(x_t, g)
+    d_rt = OtfsModem(g).demodulate(x_t)
     rows.append(("loopback_8x4", float(np.max(np.abs(d_rt - d))), 1e-10))
     bank = FilterBankSpec.for_geometry(g)
     t0_fast = synthesis_matrix(bank)
@@ -406,20 +409,15 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     t_start = time.time()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.experiment == "loopback":
-        summary, paths = run_loopback(cfg, out_dir)
-    elif cfg.experiment == "impulse_leakage":
-        summary, paths = run_impulse_leakage(cfg, out_dir)
-    elif cfg.experiment == "sidelobes":
-        summary, paths = run_sidelobes(cfg, out_dir)
-    elif cfg.experiment == "psd":
-        summary, paths = run_psd(cfg, out_dir)
-    elif cfg.experiment == "ber_sweep":
-        summary, paths = run_ber_sweep(cfg, out_dir, workers=workers)
-    elif cfg.experiment == "oracle_suite":
-        summary, paths = run_oracle_suite(cfg, out_dir)
-    else:  # pragma: no cover - validated earlier
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+    runners = {
+        "loopback": run_loopback,
+        "impulse_leakage": run_impulse_leakage,
+        "sidelobes": run_sidelobes,
+        "psd": run_psd,
+        "ber_sweep": functools.partial(run_ber_sweep, workers=workers),
+        "oracle_suite": run_oracle_suite,
+    }
+    summary, paths = runners[cfg.experiment](cfg, out_dir)
     report = ExperimentReport(
         experiment=cfg.experiment,
         config=cfg.resolved(),

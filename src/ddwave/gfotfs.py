@@ -10,28 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import channel as chan
-from .transforms import DimensionError, FrameGeometry, to_delay_doppler, to_frequency_doppler
+from .scfdma import ProbedModem
+from .transforms import FrameGeometry, to_delay_doppler, to_frequency_doppler
 from .ufmc import FilterBankSpec, UfmcOperators, ufmc_analyze
 
 
-class GfOtfsModem:
-    """Subband-filtered transceiver with predistortion."""
+class GfOtfsModem(ProbedModem):
+    """Subband-filtered transceiver with predistortion.
+
+    Its effective channel is Gamma^H R_u H T_u Gamma.
+    """
 
     name = "gf_otfs"
 
-    def __init__(self, geom: FrameGeometry, atten_db: float = 60.0,
-                 bank: FilterBankSpec | None = None):
-        if bank is None:
-            bank = FilterBankSpec.for_geometry(geom, atten_db)
-        if bank.n_sc != geom.n_sc or bank.n_sc_rb != geom.n_sc_rb:
-            raise DimensionError("filter bank does not match the frame geometry")
+    def __init__(self, geom: FrameGeometry, atten_db: float = 60.0):
         self.geom = geom
-        self.bank = bank
-        self.ops = UfmcOperators(bank)
-        self.tx_len = bank.out_len
-        self.rx_len = bank.out_len
-        self._tu_gamma: np.ndarray | None = None
+        self.bank = FilterBankSpec.for_geometry(geom, atten_db)
+        self.ops = UfmcOperators(self.bank)
+        self.tx_len = self.bank.out_len
+        self.rx_len = self.bank.out_len
 
     def modulate(self, d) -> np.ndarray:
         """Predistorted, normalized subband synthesis of Gamma d."""
@@ -40,15 +37,3 @@ class GfOtfsModem:
     def demodulate(self, r) -> np.ndarray:
         """Subband analysis followed by the inverse frequency-Doppler route."""
         return to_delay_doppler(ufmc_analyze(r, self.bank), self.geom)
-
-    def _modulator_matrix(self) -> np.ndarray:
-        # T_u Gamma, cached: the channel-independent half of the effective channel.
-        if self._tu_gamma is None:
-            gamma = to_frequency_doppler(np.eye(self.geom.n_sc, dtype=complex), self.geom)
-            self._tu_gamma = self.ops.tu @ gamma
-        return self._tu_gamma
-
-    def effective_channel(self, ch: chan.LtvChannelRealization) -> np.ndarray:
-        """Basis-probed end-to-end map Gamma^H R_u H T_u Gamma."""
-        received = chan.apply_channel(self._modulator_matrix(), ch, out_len=self.rx_len)
-        return self.demodulate(received)

@@ -4,7 +4,8 @@ Two equivalent modulation paths exist: the direct Zak path
 s_t = (F_N^H kron I_M) d (per-delay inverse DFT across Doppler), and the
 SC-FDMA path s_t = F_MN^H Gamma d, which routes through the
 frequency-Doppler domain where the filtered modems hook in. Their equality
-is the factorization identity checked in the test suite.
+is the factorization identity checked in the test suite. The
+effective-channel probe that every modem shares lives here as well.
 """
 
 from __future__ import annotations
@@ -78,44 +79,25 @@ def zak_demodulate(s_t, geom: FrameGeometry) -> np.ndarray:
     return (np.fft.fft(v, axis=0) / np.sqrt(geom.N)).reshape(s_t.shape)
 
 
-@dataclass(frozen=True)
-class ModemOutput:
-    s_f: np.ndarray   # frequency-Doppler, length M*N
-    s_t: np.ndarray   # delay-time, length M*N
-    x_t: np.ndarray   # with CP, length M*N + cp_len
+class ProbedModem:
+    """Effective-channel probe shared by every modem.
 
-
-def scfdma_modulate(frame: DelayDopplerFrame) -> ModemOutput:
-    """Modulate via the frequency-Doppler route and prefix the CP."""
-    geom = frame.geom
-    s_f = to_frequency_doppler(frame.d, geom)
-    s_t = full_dft(s_f, inverse=True)
-    return ModemOutput(s_f=s_f, s_t=s_t, x_t=add_cp(s_t, geom.cp_len))
-
-
-def scfdma_demodulate(r_t, geom: FrameGeometry) -> np.ndarray:
-    """CP removal, full DFT, then the inverse frequency-Doppler route.
-
-    Accepts a vector of length M*N + cp_len (or a matrix of such columns).
+    A subclass provides ``geom``, ``rx_len``, ``modulate`` and ``demodulate``,
+    all linear and columnwise on matrices. The probe pushes the identity basis
+    through the chain; the transmitted basis does not depend on the channel,
+    so it is built on the first probe and kept.
     """
-    kept = remove_cp(r_t, geom.cp_len, geom.n_sc)
-    return to_delay_doppler(full_dft(kept), geom)
+
+    _basis: np.ndarray | None = None
+
+    def effective_channel(self, ch: chan.LtvChannelRealization) -> np.ndarray:
+        """End-to-end delay-Doppler map; column q is the response to symbol q."""
+        if self._basis is None:
+            self._basis = self.modulate(np.eye(self.geom.n_sc, dtype=complex))
+        return self.demodulate(chan.apply_channel(self._basis, ch, out_len=self.rx_len))
 
 
-def effective_dd_channel(h_dt: np.ndarray, geom: FrameGeometry) -> np.ndarray:
-    """Delay-Doppler effective channel Gamma^H F_MN H_DT F_MN^H Gamma.
-
-    ``h_dt`` is the CP-stripped delay-time channel (B_cp H A_cp). Columns of
-    the result are obtained by pushing basis vectors through the fast kernels.
-    """
-    h_dt = np.asarray(h_dt)
-    if h_dt.shape != (geom.n_sc, geom.n_sc):
-        raise DimensionError(f"expected {(geom.n_sc, geom.n_sc)} matrix, got {h_dt.shape}")
-    u = full_dft(to_frequency_doppler(np.eye(geom.n_sc, dtype=complex), geom), inverse=True)
-    return to_delay_doppler(full_dft(h_dt @ u), geom)
-
-
-class OtfsModem:
+class OtfsModem(ProbedModem):
     """Plain CP-OTFS transceiver over the SC-FDMA route."""
 
     name = "otfs"
@@ -126,13 +108,15 @@ class OtfsModem:
         self.rx_len = self.tx_len
 
     def modulate(self, d) -> np.ndarray:
+        """Frequency-Doppler route F_MN^H Gamma d, then the CP."""
         return add_cp(full_dft(to_frequency_doppler(d, self.geom), inverse=True),
                       self.geom.cp_len)
 
     def demodulate(self, r) -> np.ndarray:
-        return scfdma_demodulate(np.asarray(r)[:self.rx_len], self.geom)
+        """CP removal, full DFT, then the inverse frequency-Doppler route.
 
-    def effective_channel(self, ch: chan.LtvChannelRealization) -> np.ndarray:
-        basis = self.modulate(np.eye(self.geom.n_sc, dtype=complex))
-        received = chan.apply_channel(basis, ch, out_len=self.rx_len)
-        return self.demodulate(received)
+        Samples beyond rx_len (the channel tail) are dropped; shorter input
+        is rejected. Works columnwise on matrices.
+        """
+        kept = remove_cp(np.asarray(r)[:self.rx_len], self.geom.cp_len, self.geom.n_sc)
+        return to_delay_doppler(full_dft(kept), self.geom)

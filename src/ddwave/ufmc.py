@@ -47,8 +47,7 @@ class FilterBankSpec:
     multiplied by exp(+2j pi alpha_i k / n_sc).
     """
 
-    def __init__(self, n_sc: int, n_sc_rb: int, prototype: np.ndarray,
-                 sidelobe_atten_db: float | None = None):
+    def __init__(self, n_sc: int, n_sc_rb: int, prototype: np.ndarray):
         if n_sc < 1 or n_sc_rb < 1 or n_sc % n_sc_rb != 0:
             raise DimensionError(f"n_sc_rb={n_sc_rb} must divide n_sc={n_sc}")
         prototype = np.asarray(prototype, dtype=float)
@@ -62,7 +61,6 @@ class FilterBankSpec:
         self.n_rb = n_sc // n_sc_rb
         self.prototype = prototype
         self.filter_len = prototype.size
-        self.sidelobe_atten_db = sidelobe_atten_db
         self.alpha = (np.arange(self.n_rb) + 0.5) * n_sc_rb - 0.5
         k = np.arange(self.filter_len)
         self.shifted_filters = prototype[None, :] * np.exp(
@@ -72,7 +70,7 @@ class FilterBankSpec:
     @classmethod
     def for_geometry(cls, geom: FrameGeometry, atten_db: float = 60.0) -> "FilterBankSpec":
         proto = design_chebyshev_prototype(geom.filter_len, atten_db)
-        return cls(geom.n_sc, geom.n_sc_rb, proto, sidelobe_atten_db=atten_db)
+        return cls(geom.n_sc, geom.n_sc_rb, proto)
 
     @property
     def out_len(self) -> int:
@@ -83,25 +81,6 @@ class FilterBankSpec:
         if n_fft not in self._filter_fft_cache:
             self._filter_fft_cache[n_fft] = np.fft.fft(self.shifted_filters, n=n_fft, axis=1)
         return self._filter_fft_cache[n_fft]
-
-
-def ufmc_synthesize_raw(s_f: np.ndarray, bank: FilterBankSpec) -> np.ndarray:
-    """Unnormalized subband synthesis of a frequency-domain vector.
-
-    Each subband's bins are placed at their absolute positions, transformed to
-    time with the normalized inverse DFT, convolved with the subband's shifted
-    filter, and all subbands are summed. Output length is n_sc + filter_len - 1.
-    """
-    s_f = np.asarray(s_f)
-    if s_f.shape != (bank.n_sc,):
-        raise DimensionError(f"expected vector of length {bank.n_sc}, got {s_f.shape}")
-    k = np.arange(bank.n_sc)
-    spectra = np.zeros((bank.n_rb, bank.n_sc), dtype=complex)
-    spectra[k // bank.n_sc_rb, k] = s_f
-    sub_time = np.fft.ifft(spectra, axis=1) * np.sqrt(bank.n_sc)
-    n_fft = next_fast_len(bank.out_len)
-    prod = np.fft.fft(sub_time, n=n_fft, axis=1) * bank.filter_ffts(n_fft)
-    return np.fft.ifft(prod.sum(axis=0))[:bank.out_len]
 
 
 def synthesis_matrix(bank: FilterBankSpec) -> np.ndarray:
@@ -131,25 +110,27 @@ def ufmc_analyze(r: np.ndarray, bank: FilterBankSpec) -> np.ndarray:
     return spectrum[0::2]
 
 
-def normalize_gain(bank: FilterBankSpec, t0: np.ndarray | None = None) -> float:
-    """RMS per-sample amplitude of the all-ones response; divides the modulator."""
-    ref = (t0 @ np.ones(bank.n_sc)) if t0 is not None else \
-        ufmc_synthesize_raw(np.ones(bank.n_sc), bank)
+def normalize_gain(bank: FilterBankSpec, t0: np.ndarray) -> float:
+    """RMS per-sample amplitude of the all-ones response; divides the modulator.
+
+    ``t0`` is the bank's :func:`synthesis_matrix`.
+    """
+    ref = t0 @ np.ones(bank.n_sc)
     gain_sq = float(np.mean(np.abs(ref) ** 2))
     if gain_sq == 0.0:
         raise ValueError("all-zero prototype: synthesis gain is zero")
     return float(np.sqrt(gain_sq))
 
 
-def compute_predistortion(bank: FilterBankSpec, t0: np.ndarray | None = None) -> np.ndarray:
+def compute_predistortion(bank: FilterBankSpec, t0: np.ndarray) -> np.ndarray:
     """Diagonal pre-compensation of the through-modem per-bin response.
 
-    Runs the all-ones vector through synthesis and analysis, and returns
+    Runs the all-ones vector through synthesis (``t0``, the bank's
+    :func:`synthesis_matrix`) and analysis, and returns
     P[k] = mean_k |response| / response[k] so that the predistorted modem has
     a flat (scaled) diagonal response.
     """
-    ref = (t0 @ np.ones(bank.n_sc)) if t0 is not None else \
-        ufmc_synthesize_raw(np.ones(bank.n_sc), bank)
+    ref = t0 @ np.ones(bank.n_sc)
     s_f0 = ufmc_analyze(ref, bank)
     mags = np.abs(s_f0)
     if np.any(mags < 1e-300):
@@ -158,22 +139,21 @@ def compute_predistortion(bank: FilterBankSpec, t0: np.ndarray | None = None) ->
 
 
 class UfmcOperators:
-    """Precomputed modulator variants for one bank.
+    """The predistorted, power-normalized modulator of one bank.
 
-    ``t0`` is the raw dense modulator, ``tn = t0 / synth_norm_gain`` the
-    power-normalized one, and ``tu = tn @ diag(predistortion)`` the
-    predistorted modem actually used for transmission.
+    With ``t0 = synthesis_matrix(bank)`` the raw modulator,
+    ``tu = (t0 / synth_norm_gain) @ diag(predistortion)`` is the modem
+    actually used for transmission. Only ``tu`` is kept.
     """
 
     def __init__(self, bank: FilterBankSpec):
         self.bank = bank
-        self.t0 = synthesis_matrix(bank)
-        self.synth_norm_gain = normalize_gain(bank, self.t0)
-        self.predistortion = compute_predistortion(bank, self.t0)
+        t0 = synthesis_matrix(bank)
+        self.synth_norm_gain = normalize_gain(bank, t0)
+        self.predistortion = compute_predistortion(bank, t0)
         if not np.all(np.isfinite(self.predistortion)):
             raise SingularPredistortionError("non-finite predistortion entries")
-        self.tn = self.t0 / self.synth_norm_gain
-        self.tu = self.tn * self.predistortion[None, :]
+        self.tu = (t0 / self.synth_norm_gain) * self.predistortion[None, :]
 
     def modulate(self, s_f: np.ndarray) -> np.ndarray:
         """Predistorted, normalized synthesis (columnwise on matrices)."""

@@ -28,7 +28,7 @@ from ddwave.config import config_from_dict
 from ddwave.experiments import run_experiment
 from ddwave.gfotfs import GfOtfsModem
 from ddwave.metrics import wilson_interval
-from ddwave.scfdma import OtfsModem, random_frame, scfdma_modulate, zak_modulate
+from ddwave.scfdma import OtfsModem, random_frame, zak_modulate
 from ddwave.transforms import FrameGeometry, dft_matrix, oracle_matrix
 from ddwave.ufmc import FilterBankSpec, UfmcOperators, synthesis_matrix, ufmc_analyze
 
@@ -74,10 +74,11 @@ def test_criterion_3_modulator_path_equivalence():
     rng = np.random.default_rng(1234)
     for m_dim, n_dim in ((8, 4), (64, 8)):
         g = FrameGeometry(M=m_dim, N=n_dim, n_sc_rb=4)
+        modem = OtfsModem(g)  # no CP: modulate returns the delay-time frame
         for _ in range(100):
             frame = random_frame(g, 16, rng)
-            out = scfdma_modulate(frame)
-            worst = max(worst, float(np.max(np.abs(out.s_t - zak_modulate(frame.d, g)))))
+            s_t = modem.modulate(frame.d)
+            worst = max(worst, float(np.max(np.abs(s_t - zak_modulate(frame.d, g)))))
     elapsed = time.time() - t0
     ok = worst < 1e-12 and elapsed < 5.0
     report(f"criterion 3 {'PASS' if ok else 'FAIL'}: direct vs factorized modulation, "
@@ -122,12 +123,12 @@ def test_criterion_6_fast_paths_equal_dense_oracle():
     errs = {}
 
     frame = random_frame(g, 16, np.random.default_rng(8))
-    out = scfdma_modulate(frame)
-    errs["modulate"] = np.max(np.abs(out.x_t - a_cp @ f_full.conj().T @ gamma @ frame.d))
+    otfs = OtfsModem(g)
+    errs["modulate"] = np.max(np.abs(
+        otfs.modulate(frame.d) - a_cp @ f_full.conj().T @ gamma @ frame.d))
 
     cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6,
                              doppler_model="jakes_sum_of_sinusoids")
-    otfs = OtfsModem(g)
     ch = chan.generate_channel(cfg, otfs.rx_len + 8, seed=3, delta_nu_hz=g.delta_nu_hz)
     h = chan.delay_time_matrix(ch, otfs.rx_len)
     r = chan.apply_channel(otfs.modulate(d), ch, out_len=otfs.rx_len)
@@ -136,7 +137,7 @@ def test_criterion_6_fast_paths_equal_dense_oracle():
     h_dd_dense = gamma.conj().T @ f_full @ (b_cp @ h @ a_cp) @ f_full.conj().T @ gamma
     errs["effective_channel"] = np.max(np.abs(otfs.effective_channel(ch) - h_dd_dense))
 
-    gm = GfOtfsModem(g, bank=bank)
+    gm = GfOtfsModem(g)  # its default bank is FilterBankSpec.for_geometry(g)
     errs["subband_synthesis"] = np.max(np.abs(
         synthesis_matrix(bank) - oracle_matrix("T_0", g, bank)))
     rr = rng.normal(size=40) + 1j * rng.normal(size=40)
@@ -162,7 +163,8 @@ def test_criterion_7_predistortion_improvement():
     g = FrameGeometry(M=64, N=8, n_sc_rb=4, filter_len=129)
     ops = UfmcOperators(FilterBankSpec.for_geometry(g, atten_db=60.0))
     ones = np.ones(512)
-    r_norm = ufmc_analyze(ops.tn @ ones, ops.bank)
+    t_n = synthesis_matrix(ops.bank) / ops.synth_norm_gain
+    r_norm = ufmc_analyze(t_n @ ones, ops.bank)
     r_pre = ufmc_analyze(ops.tu @ ones, ops.bank)
     spread_norm = float(np.max(np.abs(r_norm)) / np.min(np.abs(r_norm)))
     spread_pre = float(np.max(np.abs(r_pre)) / np.min(np.abs(r_pre)))

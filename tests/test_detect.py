@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from ddwave.detect import (
     MmseEqualizer,
     RegularizationRequiredError,
-    detect_frame,
-    mmse_detect,
     qam_demap,
     qam_map,
 )
@@ -69,13 +67,13 @@ class TestMmse:
     def test_identity_zero_noise(self):
         rng = np.random.default_rng(1)
         y = rng.normal(size=8) + 1j * rng.normal(size=8)
-        assert np.max(np.abs(mmse_detect(np.eye(8, dtype=complex), y, 0.0) - y)) < 1e-12
+        assert np.max(np.abs(MmseEqualizer(np.eye(8, dtype=complex)).solve(y, 0.0) - y)) < 1e-12
 
     def test_ridge_shrinkage(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         y = rng.normal(size=12) + 1j * rng.normal(size=12)
-        norms = [np.linalg.norm(mmse_detect(h, y, v)) for v in (0.1, 1.0, 10.0, 100.0)]
+        norms = [np.linalg.norm(MmseEqualizer(h).solve(y, v)) for v in (0.1, 1.0, 10.0, 100.0)]
         assert norms[0] > norms[1] > norms[2] > norms[3]
 
     def test_solve_matches_explicit_inverse(self):
@@ -84,22 +82,22 @@ class TestMmse:
         y = rng.normal(size=16) + 1j * rng.normal(size=16)
         var = 0.31
         direct = np.linalg.inv(h.conj().T @ h + var * np.eye(16)) @ h.conj().T @ y
-        assert np.max(np.abs(mmse_detect(h, y, var) - direct)) < 1e-10
+        assert np.max(np.abs(MmseEqualizer(h).solve(y, var) - direct)) < 1e-10
 
     def test_unitary_channel_exact_inversion(self):
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
         d = rng.normal(size=16) + 1j * rng.normal(size=16)
-        assert np.max(np.abs(mmse_detect(q, q @ d, 0.0) - d)) < 1e-10
+        assert np.max(np.abs(MmseEqualizer(q).solve(q @ d, 0.0) - d)) < 1e-10
 
     def test_singular_zero_noise_raises(self):
         h = np.zeros((4, 4), dtype=complex)
         with pytest.raises(RegularizationRequiredError):
-            mmse_detect(h, np.ones(4, dtype=complex), 0.0)
+            MmseEqualizer(h).solve(np.ones(4, dtype=complex), 0.0)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
-            mmse_detect(np.eye(2, dtype=complex), np.ones(2), -0.1)
+            MmseEqualizer(np.eye(2, dtype=complex)).solve(np.ones(2), -0.1)
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
@@ -130,7 +128,9 @@ class TestDetectFrame:
         rng = np.random.default_rng(6)
         bits = rng.integers(0, 2, size=32 * 4)
         d = qam_map(bits, 16)
-        res = detect_frame(np.eye(32, dtype=complex), d, 0.0, 16)
-        assert np.array_equal(res.bits_hat, bits)
-        assert res.bits_hat.size == 32 * 4
-        assert np.max(res.evm) < 1e-10
+        d_hat = MmseEqualizer(np.eye(32, dtype=complex)).solve(d, 0.0)
+        bits_hat = qam_demap(d_hat, 16)
+        assert np.array_equal(bits_hat, bits)
+        assert bits_hat.size == 32 * 4
+        # distance of each equalized symbol to its hard decision
+        assert np.max(np.abs(d_hat - qam_map(bits_hat, 16))) < 1e-10

@@ -6,7 +6,6 @@ import pytest
 from ddwave import channel as chan
 from ddwave.gfotfs import GfOtfsModem
 from ddwave.transforms import FrameGeometry, oracle_matrix
-from ddwave.ufmc import FilterBankSpec
 
 
 def small_modem(filter_len=9):
@@ -152,9 +151,3 @@ class TestEffectiveChannel:
                  @ oracle_matrix("Gamma", g))
         assert np.max(np.abs(gm.effective_channel(ch) - dense)) < 1e-10
 
-
-def test_bank_geometry_mismatch_rejected():
-    g = FrameGeometry(M=8, N=4, n_sc_rb=4, filter_len=9)
-    wrong = FilterBankSpec.for_geometry(FrameGeometry(M=4, N=4, n_sc_rb=4, filter_len=9))
-    with pytest.raises(Exception):
-        GfOtfsModem(g, bank=wrong)

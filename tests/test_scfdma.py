@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from ddwave import channel as chan
+from ddwave.config import config_from_dict
+from ddwave.experiments import build_modems
 from ddwave.scfdma import (
     OtfsModem,
     frame_from_bits,
     random_frame,
-    scfdma_demodulate,
-    scfdma_modulate,
     zak_demodulate,
     zak_modulate,
 )
-from ddwave.transforms import DimensionError, FrameGeometry, oracle_matrix
+from ddwave.transforms import (
+    DimensionError,
+    FrameGeometry,
+    oracle_matrix,
+    to_frequency_doppler,
+)
 
 
 def geom_8x4(cp_len=0):
@@ -79,19 +84,21 @@ class TestPathEquivalence:
     def test_zak_equals_scfdma_route(self, m_dim, n_dim):
         g = FrameGeometry(M=m_dim, N=n_dim, n_sc_rb=4)
         rng = np.random.default_rng(4)
+        modem = OtfsModem(g)
         for _ in range(20):
             f = random_frame(g, 16, rng)
-            out = scfdma_modulate(f)
-            assert np.max(np.abs(out.s_t - zak_modulate(f.d, g))) < 1e-12
+            s_t = modem.modulate(f.d)  # no CP: the delay-time frame itself
+            assert np.max(np.abs(s_t - zak_modulate(f.d, g))) < 1e-12
 
     def test_output_energies(self):
         g = geom_8x4(cp_len=3)
         rng = np.random.default_rng(5)
         f = random_frame(g, 16, rng)
-        out = scfdma_modulate(f)
-        assert np.linalg.norm(out.s_f) == pytest.approx(np.linalg.norm(f.d), abs=1e-10)
-        assert np.linalg.norm(out.s_t) == pytest.approx(np.linalg.norm(f.d), abs=1e-10)
-        assert out.x_t.shape == (35,)
+        s_f = to_frequency_doppler(f.d, g)
+        x_t = OtfsModem(g).modulate(f.d)
+        assert np.linalg.norm(s_f) == pytest.approx(np.linalg.norm(f.d), abs=1e-10)
+        assert np.linalg.norm(x_t[3:]) == pytest.approx(np.linalg.norm(f.d), abs=1e-10)
+        assert x_t.shape == (35,)
 
 
 class TestCpHandling:
@@ -104,48 +111,51 @@ class TestCpHandling:
         g = geom_8x4(cp_len=5)
         rng = np.random.default_rng(6)
         f = random_frame(g, 16, rng)
-        out = scfdma_modulate(f)
-        d_hat = scfdma_demodulate(out.x_t, g)
+        modem = OtfsModem(g)
+        d_hat = modem.demodulate(modem.modulate(f.d))
         assert np.max(np.abs(d_hat - f.d)) < 1e-10
 
     def test_demodulate_checks_length(self):
         g = geom_8x4(cp_len=5)
         with pytest.raises(DimensionError):
-            scfdma_demodulate(np.zeros(32), g)
+            OtfsModem(g).demodulate(np.zeros(32))
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_loopback_any_qam_order(self, order):
         g = geom_8x4(cp_len=3)
         rng = np.random.default_rng(order)
         f = random_frame(g, order, rng)
-        assert np.max(np.abs(scfdma_demodulate(scfdma_modulate(f).x_t, g) - f.d)) < 1e-10
+        modem = OtfsModem(g)
+        assert np.max(np.abs(modem.demodulate(modem.modulate(f.d)) - f.d)) < 1e-10
 
 
 class TestDemodulator:
     def test_zero_in_zero_out(self):
         g = geom_8x4(cp_len=2)
-        assert np.all(scfdma_demodulate(np.zeros(34, complex), g) == 0)
+        assert np.all(OtfsModem(g).demodulate(np.zeros(34, complex)) == 0)
 
     def test_noise_energy_preserved(self):
         # the chain after CP removal is unitary, so kept-noise energy survives
         g = geom_8x4(cp_len=4)
         rng = np.random.default_rng(7)
         eta = random_complex(rng, 36)
-        d_tilde = scfdma_demodulate(eta, g)
+        d_tilde = OtfsModem(g).demodulate(eta)
         assert np.linalg.norm(d_tilde) == pytest.approx(np.linalg.norm(eta[4:]), abs=1e-10)
 
 
 class TestEffectiveChannel:
     def test_identity_and_scalar(self):
-        from ddwave.scfdma import effective_dd_channel
-        g = geom_8x4()
-        h_dd = effective_dd_channel(np.eye(32, dtype=complex), g)
+        modem = OtfsModem(geom_8x4())
+        ident = chan.identity_channel(modem.rx_len)
+        h_dd = modem.effective_channel(ident)
         assert np.max(np.abs(h_dd - np.eye(32))) < 1e-12
-        h_dd_c = effective_dd_channel((0.3 - 1.1j) * np.eye(32, dtype=complex), g)
+        scalar = chan.LtvChannelRealization(
+            tap_delays=ident.tap_delays, gains=(0.3 - 1.1j) * ident.gains,
+            doppler_hz=ident.doppler_hz)
+        h_dd_c = modem.effective_channel(scalar)
         assert np.max(np.abs(h_dd_c - (0.3 - 1.1j) * np.eye(32))) < 1e-12
 
     def test_matrix_path_equals_signal_path(self):
-        from ddwave.scfdma import effective_dd_channel
         g = geom_8x4(cp_len=4)
         modem = OtfsModem(g)
         cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6, n_taps=5)
@@ -154,7 +164,10 @@ class TestEffectiveChannel:
         h = chan.delay_time_matrix(ch, modem.rx_len)
         a_cp = oracle_matrix("A_cp", g)
         b_cp = oracle_matrix("B_cp", g)
-        h_dd = effective_dd_channel(b_cp @ h @ a_cp, g)
+        gamma = oracle_matrix("Gamma", g)
+        f_full = oracle_matrix("F_MN", g)
+        # Gamma^H F_MN H_DT F_MN^H Gamma with the CP-stripped channel H_DT
+        h_dd = gamma.conj().T @ f_full @ (b_cp @ h @ a_cp) @ f_full.conj().T @ gamma
         rng = np.random.default_rng(8)
         d = random_complex(rng, 32)
         via_matrix = h_dd @ d
@@ -189,6 +202,24 @@ class TestEffectiveChannel:
                 block = h_dd[n_out * 8:(n_out + 1) * 8, n_in * 8:(n_in + 1) * 8]
                 if n_out != n_in:
                     assert np.max(np.abs(block)) < 1e-10
+
+
+@pytest.mark.parametrize("scheme", ["otfs", "gf_otfs", "rw_otfs", "dr_ufmc"])
+def test_shared_probe_caches_only_the_basis(scheme):
+    # every modem's effective channel is its own signal path applied to the
+    # identity basis, and a second realization is probed afresh
+    cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
+                            "rw_cp_len": 8, "schemes": [scheme]})
+    modem = build_modems(cfg)[scheme]
+    ch_cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6,
+                                doppler_model="jakes_sum_of_sinusoids")
+    eye = np.eye(modem.geom.n_sc, dtype=complex)
+    for seed in (31, 32):
+        ch = chan.generate_channel(ch_cfg, modem.rx_len + 8, seed=seed,
+                                   delta_nu_hz=modem.geom.delta_nu_hz)
+        direct = modem.demodulate(chan.apply_channel(modem.modulate(eye), ch,
+                                                     out_len=modem.rx_len))
+        assert np.array_equal(modem.effective_channel(ch), direct)
 
 
 def test_fractional_doppler_dirichlet_spread():

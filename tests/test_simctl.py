@@ -1,5 +1,6 @@
 """Config parsing, experiment dispatch, CSV output, CLI, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from ddwave.experiments import (
     NumericalFailure,
     build_modems,
     centered_band_mask,
+    run_ber_sweep,
     run_experiment,
 )
 
@@ -194,6 +196,22 @@ class TestExperiments:
         assert rep.summary["n_failed"] == 0
 
 
+class TestBerWorkers:
+    def test_scheme_error_raises_before_any_pool(self, tmp_path, monkeypatch):
+        # a pool initializer that raises makes the pool respawn workers
+        # forever, so the modems must fail in the caller first
+        import ddwave.experiments as exp_mod
+
+        def no_pool(method):
+            raise AssertionError("a worker pool was started")
+        monkeypatch.setattr(exp_mod.multiprocessing, "get_context", no_pool)
+        cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
+                                "n_frames": 2, "snr_grid_db": [10.0]})
+        cfg = dataclasses.replace(cfg, gf_atten_db=-5.0)  # bypasses validate_config
+        with pytest.raises(ValueError):
+            run_ber_sweep(cfg, tmp_path, workers=2)
+
+
 class TestBuildModems:
     def test_registry_covers_all_schemes(self):
         cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9,
@@ -224,6 +242,22 @@ class TestCli:
         assert cli_main(["run", str(cfgfile)]) == 2
         assert "n_sc_rb" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override,field", [
+        ({"gf_atten_db": -5}, "gf_atten_db"),
+        ({"du_atten_db": 0}, "du_atten_db"),
+        ({"seed": -1}, "seed"),
+        ({"rw_window_kind": "raised_cosine"}, "rw_window_param"),
+        ({"seed": True}, "seed"),
+    ])
+    def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
+        cfgfile = tmp_path / "bad.json"
+        cfgfile.write_text(json.dumps({
+            "experiment": "ber_sweep", "m": 8, "n": 4, "n_frames": 1,
+            "gf_filter_len": 9, "du_filter_len": 5, "snr_grid_db": [10.0],
+            "output_dir": str(tmp_path / "out")} | override))
+        assert cli_main(["run", str(cfgfile)]) == 2
+        assert field in capsys.readouterr().err
+
     def test_numerical_failure_exit_three(self, tmp_path, capsys, monkeypatch):
         import ddwave.cli as cli_mod
         cfgfile = tmp_path / "cfg.json"
@@ -246,6 +280,12 @@ class TestCli:
                          "--out", str(tmp_path / "chosen")]) == 0
         rep = json.loads((tmp_path / "chosen" / "report.json").read_text())
         assert rep["seed"] == 99
+
+    def test_seed_override_is_validated(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text("{}")
+        assert cli_main(["run", str(cfgfile), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_oracle_command(self, capsys):
         assert cli_main(["oracle"]) == 0
