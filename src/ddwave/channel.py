@@ -91,7 +91,7 @@ class LtvChannelRealization:
         return self.gains.shape[1]
 
 
-def _quantized_profile(config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
+def quantized_profile(config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Tap sample delays and unit-sum powers for the configured profile."""
     if config.profile == "single_path":
         return np.array([0]), np.array([1.0])
@@ -125,7 +125,7 @@ def generate_channel(config: ChannelConfig, span_samples: int, seed,
     cosine-distributed one; the single_path profile then stays fully
     deterministic (unit gain, zero phase).
     """
-    delays, powers = _quantized_profile(config)
+    delays, powers = quantized_profile(config)
     if span_samples < int(delays[-1]) + 1:
         raise ValueError(f"span_samples={span_samples} shorter than the channel memory")
     if isinstance(seed, np.random.SeedSequence):

@@ -3,8 +3,10 @@
 Unknown keys are rejected with the offending key named; omitted fields get
 the documented defaults (frame 64 x 8, carrier 5.9 GHz, bandwidth 1.92 MHz
 for link-level experiments and 10 MHz for the PSD study, TDL-C with 5 taps
-at 500 km/h, subbands of 4, filter lengths MN/4 + 1 and 20). The resolved
-configuration is echoed into every report.
+at 500 km/h, subbands of 4, filter lengths MN/4 + 1 and 20). Every field is
+checked against its annotated type before any range check, so a bad value
+raises ConfigError naming the field. The resolved configuration is echoed
+into every report.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baselines import WINDOW_KINDS
-from .channel import DOPPLER_MODELS, PROFILES
+from .channel import DOPPLER_MODELS, PROFILES, ChannelConfig, quantized_profile
+from .scfdma import WINDOW_KINDS
 
 EXPERIMENTS = ("loopback", "impulse_leakage", "sidelobes", "psd", "ber_sweep", "oracle_suite")
 SCHEMES = ("otfs", "gf_otfs", "rw_otfs", "dr_ufmc")
@@ -156,11 +159,46 @@ def _expect(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _is_int(v) -> bool:
+    return type(v) is int and abs(v) < 2 ** 53
+
+
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return (type(v) is float or _is_int(v)) and math.isfinite(v)
 
 
-def _parse_snr_grid(value) -> tuple[float, ...]:
+_TYPE_CHECKS = {
+    "int": _is_int,
+    "float": _is_number,
+    "str": lambda v: type(v) is str,
+    "bool": lambda v: type(v) is bool,
+    "ChannelSection": lambda v: isinstance(v, ChannelSection),
+}
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether ``value`` fits a field annotation of the config dataclasses.
+
+    A bool is not an int, a float must be finite, ints stay below 2**53 so
+    float arithmetic on them is exact, and ``tuple[X, ...]`` is nonempty.
+    """
+    if annotation.endswith(" | None"):
+        return value is None or _has_type(value, annotation[:-len(" | None")])
+    if not annotation.startswith("tuple["):
+        return _TYPE_CHECKS[annotation](value)
+    if not isinstance(value, tuple):
+        return False
+    items = annotation[len("tuple["):-1].split(", ")
+    if items[-1] == "...":
+        items = items[:1] * max(len(value), 1)
+    return len(value) == len(items) and all(_TYPE_CHECKS[t](v) for t, v in zip(items, value))
+
+
+_MAX_SNR_POINTS = 1000
+
+
+def _parse_snr_grid(value):
+    """Expand the 'start:step:stop' form; make list entries floats."""
     if isinstance(value, str):
         parts = value.split(":")
         _expect(len(parts) == 3, f"snr_grid_db string must be 'start:step:stop', got {value!r}")
@@ -168,21 +206,21 @@ def _parse_snr_grid(value) -> tuple[float, ...]:
             start, step, stop = (float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"snr_grid_db: non-numeric component in {value!r}") from exc
+        _expect(all(math.isfinite(v) for v in (start, step, stop)),
+                f"snr_grid_db: non-finite component in {value!r}")
         _expect(step > 0, "snr_grid_db: step must be positive")
         _expect(stop >= start, "snr_grid_db: stop must be >= start")
+        _expect((stop - start) / step < _MAX_SNR_POINTS,
+                f"snr_grid_db: {value!r} has more than {_MAX_SNR_POINTS} points")
         grid = []
         x = start
         while x <= stop + 1e-9:
             grid.append(round(x, 9))
             x += step
         return tuple(grid)
-    if isinstance(value, (list, tuple)):
-        _expect(len(value) > 0, "snr_grid_db must be nonempty")
-        try:
-            return tuple(float(v) for v in value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("snr_grid_db: entries must be numbers") from exc
-    raise ConfigError(f"snr_grid_db: expected list or 'start:step:stop' string, got {type(value).__name__}")
+    if isinstance(value, tuple):
+        return tuple(float(v) if _is_number(v) else v for v in value)
+    return value
 
 
 _CHANNEL_KEYS = {f.name for f in dataclasses.fields(ChannelSection)}
@@ -195,7 +233,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - _TOP_KEYS
     _expect(not unknown, f"unknown config key(s): {', '.join(sorted(unknown))}")
 
-    kwargs = dict(raw)
+    # JSON arrays become tuples, the form the frozen config holds.
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
     if "channel" in kwargs:
         chraw = kwargs["channel"]
         _expect(isinstance(chraw, dict), "channel section must be a JSON object")
@@ -204,15 +243,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         kwargs["channel"] = ChannelSection(**chraw)
     if "snr_grid_db" in kwargs:
         kwargs["snr_grid_db"] = _parse_snr_grid(kwargs["snr_grid_db"])
-    if "schemes" in kwargs:
-        _expect(isinstance(kwargs["schemes"], (list, tuple)) and kwargs["schemes"],
-                "schemes must be a nonempty list")
-        kwargs["schemes"] = tuple(kwargs["schemes"])
-    for key in ("leakage_half_widths", "leakage_center"):
-        if key in kwargs and kwargs[key] is not None:
-            _expect(isinstance(kwargs[key], (list, tuple)) and len(kwargs[key]) == 2,
-                    f"{key} must be a pair")
-            kwargs[key] = tuple(int(v) for v in kwargs[key])
 
     cfg = ExperimentConfig(**kwargs)
     validate_config(cfg)
@@ -220,35 +250,43 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    for section, prefix in ((cfg, ""), (cfg.channel, "channel.")):
+        for f in dataclasses.fields(section):
+            value = getattr(section, f.name)
+            _expect(_has_type(value, f.type), f"{prefix}{f.name}: expected {f.type}, got "
+                    f"{value!r} (floats must be finite and a bool is not an int)")
     _expect(cfg.experiment in EXPERIMENTS,
             f"experiment: unknown value {cfg.experiment!r}, expected one of {EXPERIMENTS}")
     for s in cfg.schemes:
         _expect(s in SCHEMES, f"schemes: unknown scheme {s!r}, expected one of {SCHEMES}")
-    _expect(cfg.m >= 1 and cfg.n >= 1, "m and n must be positive integers")
+    _expect(len(set(cfg.schemes)) == len(cfg.schemes),
+            f"schemes: each scheme may appear once, got {list(cfg.schemes)}")
     _expect(cfg.qam_order in (4, 16, 64), f"qam_order: {cfg.qam_order} not in (4, 16, 64)")
-    _expect(cfg.n_sc_rb >= 1, "n_sc_rb must be >= 1")
-    _expect(cfg.n_sc % cfg.n_sc_rb == 0,
-            f"n_sc_rb: {cfg.n_sc_rb} does not divide m*n = {cfg.n_sc} (m={cfg.m}, n={cfg.n})")
+    inf = math.inf
+    for key, value, lo, hi in (
+            ("m", cfg.m, 1, inf), ("n", cfg.n, 1, inf), ("n_sc_rb", cfg.n_sc_rb, 1, inf),
+            ("seed", cfg.seed, 0, inf), ("n_frames", cfg.n_frames, 1, inf),
+            ("cp_len", cfg.resolved_cp_len(), 0, cfg.n_sc),
+            ("rw_cp_len", cfg.resolved_rw_cp_len(), 0, cfg.n_sc),
+            ("gf_filter_len", cfg.resolved_gf_filter_len(), 1, cfg.n_sc + 1),
+            ("du_filter_len", cfg.du_filter_len, 1, cfg.m + 1),
+            ("psd_segment_len", cfg.psd_segment_len, 64, inf),
+            ("sidelobe_oversample", cfg.sidelobe_oversample, 2, inf),
+            ("channel.n_taps", cfg.n_taps_effective(), 1, inf),
+            ("channel.carrier_hz", cfg.channel.carrier_hz, 0, inf),
+            ("channel.delay_spread_s", cfg.channel.delay_spread_s, 0, inf)):
+        _expect(lo <= value <= hi, f"{key}: {value!r} outside [{lo}, {hi}]")
     _expect(cfg.m % cfg.n_sc_rb == 0,
             f"n_sc_rb: {cfg.n_sc_rb} does not divide m = {cfg.m} (dr_ufmc block constraint)")
     _expect(cfg.resolved_bandwidth_hz() > 0, "bandwidth_hz must be positive")
-    _expect(cfg.resolved_gf_filter_len() >= 1, "gf_filter_len must be >= 1")
-    _expect(cfg.resolved_gf_filter_len() - 1 <= cfg.n_sc,
-            f"gf_filter_len: {cfg.resolved_gf_filter_len()} too long for n_sc={cfg.n_sc}")
-    _expect(cfg.du_filter_len >= 1, "du_filter_len must be >= 1")
-    _expect(cfg.du_filter_len - 1 <= cfg.m,
-            f"du_filter_len: {cfg.du_filter_len} too long for m={cfg.m}")
     for key in ("gf_atten_db", "du_atten_db"):
         value = getattr(cfg, key)
-        _expect(_is_number(value) and value > 0, f"{key}: must be positive, got {value!r}")
-    _expect(cfg.n_frames >= 1, "n_frames must be >= 1")
-    _expect(type(cfg.seed) is int and cfg.seed >= 0, f"seed: must be an int >= 0, got {cfg.seed!r}")
-    _expect(len(cfg.snr_grid_db) > 0, "snr_grid_db must be nonempty")
+        _expect(value > 0, f"{key}: must be positive, got {value!r}")
     _expect(cfg.rw_window_kind in WINDOW_KINDS,
             f"rw_window_kind: unknown value {cfg.rw_window_kind!r}")
     if cfg.rw_window_kind == "raised_cosine":
         param = cfg.rw_window_param
-        _expect(_is_number(param) and 0.0 < param <= 1.0,
+        _expect(0.0 < param <= 1.0,
                 f"rw_window_param: raised_cosine roll-off must be in (0, 1], got {param!r}")
     if cfg.channel.profile is not None:
         _expect(cfg.channel.profile in PROFILES,
@@ -259,8 +297,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.channel.doppler_model is not None:
         _expect(cfg.channel.doppler_model in DOPPLER_MODELS,
                 f"channel.doppler_model: unknown value {cfg.channel.doppler_model!r}")
-    if cfg.channel.n_taps is not None:
-        _expect(cfg.channel.n_taps >= 1, "channel.n_taps must be >= 1")
     _expect(0.0 < cfg.occupied_fraction <= 2.0 / 3.0,
             "occupied_fraction must be in (0, 2/3] so the offset band stays below Nyquist")
     n_active = 2 * int(round(cfg.n_sc * cfg.occupied_fraction / 2.0))
@@ -269,15 +305,26 @@ def validate_config(cfg: ExperimentConfig) -> None:
             and n_active_block > 0 and n_active_block % cfg.n_sc_rb == 0,
             f"occupied_fraction: {cfg.occupied_fraction} must activate whole subbands "
             f"symmetrically on both the {cfg.n_sc}-bin and the {cfg.m}-bin grids")
-    _expect(cfg.psd_segment_len >= 64, "psd_segment_len must be >= 64")
-    _expect(cfg.sidelobe_oversample >= 2, "sidelobe_oversample must be >= 2")
     w_m, w_n = cfg.leakage_half_widths
-    _expect(2 * w_m + 1 <= cfg.m and 2 * w_n + 1 <= cfg.n,
-            f"leakage_half_widths: window {2*w_m+1}x{2*w_n+1} exceeds grid {cfg.m}x{cfg.n}")
+    _expect(0 <= w_m and 2 * w_m + 1 <= cfg.m and 0 <= w_n and 2 * w_n + 1 <= cfg.n,
+            f"leakage_half_widths: window {2*w_m+1}x{2*w_n+1} does not fit grid {cfg.m}x{cfg.n}")
     if cfg.leakage_center is not None:
         m0, n0 = cfg.leakage_center
         _expect(0 <= m0 < cfg.m and 0 <= n0 < cfg.n,
                 f"leakage_center: ({m0}, {n0}) outside grid {cfg.m}x{cfg.n}")
+    # The resolved profile must have n_taps distinct delays, all inside the frame.
+    delay_spread = cfg.channel.delay_spread_s
+    _expect(delay_spread * cfg.resolved_bandwidth_hz() <= cfg.n_sc,
+            f"channel.delay_spread_s: {delay_spread!r} s is longer than the "
+            f"{cfg.n_sc}-sample frame")
+    try:
+        delays, _ = quantized_profile(
+            ChannelConfig(bandwidth_hz=cfg.resolved_bandwidth_hz(), **cfg.resolved_channel()))
+    except ValueError as exc:
+        raise ConfigError(f"channel.n_taps: {exc} at delay_spread_s={delay_spread!r}") from exc
+    _expect(delays[-1] < cfg.n_sc,
+            f"channel.delay_spread_s: {delay_spread!r} s gives a channel memory of "
+            f"{delays[-1] + 1} samples, longer than the {cfg.n_sc}-sample frame")
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -20,12 +20,12 @@ import numpy as np
 
 from . import __version__
 from . import channel as chan
-from .baselines import DrUfmcModem, DrUfmcSpec, RwOtfsModem, WindowSpec
+from .baselines import DrUfmcModem
 from .config import ExperimentConfig
 from .detect import MmseEqualizer, qam_demap, qam_map
 from .gfotfs import GfOtfsModem
 from .metrics import doppler_leakage, oob_metric, psd_welch, wilson_interval
-from .scfdma import OtfsModem, zak_modulate
+from .scfdma import CpOtfsModem, WindowSpec, zak_modulate
 from .transforms import FrameGeometry, oracle_matrix, to_delay_doppler, dft_matrix
 from .ufmc import FilterBankSpec, synthesis_matrix, ufmc_analyze
 
@@ -47,22 +47,16 @@ _P_BITS, _P_CHANNEL, _P_NOISE = 0, 1, 2
 
 
 def build_modems(cfg: ExperimentConfig) -> dict:
-    """Instantiate the configured schemes from the resolved geometry."""
-    bw = cfg.resolved_bandwidth_hz()
-    geom = FrameGeometry(M=cfg.m, N=cfg.n, bandwidth_hz=bw, cp_len=cfg.resolved_cp_len(),
-                         n_sc_rb=cfg.n_sc_rb, filter_len=cfg.resolved_gf_filter_len())
-    geom_rw = FrameGeometry(M=cfg.m, N=cfg.n, bandwidth_hz=bw, cp_len=cfg.resolved_rw_cp_len(),
-                            n_sc_rb=cfg.n_sc_rb, filter_len=1)
+    """Instantiate the configured schemes, all on one resolved geometry."""
+    geom = FrameGeometry(M=cfg.m, N=cfg.n, bandwidth_hz=cfg.resolved_bandwidth_hz())
     builders = {
-        "otfs": lambda: OtfsModem(geom),
-        "gf_otfs": lambda: GfOtfsModem(geom, atten_db=cfg.gf_atten_db),
-        "rw_otfs": lambda: RwOtfsModem(
-            geom_rw,
-            WindowSpec(kind=cfg.rw_window_kind, length=geom.n_sc, parameter=cfg.rw_window_param),
+        "otfs": lambda: CpOtfsModem(geom, cfg.resolved_cp_len()),
+        "gf_otfs": lambda: GfOtfsModem(geom, cfg.n_sc_rb, cfg.resolved_gf_filter_len(),
+                                       cfg.gf_atten_db),
+        "rw_otfs": lambda: CpOtfsModem(
+            geom, cfg.resolved_rw_cp_len(), WindowSpec(cfg.rw_window_kind, cfg.rw_window_param),
             tx_window=cfg.resolved_rw_tx_window()),
-        "dr_ufmc": lambda: DrUfmcModem(
-            geom, DrUfmcSpec(n_sc_rb=cfg.n_sc_rb, filter_len=cfg.du_filter_len,
-                             atten_db=cfg.du_atten_db)),
+        "dr_ufmc": lambda: DrUfmcModem(geom, cfg.n_sc_rb, cfg.du_filter_len, cfg.du_atten_db),
     }
     return {name: builders[name]() for name in cfg.schemes}
 
@@ -356,12 +350,12 @@ def oracle_checks() -> list[tuple[str, float, float]]:
     """Small-instance dense-matrix verification rows: (name, max_err, tolerance)."""
     rows = []
     for m_dim, n_dim in ((2, 2), (3, 2), (4, 3), (8, 3), (8, 4), (4, 4)):
-        g = FrameGeometry(M=m_dim, N=n_dim, n_sc_rb=1)
+        g = FrameGeometry(M=m_dim, N=n_dim)
         lhs = oracle_matrix("F_MN", g)
         rhs = (oracle_matrix("Psi", g) @ oracle_matrix("I_N_kron_F_M", g)
                @ oracle_matrix("Omega", g) @ np.kron(dft_matrix(n_dim), np.eye(m_dim)))
         rows.append((f"cooley_tukey_{m_dim}x{n_dim}", float(np.max(np.abs(lhs - rhs))), 1e-12))
-    g = FrameGeometry(M=8, N=4, n_sc_rb=4, filter_len=9, cp_len=3)
+    g = FrameGeometry(M=8, N=4)
     gamma = oracle_matrix("Gamma", g)
     rows.append(("gamma_unitary_8x4",
                  float(np.max(np.abs(gamma @ gamma.conj().T - np.eye(32)))), 1e-12))
@@ -370,13 +364,13 @@ def oracle_checks() -> list[tuple[str, float, float]]:
     s_t = zak_modulate(d, g)
     dense_path = np.linalg.multi_dot([dft_matrix(32).conj().T, gamma, d.reshape(-1, 1)]).ravel()
     rows.append(("zak_vs_scfdma_8x4", float(np.max(np.abs(s_t - dense_path))), 1e-12))
-    a_cp = oracle_matrix("A_cp", g)
-    b_cp = oracle_matrix("B_cp", g)
+    a_cp = oracle_matrix("A_cp", g, cp_len=3)
+    b_cp = oracle_matrix("B_cp", g, cp_len=3)
     rows.append(("cp_identity", float(np.max(np.abs(b_cp @ a_cp - np.eye(32)))), 0.0))
     x_t = a_cp @ s_t
-    d_rt = OtfsModem(g).demodulate(x_t)
+    d_rt = CpOtfsModem(g, cp_len=3).demodulate(x_t)
     rows.append(("loopback_8x4", float(np.max(np.abs(d_rt - d))), 1e-10))
-    bank = FilterBankSpec.for_geometry(g)
+    bank = FilterBankSpec.chebyshev(32, 4, filter_len=9)
     t0_fast = synthesis_matrix(bank)
     t0_dense = oracle_matrix("T_0", g, bank)
     rows.append(("ufmc_t0_fast_vs_oracle", float(np.max(np.abs(t0_fast - t0_dense))), 1e-10))
@@ -384,9 +378,8 @@ def oracle_checks() -> list[tuple[str, float, float]]:
     ru = oracle_matrix("R_u", g, bank)
     rows.append(("ufmc_ru_fast_vs_oracle",
                  float(np.max(np.abs(ufmc_analyze(r, bank) - ru @ r))), 1e-10))
-    g1 = FrameGeometry(M=8, N=4, n_sc_rb=4, filter_len=1)
-    bank1 = FilterBankSpec.for_geometry(g1)
-    red = oracle_matrix("R_u", g1, bank1) @ oracle_matrix("T_0", g1, bank1)
+    bank1 = FilterBankSpec.chebyshev(32, 4, filter_len=1)
+    red = oracle_matrix("R_u", g, bank1) @ oracle_matrix("T_0", g, bank1)
     rows.append(("ofdm_reduction_lf1",
                  float(np.max(np.abs(red - np.eye(32) / np.sqrt(2.0)))), 1e-12))
     return rows

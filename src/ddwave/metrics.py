@@ -1,5 +1,5 @@
-"""Measurement kernels: BER, Welch PSD, out-of-band level, sidelobe spectra,
-and the delay-Doppler leakage ratio."""
+"""Measurement kernels: Welch PSD, out-of-band level, the delay-Doppler
+leakage ratio, and Wilson intervals for BER."""
 
 from __future__ import annotations
 
@@ -13,15 +13,6 @@ DB_FLOOR = -200.0
 
 def _to_db(p: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(np.asarray(p, dtype=float), 10.0 ** (DB_FLOOR / 10.0)))
-
-
-def ber(bits_tx: np.ndarray, bits_rx: np.ndarray) -> float:
-    """Fraction of differing positions."""
-    bits_tx = np.asarray(bits_tx)
-    bits_rx = np.asarray(bits_rx)
-    if bits_tx.shape != bits_rx.shape:
-        raise ValueError(f"length mismatch: {bits_tx.shape} vs {bits_rx.shape}")
-    return float(np.mean(bits_tx != bits_rx))
 
 
 @dataclass(frozen=True)
@@ -76,24 +67,6 @@ def oob_metric(psd: PsdEstimate, occupied_band_hz: tuple[float, float],
     Bands are (lo, hi) limits on |f|; more negative means better containment.
     """
     return psd.band_mean_db(*offset_band_hz) - psd.band_mean_db(*occupied_band_hz)
-
-
-def fd_sidelobe_spectrum(x: np.ndarray, n_bins: int, oversample: int = 8) -> np.ndarray:
-    """Peak-normalized magnitude (dB) of the DFT on an oversample * n_bins grid.
-
-    Point k corresponds to frequency bin k / oversample of the n_bins grid.
-    """
-    if oversample < 2:
-        raise ValueError(f"oversample must be >= 2, got {oversample}")
-    x = np.asarray(x)
-    n_fft = oversample * n_bins
-    if x.shape[0] > n_fft:
-        raise ValueError(f"signal length {x.shape[0]} exceeds the {n_fft}-point grid")
-    mag = np.abs(np.fft.fft(x, n=n_fft))
-    peak = mag.max()
-    if peak == 0:
-        return np.full(n_fft, DB_FLOOR)
-    return np.maximum(20.0 * np.log10(np.maximum(mag / peak, 1e-300)), DB_FLOOR)
 
 
 @dataclass(frozen=True)

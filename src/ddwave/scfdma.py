@@ -1,4 +1,4 @@
-"""SC-FDMA implementation of the delay-Doppler modem, with CP handling.
+"""SC-FDMA implementation of the delay-Doppler modem, with CP and optional window.
 
 Two equivalent modulation paths exist: the direct Zak path
 s_t = (F_N^H kron I_M) d (per-delay inverse DFT across Doppler), and the
@@ -6,6 +6,12 @@ SC-FDMA path s_t = F_MN^H Gamma d, which routes through the
 frequency-Doppler domain where the filtered modems hook in. Their equality
 is the factorization identity checked in the test suite. The
 effective-channel probe that every modem shares lives here as well.
+
+``CpOtfsModem(geom, cp_len, window=None, tx_window=False)`` serves both CP
+schemes: plain OTFS (``otfs``, no window) and receiver-windowed OTFS
+(``rw_otfs``), which multiplies the kept delay-time samples by a global
+window to tame Doppler-induced leakage, and with ``tx_window`` also the
+transmitted ones for sidelobe studies.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal.windows import chebwin
 
 from . import channel as chan
-from .detect import qam_map
 from .transforms import (
     DimensionError,
     FrameGeometry,
@@ -26,37 +32,40 @@ from .transforms import (
     to_frequency_doppler,
 )
 
+WINDOW_KINDS = ("dolph_chebyshev", "raised_cosine", "rectangular")
+
 
 @dataclass(frozen=True)
-class DelayDopplerFrame:
-    """One frame payload: bits, their QAM symbols d (length M*N), and the geometry.
+class WindowSpec:
+    """Global window: kind and its shape parameter.
 
-    d is ordered Doppler-block-major: d[n*M + m] sits at delay m, Doppler n.
+    The parameter is the sidelobe attenuation in dB for dolph_chebyshev and
+    the roll-off fraction in (0, 1] for raised_cosine. Values are peak
+    normalized to 1.
     """
 
-    geom: FrameGeometry
-    d: np.ndarray
-    bits: np.ndarray
-    qam_order: int
+    kind: str = "dolph_chebyshev"
+    parameter: float = 60.0
 
-    @property
-    def grid(self) -> np.ndarray:
-        """M x N view with grid[m, n] = d[n*M + m]."""
-        return self.d.reshape(self.geom.N, self.geom.M).T
-
-
-def frame_from_bits(geom: FrameGeometry, bits: np.ndarray, qam_order: int) -> DelayDopplerFrame:
-    bits = np.asarray(bits, dtype=np.int64)
-    k = int(np.log2(qam_order))
-    if bits.size != geom.n_sc * k:
-        raise DimensionError(f"expected {geom.n_sc * k} bits, got {bits.size}")
-    return DelayDopplerFrame(geom=geom, d=qam_map(bits, qam_order), bits=bits,
-                             qam_order=qam_order)
-
-
-def random_frame(geom: FrameGeometry, qam_order: int, rng) -> DelayDopplerFrame:
-    bits = rng.integers(0, 2, size=geom.n_sc * int(np.log2(qam_order)))
-    return frame_from_bits(geom, bits, qam_order)
+    def values(self, length: int) -> np.ndarray:
+        if self.kind == "rectangular":
+            return np.ones(length)
+        if self.kind == "dolph_chebyshev":
+            w = chebwin(length, at=self.parameter)
+            return w / w.max()
+        if self.kind == "raised_cosine":
+            beta = self.parameter
+            if not 0.0 < beta <= 1.0:
+                raise ValueError(f"raised_cosine roll-off must be in (0, 1], got {beta}")
+            n = np.arange(length)
+            edge = beta * length / 2.0
+            w = np.ones(length)
+            left = n < edge
+            right = n >= length - edge
+            w[left] = 0.5 * (1 - np.cos(np.pi * n[left] / edge))
+            w[right] = 0.5 * (1 - np.cos(np.pi * (length - 1 - n[right]) / edge))
+            return w
+        raise ValueError(f"unknown window kind {self.kind!r}, expected one of {WINDOW_KINDS}")
 
 
 def zak_modulate(d, geom: FrameGeometry) -> np.ndarray:
@@ -97,26 +106,43 @@ class ProbedModem:
         return self.demodulate(chan.apply_channel(self._basis, ch, out_len=self.rx_len))
 
 
-class OtfsModem(ProbedModem):
-    """Plain CP-OTFS transceiver over the SC-FDMA route."""
+class CpOtfsModem(ProbedModem):
+    """CP-OTFS transceiver over the SC-FDMA route, optionally windowed.
 
-    name = "otfs"
+    ``window`` (a :class:`WindowSpec`, sized to M*N) multiplies the
+    delay-time samples after CP removal, and with ``tx_window`` also before
+    the CP is added.
+    """
 
-    def __init__(self, geom: FrameGeometry):
+    def __init__(self, geom: FrameGeometry, cp_len: int = 0,
+                 window: WindowSpec | None = None, tx_window: bool = False):
+        if cp_len < 0:
+            raise DimensionError(f"cp_len must be nonnegative, got {cp_len}")
+        if tx_window and window is None:
+            raise ValueError("tx_window requires a window")
         self.geom = geom
-        self.tx_len = geom.n_sc + geom.cp_len
-        self.rx_len = self.tx_len
+        self.cp_len = cp_len
+        self.window_values = None if window is None else window.values(geom.n_sc)
+        self.tx_window = tx_window
+        self.rx_len = geom.n_sc + cp_len
+
+    def _windowed(self, s_t: np.ndarray) -> np.ndarray:
+        return s_t * self.window_values.reshape((-1,) + (1,) * (s_t.ndim - 1))
 
     def modulate(self, d) -> np.ndarray:
-        """Frequency-Doppler route F_MN^H Gamma d, then the CP."""
-        return add_cp(full_dft(to_frequency_doppler(d, self.geom), inverse=True),
-                      self.geom.cp_len)
+        """Frequency-Doppler route F_MN^H Gamma d, the TX window if on, then the CP."""
+        s_t = full_dft(to_frequency_doppler(d, self.geom), inverse=True)
+        if self.tx_window:
+            s_t = self._windowed(s_t)
+        return add_cp(s_t, self.cp_len)
 
     def demodulate(self, r) -> np.ndarray:
-        """CP removal, full DFT, then the inverse frequency-Doppler route.
+        """CP removal, the RX window if any, full DFT, then the inverse frequency-Doppler route.
 
         Samples beyond rx_len (the channel tail) are dropped; shorter input
         is rejected. Works columnwise on matrices.
         """
-        kept = remove_cp(np.asarray(r)[:self.rx_len], self.geom.cp_len, self.geom.n_sc)
+        kept = remove_cp(np.asarray(r)[:self.rx_len], self.cp_len, self.geom.n_sc)
+        if self.window_values is not None:
+            kept = self._windowed(kept)
         return to_delay_doppler(full_dft(kept), self.geom)

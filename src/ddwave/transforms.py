@@ -1,6 +1,8 @@
 """Frame geometry and the DFT / permutation / twiddle kernels shared by every modem.
 
-The delay-Doppler grid has M delay bins and N Doppler bins. A data vector d of
+``FrameGeometry(M, N, bandwidth_hz)`` describes the grid only; each modem
+takes its own scheme parameters, so all schemes on one grid share one
+geometry. The grid has M delay bins and N Doppler bins. A data vector d of
 length M*N is ordered Doppler-block-major: d[n*M + m] holds the symbol at
 delay m, Doppler n. Three kernels connect that vector to the
 frequency-Doppler domain:
@@ -32,6 +34,9 @@ class DimensionError(ValueError):
 class FrameGeometry:
     """Dimensional parameters of one delay-Doppler frame.
 
+    Scheme parameters (CP length, window, subband size, filter length) belong
+    to the modems, so every scheme shares one geometry per grid.
+
     Parameters
     ----------
     M, N : int
@@ -39,46 +44,21 @@ class FrameGeometry:
     bandwidth_hz : float
         Sampling rate; delay spacing is 1/bandwidth and Doppler spacing is
         bandwidth/(M*N), so delta_nu * M * N * delta_tau == 1 by construction.
-    cp_len : int
-        Cyclic prefix length in samples for CP-based schemes.
-    n_sc_rb : int
-        Subcarriers per subband in the filtered modems; must divide M*N.
-    filter_len : int
-        Subband prototype filter length for the filtered modems.
     """
 
     M: int
     N: int
     bandwidth_hz: float = 1.92e6
-    cp_len: int = 0
-    n_sc_rb: int = 4
-    filter_len: int = 1
 
     def __post_init__(self):
         if self.M < 1 or self.N < 1:
             raise DimensionError(f"M and N must be positive, got M={self.M}, N={self.N}")
         if self.bandwidth_hz <= 0:
             raise DimensionError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
-        if self.cp_len < 0:
-            raise DimensionError(f"cp_len must be nonnegative, got {self.cp_len}")
-        if self.n_sc_rb < 1 or (self.M * self.N) % self.n_sc_rb != 0:
-            raise DimensionError(
-                f"n_sc_rb={self.n_sc_rb} must divide n_sc={self.M * self.N}"
-            )
-        if self.filter_len < 1:
-            raise DimensionError(f"filter_len must be >= 1, got {self.filter_len}")
 
     @property
     def n_sc(self) -> int:
         return self.M * self.N
-
-    @property
-    def n_rb(self) -> int:
-        return self.n_sc // self.n_sc_rb
-
-    @property
-    def delta_tau_s(self) -> float:
-        return 1.0 / self.bandwidth_hz
 
     @property
     def delta_nu_hz(self) -> float:
@@ -189,12 +169,6 @@ def remove_cp(r, cp_len: int, n: int) -> np.ndarray:
 # independently of the fast kernels above, so tests can compare the two.
 # ---------------------------------------------------------------------------
 
-ORACLE_IDS = (
-    "F_MN", "Psi", "Omega", "I_N_kron_F_M", "Gamma", "A_cp", "B_cp",
-    "T_0", "T_n", "T_u", "R_u",
-)
-
-
 def _oracle_psi(geom: FrameGeometry) -> np.ndarray:
     # Stack of circularly shifted copies of (I_N kron [1, 0, ..., 0]^T).
     psi = np.zeros((geom.M, 1))
@@ -230,11 +204,13 @@ def _oracle_ru(n_sc: int, filter_len: int) -> np.ndarray:
     return keep_even @ dft_matrix(2 * n_sc) @ z
 
 
-def oracle_matrix(operator_id: str, geom: FrameGeometry, bank=None) -> np.ndarray:
+def oracle_matrix(operator_id: str, geom: FrameGeometry, bank=None,
+                  cp_len: int | None = None) -> np.ndarray:
     """Dense materialization of a named operator, for small-instance verification.
 
-    ``T_0``, ``T_n``, ``T_u`` and ``R_u`` need a filter bank spec with
-    ``prototype``, ``filter_len``, ``n_sc``, ``n_sc_rb`` and ``n_rb`` fields.
+    ``A_cp`` and ``B_cp`` need the CP length ``cp_len``; ``T_0``, ``T_n``,
+    ``T_u`` and ``R_u`` need a filter bank spec with ``prototype``,
+    ``filter_len``, ``n_sc``, ``n_sc_rb`` and ``n_rb`` fields.
     """
     if operator_id == "F_MN":
         return dft_matrix(geom.n_sc)
@@ -250,11 +226,13 @@ def oracle_matrix(operator_id: str, geom: FrameGeometry, bank=None) -> np.ndarra
         return (oracle_matrix("Psi", geom)
                 @ oracle_matrix("I_N_kron_F_M", geom)
                 @ oracle_matrix("Omega", geom))
+    if operator_id in ("A_cp", "B_cp") and cp_len is None:
+        raise DimensionError(f"oracle_matrix({operator_id!r}) requires cp_len")
     if operator_id == "A_cp":
         eye = np.eye(geom.n_sc)
-        return np.vstack([eye[geom.n_sc - geom.cp_len:], eye]) if geom.cp_len else eye.copy()
+        return np.vstack([eye[geom.n_sc - cp_len:], eye]) if cp_len else eye.copy()
     if operator_id == "B_cp":
-        return np.hstack([np.zeros((geom.n_sc, geom.cp_len)), np.eye(geom.n_sc)])
+        return np.hstack([np.zeros((geom.n_sc, cp_len)), np.eye(geom.n_sc)])
     if operator_id in ("T_0", "T_n", "T_u", "R_u"):
         if bank is None:
             raise DimensionError(f"oracle_matrix({operator_id!r}) requires a filter bank")

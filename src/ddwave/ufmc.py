@@ -15,7 +15,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.signal.windows import chebwin
 
-from .transforms import DimensionError, FrameGeometry
+from .transforms import DimensionError
 
 
 class SingularPredistortionError(ValueError):
@@ -33,8 +33,6 @@ def design_chebyshev_prototype(filter_len: int, atten_db: float) -> np.ndarray:
         raise DimensionError(f"filter_len must be >= 1, got {filter_len}")
     if atten_db <= 0:
         raise ValueError(f"atten_db must be positive, got {atten_db}")
-    if filter_len == 1:
-        return np.ones(1)
     w = chebwin(filter_len, at=atten_db)
     return w / np.linalg.norm(w)
 
@@ -68,9 +66,10 @@ class FilterBankSpec:
         self._filter_fft_cache: dict[int, np.ndarray] = {}
 
     @classmethod
-    def for_geometry(cls, geom: FrameGeometry, atten_db: float = 60.0) -> "FilterBankSpec":
-        proto = design_chebyshev_prototype(geom.filter_len, atten_db)
-        return cls(geom.n_sc, geom.n_sc_rb, proto)
+    def chebyshev(cls, n_sc: int, n_sc_rb: int, filter_len: int,
+                  atten_db: float = 60.0) -> "FilterBankSpec":
+        """Bank on :func:`design_chebyshev_prototype`; both filtered modems build theirs here."""
+        return cls(n_sc, n_sc_rb, design_chebyshev_prototype(filter_len, atten_db))
 
     @property
     def out_len(self) -> int:
@@ -154,7 +153,3 @@ class UfmcOperators:
         if not np.all(np.isfinite(self.predistortion)):
             raise SingularPredistortionError("non-finite predistortion entries")
         self.tu = (t0 / self.synth_norm_gain) * self.predistortion[None, :]
-
-    def modulate(self, s_f: np.ndarray) -> np.ndarray:
-        """Predistorted, normalized synthesis (columnwise on matrices)."""
-        return self.tu @ s_f

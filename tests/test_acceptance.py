@@ -25,10 +25,11 @@ import pytest
 
 from ddwave import channel as chan
 from ddwave.config import config_from_dict
+from ddwave.detect import qam_map
 from ddwave.experiments import run_experiment
 from ddwave.gfotfs import GfOtfsModem
 from ddwave.metrics import wilson_interval
-from ddwave.scfdma import OtfsModem, random_frame, zak_modulate
+from ddwave.scfdma import CpOtfsModem, zak_modulate
 from ddwave.transforms import FrameGeometry, dft_matrix, oracle_matrix
 from ddwave.ufmc import FilterBankSpec, UfmcOperators, synthesis_matrix, ufmc_analyze
 
@@ -39,6 +40,11 @@ def report(line: str) -> None:
     print(line)
 
 
+def random_symbols(rng, n_sc: int, qam_order: int) -> np.ndarray:
+    """One frame of QAM symbols on uniformly random bits."""
+    return qam_map(rng.integers(0, 2, size=n_sc * int(np.log2(qam_order))), qam_order)
+
+
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_cooley_tukey_identity():
@@ -46,7 +52,7 @@ def test_criterion_1_cooley_tukey_identity():
     worst = 0.0
     for m_dim in (4, 8):
         for n_dim in (3, 4):
-            g = FrameGeometry(M=m_dim, N=n_dim, n_sc_rb=1)
+            g = FrameGeometry(M=m_dim, N=n_dim)
             lhs = oracle_matrix("F_MN", g)
             rhs = (oracle_matrix("Psi", g) @ oracle_matrix("I_N_kron_F_M", g)
                    @ oracle_matrix("Omega", g) @ np.kron(dft_matrix(n_dim), np.eye(m_dim)))
@@ -60,7 +66,7 @@ def test_criterion_1_cooley_tukey_identity():
 
 
 def test_criterion_2_gamma_unitarity():
-    g = FrameGeometry(M=8, N=4, n_sc_rb=4)
+    g = FrameGeometry(M=8, N=4)
     gamma = oracle_matrix("Gamma", g)
     err = float(np.max(np.abs(gamma @ gamma.conj().T - np.eye(32))))
     report(f"criterion 2 {'PASS' if err < 1e-12 else 'FAIL'}: "
@@ -73,12 +79,12 @@ def test_criterion_3_modulator_path_equivalence():
     worst = 0.0
     rng = np.random.default_rng(1234)
     for m_dim, n_dim in ((8, 4), (64, 8)):
-        g = FrameGeometry(M=m_dim, N=n_dim, n_sc_rb=4)
-        modem = OtfsModem(g)  # no CP: modulate returns the delay-time frame
+        g = FrameGeometry(M=m_dim, N=n_dim)
+        modem = CpOtfsModem(g)  # no CP: modulate returns the delay-time frame
         for _ in range(100):
-            frame = random_frame(g, 16, rng)
-            s_t = modem.modulate(frame.d)
-            worst = max(worst, float(np.max(np.abs(s_t - zak_modulate(frame.d, g)))))
+            d = random_symbols(rng, g.n_sc, 16)
+            s_t = modem.modulate(d)
+            worst = max(worst, float(np.max(np.abs(s_t - zak_modulate(d, g)))))
     elapsed = time.time() - t0
     ok = worst < 1e-12 and elapsed < 5.0
     report(f"criterion 3 {'PASS' if ok else 'FAIL'}: direct vs factorized modulation, "
@@ -100,8 +106,8 @@ def test_criterion_4_loopback_zero_ber(tmp_path):
 
 
 def test_criterion_5_ofdm_reduction():
-    g = FrameGeometry(M=8, N=4, n_sc_rb=4, filter_len=1)
-    bank = FilterBankSpec.for_geometry(g)
+    g = FrameGeometry(M=8, N=4)
+    bank = FilterBankSpec.chebyshev(g.n_sc, 4, filter_len=1)
     prod = oracle_matrix("R_u", g, bank) @ oracle_matrix("T_0", g, bank)
     err = float(np.max(np.abs(prod - np.eye(32) / np.sqrt(2))))
     report(f"criterion 5 {'PASS' if err < 1e-12 else 'FAIL'}: unit-filter bank reduces "
@@ -110,11 +116,11 @@ def test_criterion_5_ofdm_reduction():
 
 
 def test_criterion_6_fast_paths_equal_dense_oracle():
-    g = FrameGeometry(M=8, N=4, cp_len=4, n_sc_rb=4, filter_len=9)
-    bank = FilterBankSpec.for_geometry(g)
+    g = FrameGeometry(M=8, N=4)
+    bank = FilterBankSpec.chebyshev(g.n_sc, 4, filter_len=9)
     gamma = oracle_matrix("Gamma", g)
     f_full = oracle_matrix("F_MN", g)
-    a_cp, b_cp = oracle_matrix("A_cp", g), oracle_matrix("B_cp", g)
+    a_cp, b_cp = oracle_matrix("A_cp", g, cp_len=4), oracle_matrix("B_cp", g, cp_len=4)
     t_u = oracle_matrix("T_u", g, bank)
     r_u = oracle_matrix("R_u", g, bank)
 
@@ -122,10 +128,10 @@ def test_criterion_6_fast_paths_equal_dense_oracle():
     d = rng.normal(size=32) + 1j * rng.normal(size=32)
     errs = {}
 
-    frame = random_frame(g, 16, np.random.default_rng(8))
-    otfs = OtfsModem(g)
+    d_frame = random_symbols(np.random.default_rng(8), g.n_sc, 16)
+    otfs = CpOtfsModem(g, cp_len=4)
     errs["modulate"] = np.max(np.abs(
-        otfs.modulate(frame.d) - a_cp @ f_full.conj().T @ gamma @ frame.d))
+        otfs.modulate(d_frame) - a_cp @ f_full.conj().T @ gamma @ d_frame))
 
     cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6,
                              doppler_model="jakes_sum_of_sinusoids")
@@ -137,7 +143,7 @@ def test_criterion_6_fast_paths_equal_dense_oracle():
     h_dd_dense = gamma.conj().T @ f_full @ (b_cp @ h @ a_cp) @ f_full.conj().T @ gamma
     errs["effective_channel"] = np.max(np.abs(otfs.effective_channel(ch) - h_dd_dense))
 
-    gm = GfOtfsModem(g)  # its default bank is FilterBankSpec.for_geometry(g)
+    gm = GfOtfsModem(g, n_sc_rb=4, filter_len=9)  # the same Chebyshev bank as `bank`
     errs["subband_synthesis"] = np.max(np.abs(
         synthesis_matrix(bank) - oracle_matrix("T_0", g, bank)))
     rr = rng.normal(size=40) + 1j * rng.normal(size=40)
@@ -160,8 +166,7 @@ def test_criterion_6_fast_paths_equal_dense_oracle():
 
 def test_criterion_7_predistortion_improvement():
     t0 = time.time()
-    g = FrameGeometry(M=64, N=8, n_sc_rb=4, filter_len=129)
-    ops = UfmcOperators(FilterBankSpec.for_geometry(g, atten_db=60.0))
+    ops = UfmcOperators(FilterBankSpec.chebyshev(512, 4, 129, atten_db=60.0))
     ones = np.ones(512)
     t_n = synthesis_matrix(ops.bank) / ops.synth_norm_gain
     r_norm = ufmc_analyze(t_n @ ones, ops.bank)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from ddwave import channel as chan
-from ddwave.baselines import DrUfmcModem, DrUfmcSpec, RwOtfsModem, WindowSpec
+from ddwave.baselines import DrUfmcModem
 from ddwave.detect import MmseEqualizer
-from ddwave.scfdma import OtfsModem, zak_modulate
+from ddwave.scfdma import CpOtfsModem, WindowSpec, zak_modulate
 from ddwave.transforms import DimensionError, FrameGeometry, full_dft, to_frequency_doppler
 
 
-def geom_8x4(cp_len=0):
-    return FrameGeometry(M=8, N=4, cp_len=cp_len, n_sc_rb=4)
+def geom_8x4():
+    return FrameGeometry(M=8, N=4)
 
 
 def random_complex(rng, n):
@@ -20,28 +20,28 @@ def random_complex(rng, n):
 
 class TestWindowSpec:
     def test_rectangular(self):
-        assert np.array_equal(WindowSpec("rectangular", 8).values(), np.ones(8))
+        assert np.array_equal(WindowSpec("rectangular").values(8), np.ones(8))
 
     def test_peak_normalized(self):
         for kind, param in (("dolph_chebyshev", 60.0), ("raised_cosine", 0.5)):
-            w = WindowSpec(kind, 64, param).values()
+            w = WindowSpec(kind, param).values(64)
             assert w.max() == pytest.approx(1.0)
             assert np.all(np.isfinite(w))
 
     def test_raised_cosine_rolloff_bounds(self):
         with pytest.raises(ValueError):
-            WindowSpec("raised_cosine", 16, 1.5).values()
+            WindowSpec("raised_cosine", 1.5).values(16)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            WindowSpec("hamming", 16).values()
+            WindowSpec("hamming").values(16)
 
 
 class TestRwOtfs:
     def test_rectangular_window_equals_plain_otfs(self):
-        g = geom_8x4(cp_len=3)
-        rw = RwOtfsModem(g, WindowSpec("rectangular", 32), tx_window=True)
-        plain = OtfsModem(g)
+        g = geom_8x4()
+        rw = CpOtfsModem(g, 3, WindowSpec("rectangular"), tx_window=True)
+        plain = CpOtfsModem(g, 3)
         rng = np.random.default_rng(0)
         d = random_complex(rng, 32)
         assert np.max(np.abs(rw.modulate(d) - plain.modulate(d))) < 1e-12
@@ -49,13 +49,13 @@ class TestRwOtfs:
         assert np.max(np.abs(rw.demodulate(r) - plain.demodulate(r))) < 1e-12
 
     def test_tx_window_sample_exact(self):
-        g = geom_8x4(cp_len=2)
-        spec = WindowSpec("dolph_chebyshev", 32, 60.0)
-        rw = RwOtfsModem(g, spec, tx_window=True)
+        g = geom_8x4()
+        spec = WindowSpec("dolph_chebyshev", 60.0)
+        rw = CpOtfsModem(g, 2, spec, tx_window=True)
         rng = np.random.default_rng(1)
         d = random_complex(rng, 32)
         s_t = full_dft(to_frequency_doppler(d, g), inverse=True)
-        windowed = spec.values() * s_t
+        windowed = spec.values(32) * s_t
         x = rw.modulate(d)
         assert np.max(np.abs(x[2:] - windowed)) < 1e-12
         assert np.max(np.abs(x[:2] - windowed[-2:])) < 1e-12
@@ -63,7 +63,7 @@ class TestRwOtfs:
     def test_windowing_is_spectral_circular_convolution(self):
         # multiplying the delay-time frame by the window convolves its
         # spectrum circularly with the window transform
-        w = WindowSpec("dolph_chebyshev", 32, 60.0).values()
+        w = WindowSpec("dolph_chebyshev", 60.0).values(32)
         rng = np.random.default_rng(2)
         s = random_complex(rng, 32)
         lhs = np.fft.fft(w * s)
@@ -72,13 +72,12 @@ class TestRwOtfs:
                          for k in range(32)]) / 32
         assert np.max(np.abs(lhs - circ)) < 1e-9
 
-    def test_window_length_must_match(self):
-        with pytest.raises(DimensionError):
-            RwOtfsModem(geom_8x4(), WindowSpec("rectangular", 16))
+    def test_tx_window_requires_a_window(self):
+        with pytest.raises(ValueError):
+            CpOtfsModem(geom_8x4(), 2, tx_window=True)
 
     def test_mmse_recovers_windowed_frame(self):
-        g = geom_8x4(cp_len=8)
-        rw = RwOtfsModem(g, WindowSpec("dolph_chebyshev", 32, 60.0))
+        rw = CpOtfsModem(geom_8x4(), 8, WindowSpec("dolph_chebyshev", 60.0))
         ident = chan.identity_channel(rw.rx_len + 4)
         h = rw.effective_channel(ident)
         rng = np.random.default_rng(3)
@@ -89,8 +88,8 @@ class TestRwOtfs:
         assert np.max(np.abs(d_hat - d)) < 1e-8
 
     def test_effective_channel_reproduces_signal_path(self):
-        g = geom_8x4(cp_len=8)
-        rw = RwOtfsModem(g, WindowSpec("dolph_chebyshev", 32, 50.0))
+        g = geom_8x4()
+        rw = CpOtfsModem(g, 8, WindowSpec("dolph_chebyshev", 50.0))
         cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6)
         ch = chan.generate_channel(cfg, rw.rx_len + 8, seed=21,
                                    delta_nu_hz=g.delta_nu_hz)
@@ -105,7 +104,7 @@ class TestRwOtfs:
 class TestDrUfmc:
     def test_unit_filter_reduces_to_plain_transmit(self):
         g = geom_8x4()
-        dr = DrUfmcModem(g, DrUfmcSpec(n_sc_rb=4, filter_len=1))
+        dr = DrUfmcModem(g, n_sc_rb=4, filter_len=1)
         rng = np.random.default_rng(5)
         d = random_complex(rng, 32)
         assert np.max(np.abs(dr.modulate(d) - zak_modulate(d, g))) < 1e-12
@@ -114,15 +113,15 @@ class TestDrUfmc:
         assert np.max(np.abs(np.sqrt(2) * d_rt - d)) < 1e-10
 
     def test_transmit_length(self):
-        g = FrameGeometry(M=64, N=8, n_sc_rb=4)
-        dr = DrUfmcModem(g, DrUfmcSpec(n_sc_rb=4, filter_len=20))
-        assert dr.tx_len == 64 * 8 + 20 - 1
+        g = FrameGeometry(M=64, N=8)
+        dr = DrUfmcModem(g, n_sc_rb=4, filter_len=20)
+        assert dr.rx_len == 64 * 8 + 20 - 1
         rng = np.random.default_rng(6)
         assert dr.modulate(random_complex(rng, 512)).shape == (531,)
 
     def test_overlap_add_interferes_but_mmse_recovers(self):
         g = geom_8x4()
-        dr = DrUfmcModem(g, DrUfmcSpec(n_sc_rb=4, filter_len=5))
+        dr = DrUfmcModem(g, n_sc_rb=4, filter_len=5)
         ident = chan.identity_channel(dr.rx_len + 4)
         rng = np.random.default_rng(7)
         d = random_complex(rng, 32)
@@ -137,7 +136,7 @@ class TestDrUfmc:
 
     def test_effective_channel_reproduces_signal_path(self):
         g = geom_8x4()
-        dr = DrUfmcModem(g, DrUfmcSpec(n_sc_rb=4, filter_len=5))
+        dr = DrUfmcModem(g, n_sc_rb=4, filter_len=5)
         cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6,
                                  doppler_model="jakes_sum_of_sinusoids")
         ch = chan.generate_channel(cfg, dr.rx_len + 8, seed=17,
@@ -151,5 +150,4 @@ class TestDrUfmc:
 
     def test_block_subband_constraint(self):
         with pytest.raises(DimensionError):
-            DrUfmcModem(FrameGeometry(M=6, N=4, n_sc_rb=2),
-                        DrUfmcSpec(n_sc_rb=4, filter_len=5))
+            DrUfmcModem(FrameGeometry(M=6, N=4), n_sc_rb=4, filter_len=5)

@@ -143,14 +143,14 @@ class TestDelayTimeMatrix:
     def test_cp_stripped_static_matrix_wraps_tail(self):
         # with cp >= channel memory, B_cp H A_cp is circulant for static taps
         from ddwave.transforms import FrameGeometry, oracle_matrix
-        g = FrameGeometry(M=4, N=2, cp_len=2, n_sc_rb=1)
+        g = FrameGeometry(M=4, N=2)
         taps = np.array([1.0, 0.4j, -0.2])
         ch = LtvChannelRealization(
             tap_delays=np.array([0, 1, 2]),
             gains=np.repeat(taps[:, None], 10, axis=1),
             doppler_hz=np.zeros(3))
         h = delay_time_matrix(ch, 10)
-        h_dt = oracle_matrix("B_cp", g) @ h @ oracle_matrix("A_cp", g)
+        h_dt = oracle_matrix("B_cp", g, cp_len=2) @ h @ oracle_matrix("A_cp", g, cp_len=2)
         first_row = np.zeros(8, dtype=complex)
         first_row[0] = 1.0
         first_row[-1] = 0.4j

@@ -9,12 +9,12 @@ from ddwave.transforms import FrameGeometry, oracle_matrix
 
 
 def small_modem(filter_len=9):
-    return GfOtfsModem(FrameGeometry(M=8, N=4, n_sc_rb=4, filter_len=filter_len))
+    return GfOtfsModem(FrameGeometry(M=8, N=4), n_sc_rb=4, filter_len=filter_len)
 
 
 def table_modem():
-    return GfOtfsModem(FrameGeometry(M=64, N=8, bandwidth_hz=1.92e6,
-                                     n_sc_rb=4, filter_len=129))
+    return GfOtfsModem(FrameGeometry(M=64, N=8, bandwidth_hz=1.92e6),
+                       n_sc_rb=4, filter_len=129)
 
 
 def random_complex(rng, n):
@@ -39,7 +39,7 @@ class TestModulator:
 
     def test_frame_length_contract(self):
         gm = table_modem()
-        assert gm.tx_len == 512 + 129 - 1 == 640
+        assert gm.rx_len == 512 + 129 - 1 == 640
         rng = np.random.default_rng(1)
         assert gm.modulate(random_complex(rng, 512)).shape == (640,)
 

@@ -5,14 +5,9 @@ import pytest
 
 from ddwave import channel as chan
 from ddwave.config import config_from_dict
+from ddwave.detect import qam_map
 from ddwave.experiments import build_modems
-from ddwave.scfdma import (
-    OtfsModem,
-    frame_from_bits,
-    random_frame,
-    zak_demodulate,
-    zak_modulate,
-)
+from ddwave.scfdma import CpOtfsModem, zak_demodulate, zak_modulate
 from ddwave.transforms import (
     DimensionError,
     FrameGeometry,
@@ -21,38 +16,45 @@ from ddwave.transforms import (
 )
 
 
-def geom_8x4(cp_len=0):
-    return FrameGeometry(M=8, N=4, cp_len=cp_len, n_sc_rb=4)
+def geom_8x4():
+    return FrameGeometry(M=8, N=4)
 
 
 def random_complex(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
+def random_symbols(rng, n_sc, qam_order):
+    """One frame of QAM symbols on uniformly random bits."""
+    return qam_map(rng.integers(0, 2, size=n_sc * int(np.log2(qam_order))), qam_order)
+
+
 class TestFrame:
     def test_unit_average_energy(self):
         rng = np.random.default_rng(0)
-        f = random_frame(geom_8x4(), 16, rng)
+        bits = rng.integers(0, 2, size=32 * 4)
+        d = qam_map(bits, 16)
         # i.i.d. unit-variance constellation: exact for the full constellation,
         # the random frame stays close
-        assert np.mean(np.abs(f.d) ** 2) == pytest.approx(1.0, abs=0.2)
-        assert f.bits.size == 32 * 4
+        assert np.mean(np.abs(d) ** 2) == pytest.approx(1.0, abs=0.2)
+        assert d.size == 32
 
     def test_grid_ordering(self):
+        # the M x N view of d that the leakage experiment takes
         g = geom_8x4()
-        bits = np.zeros(32 * 2, dtype=np.int64)
-        f = frame_from_bits(g, bits, 4)
-        assert f.grid.shape == (8, 4)
-        assert f.grid[3, 2] == f.d[2 * 8 + 3]
+        d = qam_map(np.zeros(32 * 2, dtype=np.int64), 4)
+        grid = d.reshape(g.N, g.M).T
+        assert grid.shape == (8, 4)
+        assert grid[3, 2] == d[2 * 8 + 3]
 
     def test_wrong_bit_count(self):
-        with pytest.raises(DimensionError):
-            frame_from_bits(geom_8x4(), np.zeros(7), 16)
+        with pytest.raises(ValueError):
+            qam_map(np.zeros(7), 16)
 
 
 class TestZakPath:
     def test_single_doppler_bin_identity(self):
-        g = FrameGeometry(M=6, N=1, n_sc_rb=1)
+        g = FrameGeometry(M=6, N=1)
         rng = np.random.default_rng(1)
         d = random_complex(rng, 6)
         assert np.allclose(zak_modulate(d, g), d)
@@ -82,22 +84,22 @@ class TestZakPath:
 class TestPathEquivalence:
     @pytest.mark.parametrize("m_dim,n_dim", [(8, 4), (64, 8)])
     def test_zak_equals_scfdma_route(self, m_dim, n_dim):
-        g = FrameGeometry(M=m_dim, N=n_dim, n_sc_rb=4)
+        g = FrameGeometry(M=m_dim, N=n_dim)
         rng = np.random.default_rng(4)
-        modem = OtfsModem(g)
+        modem = CpOtfsModem(g)
         for _ in range(20):
-            f = random_frame(g, 16, rng)
-            s_t = modem.modulate(f.d)  # no CP: the delay-time frame itself
-            assert np.max(np.abs(s_t - zak_modulate(f.d, g))) < 1e-12
+            d = random_symbols(rng, g.n_sc, 16)
+            s_t = modem.modulate(d)  # no CP: the delay-time frame itself
+            assert np.max(np.abs(s_t - zak_modulate(d, g))) < 1e-12
 
     def test_output_energies(self):
-        g = geom_8x4(cp_len=3)
+        g = geom_8x4()
         rng = np.random.default_rng(5)
-        f = random_frame(g, 16, rng)
-        s_f = to_frequency_doppler(f.d, g)
-        x_t = OtfsModem(g).modulate(f.d)
-        assert np.linalg.norm(s_f) == pytest.approx(np.linalg.norm(f.d), abs=1e-10)
-        assert np.linalg.norm(x_t[3:]) == pytest.approx(np.linalg.norm(f.d), abs=1e-10)
+        d = random_symbols(rng, g.n_sc, 16)
+        s_f = to_frequency_doppler(d, g)
+        x_t = CpOtfsModem(g, cp_len=3).modulate(d)
+        assert np.linalg.norm(s_f) == pytest.approx(np.linalg.norm(d), abs=1e-10)
+        assert np.linalg.norm(x_t[3:]) == pytest.approx(np.linalg.norm(d), abs=1e-10)
         assert x_t.shape == (35,)
 
 
@@ -108,44 +110,43 @@ class TestCpHandling:
         assert np.array_equal(x, [3.0, 4.0, 1.0, 2.0, 3.0, 4.0])
 
     def test_loopback_with_cp(self):
-        g = geom_8x4(cp_len=5)
         rng = np.random.default_rng(6)
-        f = random_frame(g, 16, rng)
-        modem = OtfsModem(g)
-        d_hat = modem.demodulate(modem.modulate(f.d))
-        assert np.max(np.abs(d_hat - f.d)) < 1e-10
+        d = random_symbols(rng, 32, 16)
+        modem = CpOtfsModem(geom_8x4(), cp_len=5)
+        d_hat = modem.demodulate(modem.modulate(d))
+        assert np.max(np.abs(d_hat - d)) < 1e-10
 
     def test_demodulate_checks_length(self):
-        g = geom_8x4(cp_len=5)
         with pytest.raises(DimensionError):
-            OtfsModem(g).demodulate(np.zeros(32))
+            CpOtfsModem(geom_8x4(), cp_len=5).demodulate(np.zeros(32))
+
+    def test_negative_cp_rejected(self):
+        with pytest.raises(DimensionError):
+            CpOtfsModem(FrameGeometry(M=4, N=4), cp_len=-1)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_loopback_any_qam_order(self, order):
-        g = geom_8x4(cp_len=3)
         rng = np.random.default_rng(order)
-        f = random_frame(g, order, rng)
-        modem = OtfsModem(g)
-        assert np.max(np.abs(modem.demodulate(modem.modulate(f.d)) - f.d)) < 1e-10
+        d = random_symbols(rng, 32, order)
+        modem = CpOtfsModem(geom_8x4(), cp_len=3)
+        assert np.max(np.abs(modem.demodulate(modem.modulate(d)) - d)) < 1e-10
 
 
 class TestDemodulator:
     def test_zero_in_zero_out(self):
-        g = geom_8x4(cp_len=2)
-        assert np.all(OtfsModem(g).demodulate(np.zeros(34, complex)) == 0)
+        assert np.all(CpOtfsModem(geom_8x4(), cp_len=2).demodulate(np.zeros(34, complex)) == 0)
 
     def test_noise_energy_preserved(self):
         # the chain after CP removal is unitary, so kept-noise energy survives
-        g = geom_8x4(cp_len=4)
         rng = np.random.default_rng(7)
         eta = random_complex(rng, 36)
-        d_tilde = OtfsModem(g).demodulate(eta)
+        d_tilde = CpOtfsModem(geom_8x4(), cp_len=4).demodulate(eta)
         assert np.linalg.norm(d_tilde) == pytest.approx(np.linalg.norm(eta[4:]), abs=1e-10)
 
 
 class TestEffectiveChannel:
     def test_identity_and_scalar(self):
-        modem = OtfsModem(geom_8x4())
+        modem = CpOtfsModem(geom_8x4())
         ident = chan.identity_channel(modem.rx_len)
         h_dd = modem.effective_channel(ident)
         assert np.max(np.abs(h_dd - np.eye(32))) < 1e-12
@@ -156,14 +157,14 @@ class TestEffectiveChannel:
         assert np.max(np.abs(h_dd_c - (0.3 - 1.1j) * np.eye(32))) < 1e-12
 
     def test_matrix_path_equals_signal_path(self):
-        g = geom_8x4(cp_len=4)
-        modem = OtfsModem(g)
+        g = geom_8x4()
+        modem = CpOtfsModem(g, cp_len=4)
         cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6, n_taps=5)
         ch = chan.generate_channel(cfg, modem.rx_len + 8, seed=11,
                                    delta_nu_hz=g.delta_nu_hz)
         h = chan.delay_time_matrix(ch, modem.rx_len)
-        a_cp = oracle_matrix("A_cp", g)
-        b_cp = oracle_matrix("B_cp", g)
+        a_cp = oracle_matrix("A_cp", g, cp_len=4)
+        b_cp = oracle_matrix("B_cp", g, cp_len=4)
         gamma = oracle_matrix("Gamma", g)
         f_full = oracle_matrix("F_MN", g)
         # Gamma^H F_MN H_DT F_MN^H Gamma with the CP-stripped channel H_DT
@@ -181,8 +182,8 @@ class TestEffectiveChannel:
         # time-invariant taps + sufficient CP: the kept delay-time block is the
         # circular convolution of s_t, and the effective channel never mixes
         # Doppler indices
-        g = geom_8x4(cp_len=4)
-        modem = OtfsModem(g)
+        g = geom_8x4()
+        modem = CpOtfsModem(g, cp_len=4)
         taps = np.array([1.0 + 0.2j, -0.4j, 0.25])
         ch = chan.LtvChannelRealization(
             tap_delays=np.array([0, 1, 2]),
@@ -226,8 +227,8 @@ def test_fractional_doppler_dirichlet_spread():
     # half-bin Doppler on a single path: the received grid concentrates on the
     # impulse's delay row and spreads over Doppler; checked against an
     # independent construction from dense operators and the analytic phase ramp
-    g = geom_8x4(cp_len=0)
-    modem = OtfsModem(g)
+    g = geom_8x4()
+    modem = CpOtfsModem(g)
     m0, n0 = 4, 2
     d = np.zeros(32, dtype=complex)
     d[n0 * 8 + m0] = 1.0

@@ -5,9 +5,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddwave.cli import main as cli_main
-from ddwave.config import ConfigError, config_from_dict, parse_config
+from ddwave.config import (
+    EXPERIMENTS,
+    SCHEMES,
+    ChannelSection,
+    ConfigError,
+    ExperimentConfig,
+    config_from_dict,
+    parse_config,
+)
 from ddwave.experiments import (
     NumericalFailure,
     build_modems,
@@ -218,10 +228,17 @@ class TestBuildModems:
                                 "du_filter_len": 5})
         modems = build_modems(cfg)
         assert set(modems) == {"otfs", "gf_otfs", "rw_otfs", "dr_ufmc"}
-        assert modems["otfs"].tx_len == 32 + 4
-        assert modems["rw_otfs"].tx_len == 32 + 8
-        assert modems["gf_otfs"].tx_len == 32 + 8
-        assert modems["dr_ufmc"].tx_len == 32 + 4
+        assert modems["otfs"].rx_len == 32 + 4
+        assert modems["rw_otfs"].rx_len == 32 + 8
+        assert modems["gf_otfs"].rx_len == 32 + 8
+        assert modems["dr_ufmc"].rx_len == 32 + 4
+
+    def test_all_schemes_share_one_geometry(self):
+        cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9,
+                                "du_filter_len": 5})
+        geoms = [m.geom for m in build_modems(cfg).values()]
+        assert len(geoms) == 4
+        assert all(g is geoms[0] for g in geoms)
 
 
 class TestCli:
@@ -248,6 +265,21 @@ class TestCli:
         ({"seed": -1}, "seed"),
         ({"rw_window_kind": "raised_cosine"}, "rw_window_param"),
         ({"seed": True}, "seed"),
+        ({"m": "64"}, "m:"),
+        ({"leakage_half_widths": ["a", 1]}, "leakage_half_widths"),
+        ({"leakage_half_widths": [-1, 0]}, "leakage_half_widths"),
+        ({"channel": {"n_taps": True}}, "channel.n_taps"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"rw_tx_window": "yes"}, "rw_tx_window"),
+        ({"snr_grid_db": [float("nan")]}, "snr_grid_db"),
+        ({"snr_grid_db": [10.0, float("inf")]}, "snr_grid_db"),
+        ({"snr_grid_db": "0:inf:5"}, "snr_grid_db"),
+        ({"channel": {"delay_spread_s": 1e-3}}, "channel.delay_spread_s"),
+        ({"channel": {"n_taps": 30}}, "channel.n_taps"),
+        ({"schemes": ["otfs", "otfs"]}, "schemes"),
+        ({"channel": {"carrier_hz": -1.0}}, "channel.carrier_hz"),
+        ({"cp_len": -1}, "cp_len"),
+        ({"rw_cp_len": 33}, "rw_cp_len"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"
@@ -257,6 +289,10 @@ class TestCli:
             "output_dir": str(tmp_path / "out")} | override))
         assert cli_main(["run", str(cfgfile)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_snr_string_with_too_many_points_rejected(self):
+        with pytest.raises(ConfigError, match="snr_grid_db"):
+            config_from_dict({"snr_grid_db": "0:1e-6:1"})
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys, monkeypatch):
         import ddwave.cli as cli_mod
@@ -295,3 +331,32 @@ class TestCli:
     def test_list_schemes(self, capsys):
         assert cli_main(["list-schemes"]) == 0
         assert "gf_otfs" in capsys.readouterr().out
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+                 | st.sampled_from(SCHEMES + EXPERIMENTS + ("tdl_c", "single_path",
+                                                          "rectangular", "0:5:40")))
+_JSON_LIKE = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+_FIELD_VALUES = _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3)
+_CHANNELS = st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(ChannelSection)]), _FIELD_VALUES,
+    max_size=4)
+_CONFIGS = st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)]),
+    _FIELD_VALUES | _CHANNELS, max_size=6)
+
+
+@given(raw=_CONFIGS | _JSON_LIKE)
+@settings(max_examples=300, deadline=1000)
+def test_any_json_value_gives_a_config_or_a_config_error(raw):
+    # every rejection of a parsed JSON value is a ConfigError, which the CLI
+    # turns into exit 2; any other exception would surface as exit 1
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)

@@ -1,5 +1,7 @@
 """Transform kernels against their dense-matrix counterparts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from ddwave.transforms import (
     to_frequency_doppler,
     twiddle_diag,
 )
+from ddwave.ufmc import FilterBankSpec
 
 
 def random_complex(rng, n):
@@ -29,22 +32,21 @@ def random_complex(rng, n):
 
 class TestFrameGeometry:
     def test_derived_fields(self):
-        g = FrameGeometry(M=64, N=8, bandwidth_hz=1.92e6, n_sc_rb=4)
+        g = FrameGeometry(M=64, N=8, bandwidth_hz=1.92e6)
         assert g.n_sc == 512
-        assert g.n_rb == 128
-        assert g.delta_tau_s == pytest.approx(1 / 1.92e6)
-        # Doppler spacing relation: delta_nu * M * N * delta_tau == 1
-        assert g.delta_nu_hz * g.M * g.N * g.delta_tau_s == pytest.approx(1.0, abs=1e-12)
+        assert FilterBankSpec.chebyshev(g.n_sc, 4, filter_len=1).n_rb == 128
+        # Doppler spacing relation: delta_nu * M * N * delta_tau == 1, with the
+        # delay spacing delta_tau = 1 / bandwidth
+        assert g.delta_nu_hz * g.M * g.N / g.bandwidth_hz == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(DimensionError):
             FrameGeometry(M=0, N=4)
         with pytest.raises(DimensionError):
-            FrameGeometry(M=4, N=4, n_sc_rb=3)
-        with pytest.raises(DimensionError):
-            FrameGeometry(M=4, N=4, cp_len=-1)
-        with pytest.raises(DimensionError):
             FrameGeometry(M=4, N=4, bandwidth_hz=0.0)
+
+    def test_has_only_the_grid_fields(self):
+        assert [f.name for f in dataclasses.fields(FrameGeometry)] == ["M", "N", "bandwidth_hz"]
 
 
 class TestDftMatrix:
@@ -67,42 +69,42 @@ class TestDftMatrix:
 class TestTwiddle:
     def test_first_block_all_ones(self):
         for m_dim, n_dim in ((2, 2), (5, 3), (8, 4)):
-            w = twiddle_diag(FrameGeometry(M=m_dim, N=n_dim, n_sc_rb=1))
+            w = twiddle_diag(FrameGeometry(M=m_dim, N=n_dim))
             assert np.allclose(w[:m_dim], 1.0)
 
     def test_2x2_block_one(self):
-        w = twiddle_diag(FrameGeometry(M=2, N=2, n_sc_rb=1))
+        w = twiddle_diag(FrameGeometry(M=2, N=2))
         assert np.allclose(w[2:], [1.0, -1.0j])
 
     def test_4x4_entry(self):
-        w = twiddle_diag(FrameGeometry(M=4, N=4, n_sc_rb=4))
+        w = twiddle_diag(FrameGeometry(M=4, N=4))
         # block n=2, position m=2
         assert w[2 * 4 + 2] == pytest.approx(-1.0j)
 
     def test_unit_modulus(self):
-        w = twiddle_diag(FrameGeometry(M=8, N=4, n_sc_rb=4))
+        w = twiddle_diag(FrameGeometry(M=8, N=4))
         assert np.allclose(np.abs(w), 1.0)
 
 
 class TestInterleave:
     def test_2x2(self):
-        g = FrameGeometry(M=2, N=2, n_sc_rb=1)
+        g = FrameGeometry(M=2, N=2)
         x = np.arange(4.0)
         assert np.array_equal(interleave(x, g), [0.0, 2.0, 1.0, 3.0])
 
     def test_3x2(self):
-        g = FrameGeometry(M=3, N=2, n_sc_rb=1)
+        g = FrameGeometry(M=3, N=2)
         x = np.arange(6.0)
         assert np.array_equal(interleave(x, g), [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
 
     def test_single_doppler_bin_is_identity(self):
-        g = FrameGeometry(M=5, N=1, n_sc_rb=1)
+        g = FrameGeometry(M=5, N=1)
         x = np.arange(5.0)
         assert np.array_equal(interleave(x, g), x)
 
     def test_matches_dense_permutation(self):
         for m_dim, n_dim in ((2, 2), (3, 2), (4, 3)):
-            g = FrameGeometry(M=m_dim, N=n_dim, n_sc_rb=1)
+            g = FrameGeometry(M=m_dim, N=n_dim)
             x = np.arange(m_dim * n_dim, dtype=float)
             psi = oracle_matrix("Psi", g)
             assert np.array_equal(interleave(x, g), psi @ x)
@@ -110,33 +112,33 @@ class TestInterleave:
     @given(m_dim=st.integers(1, 9), n_dim=st.integers(1, 7), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_permutation_roundtrip(self, m_dim, n_dim, data):
-        g = FrameGeometry(M=m_dim, N=n_dim, n_sc_rb=1)
+        g = FrameGeometry(M=m_dim, N=n_dim)
         x = np.arange(m_dim * n_dim, dtype=float)
         y = interleave(x, g)
         assert sorted(y.tolist()) == x.tolist()
         assert np.array_equal(deinterleave(y, g), x)
 
     def test_length_mismatch(self):
-        g = FrameGeometry(M=2, N=2, n_sc_rb=1)
+        g = FrameGeometry(M=2, N=2)
         with pytest.raises(DimensionError):
             interleave(np.zeros(5), g)
 
 
 class TestBlockwiseDft:
     def test_single_sample_blocks(self):
-        g = FrameGeometry(M=1, N=6, n_sc_rb=1)
+        g = FrameGeometry(M=1, N=6)
         rng = np.random.default_rng(0)
         x = random_complex(rng, 6)
         assert np.allclose(blockwise_dft(x, g), x)
 
     def test_roundtrip(self):
-        g = FrameGeometry(M=8, N=4, n_sc_rb=4)
+        g = FrameGeometry(M=8, N=4)
         rng = np.random.default_rng(1)
         x = random_complex(rng, 32)
         assert np.max(np.abs(blockwise_dft(blockwise_dft(x, g), g, inverse=True) - x)) < 1e-12
 
     def test_impulse_block(self):
-        g = FrameGeometry(M=4, N=2, n_sc_rb=2)
+        g = FrameGeometry(M=4, N=2)
         x = np.zeros(8, dtype=complex)
         x[0] = 1.0
         y = blockwise_dft(x, g)
@@ -144,7 +146,7 @@ class TestBlockwiseDft:
         assert np.allclose(y[4:], 0.0)
 
     def test_energy_preserved(self):
-        g = FrameGeometry(M=8, N=3, n_sc_rb=1)
+        g = FrameGeometry(M=8, N=3)
         rng = np.random.default_rng(2)
         x = random_complex(rng, 24)
         assert np.linalg.norm(blockwise_dft(x, g)) == pytest.approx(np.linalg.norm(x))
@@ -154,7 +156,7 @@ class TestCooleyTukeyFactorization:
     @pytest.mark.parametrize("m_dim", [2, 3, 4, 8])
     @pytest.mark.parametrize("n_dim", [2, 3, 4])
     def test_identity(self, m_dim, n_dim):
-        g = FrameGeometry(M=m_dim, N=n_dim, n_sc_rb=1)
+        g = FrameGeometry(M=m_dim, N=n_dim)
         lhs = oracle_matrix("F_MN", g)
         rhs = (oracle_matrix("Psi", g) @ oracle_matrix("I_N_kron_F_M", g)
                @ oracle_matrix("Omega", g) @ np.kron(dft_matrix(n_dim), np.eye(m_dim)))
@@ -162,14 +164,14 @@ class TestCooleyTukeyFactorization:
 
     @pytest.mark.parametrize("op", ["F_MN", "Psi", "Omega", "I_N_kron_F_M", "Gamma"])
     def test_operator_unitary(self, op):
-        g = FrameGeometry(M=4, N=3, n_sc_rb=1)
+        g = FrameGeometry(M=4, N=3)
         u = oracle_matrix(op, g)
         assert np.max(np.abs(u @ u.conj().T - np.eye(12))) < 1e-12
 
 
 class TestFastVsOracle:
     def test_gamma_paths_match_dense(self):
-        g = FrameGeometry(M=8, N=4, n_sc_rb=4)
+        g = FrameGeometry(M=8, N=4)
         gamma = oracle_matrix("Gamma", g)
         rng = np.random.default_rng(3)
         d = random_complex(rng, 32)
@@ -177,7 +179,7 @@ class TestFastVsOracle:
         assert np.max(np.abs(to_delay_doppler(gamma @ d, g) - d)) < 1e-10
 
     def test_twiddle_matches_omega(self):
-        g = FrameGeometry(M=8, N=4, n_sc_rb=4)
+        g = FrameGeometry(M=8, N=4)
         rng = np.random.default_rng(4)
         d = random_complex(rng, 32)
         omega = oracle_matrix("Omega", g)
@@ -185,7 +187,7 @@ class TestFastVsOracle:
         assert np.max(np.abs(apply_twiddle(d, g, conjugate=True) - omega.conj().T @ d)) < 1e-12
 
     def test_matrix_arguments_columnwise(self):
-        g = FrameGeometry(M=4, N=3, n_sc_rb=1)
+        g = FrameGeometry(M=4, N=3)
         rng = np.random.default_rng(5)
         x = random_complex(rng, (12, 5))
         gamma = oracle_matrix("Gamma", g)
@@ -205,8 +207,8 @@ class TestCyclicPrefix:
         assert np.array_equal(add_cp(s, 2), [2.0, 3.0, 0.0, 1.0, 2.0, 3.0])
 
     def test_zero_cp_matrix_is_identity(self):
-        g = FrameGeometry(M=2, N=2, cp_len=0, n_sc_rb=1)
-        assert np.array_equal(oracle_matrix("A_cp", g), np.eye(4))
+        g = FrameGeometry(M=2, N=2)
+        assert np.array_equal(oracle_matrix("A_cp", g, cp_len=0), np.eye(4))
 
     def test_remove_inverts_add(self):
         rng = np.random.default_rng(7)
@@ -214,12 +216,17 @@ class TestCyclicPrefix:
         assert np.array_equal(remove_cp(add_cp(s, 5), 5, 12), s)
 
     def test_dense_cp_identity(self):
-        g = FrameGeometry(M=4, N=3, cp_len=5, n_sc_rb=1)
-        a_cp = oracle_matrix("A_cp", g)
-        b_cp = oracle_matrix("B_cp", g)
+        g = FrameGeometry(M=4, N=3)
+        a_cp = oracle_matrix("A_cp", g, cp_len=5)
+        b_cp = oracle_matrix("B_cp", g, cp_len=5)
         assert np.array_equal(b_cp @ a_cp, np.eye(12))
+
+    def test_cp_oracles_require_cp_len(self):
+        for op in ("A_cp", "B_cp"):
+            with pytest.raises(DimensionError):
+                oracle_matrix(op, FrameGeometry(M=2, N=2))
 
 
 def test_unknown_oracle_id_rejected():
     with pytest.raises(DimensionError):
-        oracle_matrix("nope", FrameGeometry(M=2, N=2, n_sc_rb=1))
+        oracle_matrix("nope", FrameGeometry(M=2, N=2))

@@ -18,13 +18,16 @@ from ddwave.ufmc import (
 )
 
 
-def small_geom(filter_len=9):
-    return FrameGeometry(M=8, N=4, n_sc_rb=4, filter_len=filter_len)
+def small_geom():
+    return FrameGeometry(M=8, N=4)
+
+
+def small_bank(filter_len=9):
+    return FilterBankSpec.chebyshev(32, 4, filter_len)
 
 
 def table_bank():
-    return FilterBankSpec.for_geometry(
-        FrameGeometry(M=64, N=8, n_sc_rb=4, filter_len=129), atten_db=60.0)
+    return FilterBankSpec.chebyshev(512, 4, 129, atten_db=60.0)
 
 
 class TestPrototypeDesign:
@@ -60,6 +63,15 @@ class TestFilterBankSpec:
         with pytest.raises(DimensionError):
             FilterBankSpec(8, 4, np.ones(10))
 
+    def test_subband_size_must_divide(self):
+        with pytest.raises(DimensionError):
+            FilterBankSpec.chebyshev(16, 3, filter_len=1)
+
+    def test_chebyshev_bank_uses_the_designed_prototype(self):
+        bank = FilterBankSpec.chebyshev(32, 4, 9, atten_db=50.0)
+        assert (bank.n_sc, bank.n_sc_rb, bank.n_rb, bank.filter_len) == (32, 4, 8, 9)
+        assert np.array_equal(bank.prototype, design_chebyshev_prototype(9, 50.0))
+
     def test_output_length(self):
         bank = table_bank()
         assert bank.out_len == 512 + 129 - 1
@@ -67,14 +79,14 @@ class TestFilterBankSpec:
 
 class TestSynthesis:
     def test_zero_in_zero_out(self):
-        bank = FilterBankSpec.for_geometry(small_geom())
+        bank = small_bank()
         out = synthesis_matrix(bank) @ np.zeros(32, dtype=complex)
         assert out.shape == (40,)
         assert np.all(out == 0)
 
     def test_matches_dense_oracle(self):
         g = small_geom()
-        bank = FilterBankSpec.for_geometry(g)
+        bank = small_bank()
         rng = np.random.default_rng(0)
         s_f = rng.normal(size=32) + 1j * rng.normal(size=32)
         dense = oracle_matrix("T_0", g, bank)
@@ -93,12 +105,11 @@ class TestSynthesis:
         assert spec[inband].sum() / total > 0.99
 
     def test_containment_improves_with_attenuation(self):
-        g = FrameGeometry(M=64, N=8, n_sc_rb=4, filter_len=129)
         leak = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for atten in (40.0, 60.0, 80.0):
-                bank = FilterBankSpec.for_geometry(g, atten_db=atten)
+                bank = FilterBankSpec.chebyshev(512, 4, 129, atten_db=atten)
                 s_f = np.zeros(512, dtype=complex)
                 s_f[200:204] = 1.0
                 out = synthesis_matrix(bank) @ s_f
@@ -111,11 +122,11 @@ class TestSynthesis:
 
 class TestAnalysis:
     def test_zero(self):
-        bank = FilterBankSpec.for_geometry(small_geom())
+        bank = small_bank()
         assert np.all(ufmc_analyze(np.zeros(40), bank) == 0)
 
     def test_unit_impulse(self):
-        bank = FilterBankSpec.for_geometry(small_geom())
+        bank = small_bank()
         r = np.zeros(40, dtype=complex)
         r[0] = 1.0
         out = ufmc_analyze(r, bank)
@@ -123,19 +134,19 @@ class TestAnalysis:
 
     def test_matches_dense_oracle(self):
         g = small_geom()
-        bank = FilterBankSpec.for_geometry(g)
+        bank = small_bank()
         rng = np.random.default_rng(1)
         r = rng.normal(size=40) + 1j * rng.normal(size=40)
         dense = oracle_matrix("R_u", g, bank)
         assert np.max(np.abs(ufmc_analyze(r, bank) - dense @ r)) < 1e-10
 
     def test_short_input_rejected(self):
-        bank = FilterBankSpec.for_geometry(small_geom())
+        bank = small_bank()
         with pytest.raises(DimensionError):
             ufmc_analyze(np.zeros(39), bank)
 
     def test_trailing_samples_discarded(self):
-        bank = FilterBankSpec.for_geometry(small_geom())
+        bank = small_bank()
         rng = np.random.default_rng(2)
         r = rng.normal(size=40) + 1j * rng.normal(size=40)
         extended = np.concatenate([r, rng.normal(size=5)])
@@ -144,15 +155,15 @@ class TestAnalysis:
 
 class TestOfdmReduction:
     def test_unit_filter_roundtrip(self):
-        g = FrameGeometry(M=8, N=4, n_sc_rb=4, filter_len=1)
-        bank = FilterBankSpec.for_geometry(g)
+        g = small_geom()
+        bank = small_bank(filter_len=1)
         t0 = synthesis_matrix(bank)
         ru = oracle_matrix("R_u", g, bank)
         assert np.max(np.abs(ru @ t0 - np.eye(32) / np.sqrt(2))) < 1e-12
 
     def test_unit_filter_predistortion_is_identity(self):
-        g = FrameGeometry(M=8, N=4, n_sc_rb=4, filter_len=1)
-        bank = FilterBankSpec.for_geometry(g)
+        g = small_geom()
+        bank = small_bank(filter_len=1)
         p = compute_predistortion(bank, synthesis_matrix(bank))
         assert np.max(np.abs(p - 1.0)) < 1e-12
 
@@ -175,8 +186,8 @@ class TestNormalization:
         assert np.max(np.abs(tn_a - tn_b)) < 1e-12
 
     def test_gain_fast_equals_oracle(self):
-        g = FrameGeometry(M=8, N=1, n_sc_rb=4, filter_len=1)
-        bank = FilterBankSpec.for_geometry(g)
+        g = FrameGeometry(M=8, N=1)
+        bank = FilterBankSpec.chebyshev(8, 4, filter_len=1)
         dense = oracle_matrix("T_0", g, bank)
         ref = dense @ np.ones(8)
         oracle_gain = np.sqrt(np.mean(np.abs(ref) ** 2))
@@ -210,7 +221,7 @@ class TestPredistortion:
 
     def test_matches_dense_oracle(self):
         g = small_geom()
-        bank = FilterBankSpec.for_geometry(g)
+        bank = small_bank()
         ops = UfmcOperators(bank)
         assert np.max(np.abs(ops.tu - oracle_matrix("T_u", g, bank))) < 1e-10
 
