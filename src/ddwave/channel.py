@@ -27,7 +27,7 @@ TDL_C_POWERS_DB = np.array([
     -22.8,
 ])
 
-PROFILES = ("tdl_c", "single_path", "custom")
+PROFILES = ("tdl_c", "single_path")
 DOPPLER_MODELS = ("single_shift_per_tap", "jakes_sum_of_sinusoids")
 JAKES_N_SINUSOIDS = 16
 
@@ -44,8 +44,6 @@ class ChannelConfig:
     n_taps: int = 5
     doppler_model: str = "single_shift_per_tap"
     fractional_doppler_override: float | None = None
-    custom_delays: tuple[int, ...] | None = None
-    custom_powers: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.profile not in PROFILES:
@@ -56,8 +54,6 @@ class ChannelConfig:
             raise ValueError("bandwidth_hz must be positive")
         if self.n_taps < 1:
             raise ValueError("n_taps must be >= 1")
-        if self.profile == "custom" and (self.custom_delays is None or self.custom_powers is None):
-            raise ValueError("custom profile requires custom_delays and custom_powers")
 
     @property
     def nu_max_hz(self) -> float:
@@ -70,7 +66,6 @@ class LtvChannelRealization:
 
     tap_delays: np.ndarray            # int, strictly increasing
     gains: np.ndarray                 # (n_taps, span) complex
-    doppler_hz: np.ndarray            # per-tap Doppler shift (Jakes: max shift)
 
     def __post_init__(self):
         if self.gains.shape[0] != self.tap_delays.shape[0]:
@@ -95,12 +90,6 @@ def quantized_profile(config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Tap sample delays and unit-sum powers for the configured profile."""
     if config.profile == "single_path":
         return np.array([0]), np.array([1.0])
-    if config.profile == "custom":
-        delays = np.asarray(config.custom_delays, dtype=int)
-        powers = np.asarray(config.custom_powers, dtype=float)
-        order = np.argsort(delays)
-        delays, powers = delays[order], powers[order]
-        return delays, powers / powers.sum()
     # TDL-C: scale by the delay spread, quantize to the sample grid, merge
     # clusters landing on the same sample, keep the strongest n_taps.
     delays_s = TDL_C_DELAYS_NORM * config.delay_spread_s
@@ -128,10 +117,7 @@ def generate_channel(config: ChannelConfig, span_samples: int, seed,
     delays, powers = quantized_profile(config)
     if span_samples < int(delays[-1]) + 1:
         raise ValueError(f"span_samples={span_samples} shorter than the channel memory")
-    if isinstance(seed, np.random.SeedSequence):
-        rng = np.random.default_rng(seed)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     amps = np.sqrt(powers)
     n_taps = delays.size
     dt = 1.0 / config.bandwidth_hz
@@ -159,15 +145,14 @@ def generate_channel(config: ChannelConfig, span_samples: int, seed,
         arg = 2.0 * np.pi * freqs[:, :, None] * i[None, None, :] * dt + phi_s[:, :, None]
         gains = amps[:, None] * np.exp(1j * arg).sum(axis=1) / np.sqrt(JAKES_N_SINUSOIDS)
 
-    return LtvChannelRealization(tap_delays=delays, gains=gains, doppler_hz=shifts)
+    return LtvChannelRealization(tap_delays=delays, gains=gains)
 
 
 def identity_channel(span_samples: int) -> LtvChannelRealization:
     """Single zero-delay unit tap: apply_channel is the identity (plus tail)."""
     return LtvChannelRealization(
         tap_delays=np.array([0]),
-        gains=np.ones((1, span_samples), dtype=complex),
-        doppler_hz=np.zeros(1))
+        gains=np.ones((1, span_samples), dtype=complex))
 
 
 def apply_channel(x: np.ndarray, ch: LtvChannelRealization,

@@ -1,12 +1,13 @@
 """Experiment configuration: strict JSON parsing, defaults, and validation.
 
-Unknown keys are rejected with the offending key named; omitted fields get
-the documented defaults (frame 64 x 8, carrier 5.9 GHz, bandwidth 1.92 MHz
-for link-level experiments and 10 MHz for the PSD study, TDL-C with 5 taps
-at 500 km/h, subbands of 4, filter lengths MN/4 + 1 and 20). Every field is
-checked against its annotated type before any range check, so a bad value
-raises ConfigError naming the field. The resolved configuration is echoed
-into every report.
+Unknown keys are rejected with the offending key named; omitted and null
+fields get the documented defaults (frame 64 x 8, carrier 5.9 GHz, bandwidth
+1.92 MHz for link-level experiments and 10 MHz for the PSD study, TDL-C with
+5 taps at 500 km/h, subbands of 4, filter lengths MN/4 + 1 and 20), filled
+once by config_from_dict, so a parsed config holds concrete values. Every
+field is checked against its annotated type before the defaults are filled
+and the range checks run, so a bad value raises ConfigError naming the
+field. The configuration is echoed into every report.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelSection:
-    """Channel fields; None means "use the experiment's documented default"."""
+    """Channel fields; config_from_dict replaces None by the experiment's default."""
 
     profile: str | None = None            # tdl_c, except impulse_leakage: single_path
     carrier_hz: float = 5.9e9
@@ -39,7 +40,7 @@ class ChannelSection:
     delay_spread_s: float = 300e-9
     n_taps: int | None = None             # 5 for tdl_c, 1 for single_path
     doppler_model: str | None = None      # jakes for ber_sweep, single shift otherwise
-    fractional_doppler_override: float | None = None
+    fractional_doppler_override: float | None = None   # None: random Doppler per tap
 
 
 @dataclass(frozen=True)
@@ -73,85 +74,26 @@ class ExperimentConfig:
     psd_segment_len: int = 1024
     sidelobe_oversample: int = 8
 
-    # ---- derived values -------------------------------------------------
     @property
     def n_sc(self) -> int:
         return self.m * self.n
 
+    # perfbench/replay.py reads these two fields through methods
     def resolved_bandwidth_hz(self) -> float:
-        if self.bandwidth_hz is not None:
-            return self.bandwidth_hz
-        return 10e6 if self.experiment == "psd" else 1.92e6
-
-    def resolved_gf_filter_len(self) -> int:
-        return self.gf_filter_len if self.gf_filter_len is not None else self.n_sc // 4 + 1
-
-    def resolved_rw_cp_len(self) -> int:
-        return self.rw_cp_len if self.rw_cp_len is not None else self.n_sc // 4
-
-    def resolved_cp_len(self) -> int:
-        if self.cp_len is not None:
-            return self.cp_len
-        return max(self.n_taps_effective() - 1, 0)
-
-    def resolved_channel(self) -> dict:
-        """Channel section with experiment-specific defaults filled in.
-
-        The impulse study defaults to a single zero-delay path whose Doppler
-        is pinned to leakage_fractional_doppler times the Doppler spacing;
-        everything else defaults to the 5-tap TDL-C profile at 500 km/h. The
-        BER sweep defaults to fading (Jakes) taps so high-SNR error counts
-        stay statistically meaningful; the impulse study uses one
-        deterministic shift per tap.
-        """
-        ch = self.channel
-        profile = ch.profile
-        if profile is None:
-            profile = "single_path" if self.experiment == "impulse_leakage" else "tdl_c"
-        n_taps = ch.n_taps
-        if n_taps is None:
-            n_taps = 1 if profile == "single_path" else 5
-        doppler_model = ch.doppler_model
-        if doppler_model is None:
-            doppler_model = ("jakes_sum_of_sinusoids" if self.experiment == "ber_sweep"
-                             else "single_shift_per_tap")
-        frac = ch.fractional_doppler_override
-        if frac is None and self.experiment == "impulse_leakage":
-            frac = self.leakage_fractional_doppler
-        return {
-            "profile": profile,
-            "carrier_hz": ch.carrier_hz,
-            "speed_mps": ch.speed_mps,
-            "delay_spread_s": ch.delay_spread_s,
-            "n_taps": n_taps,
-            "doppler_model": doppler_model,
-            "fractional_doppler_override": frac,
-        }
+        return self.bandwidth_hz
 
     def n_taps_effective(self) -> int:
-        return int(self.resolved_channel()["n_taps"])
-
-    def resolved_rw_tx_window(self) -> bool:
-        if self.rw_tx_window is not None:
-            return self.rw_tx_window
-        return self.experiment in ("sidelobes", "psd")
-
-    def resolved(self) -> dict:
-        """Fully resolved configuration as a plain dict (echoed into reports)."""
-        out = dataclasses.asdict(self)
-        out["channel"] = self.resolved_channel()
-        out["bandwidth_hz"] = self.resolved_bandwidth_hz()
-        out["gf_filter_len"] = self.resolved_gf_filter_len()
-        out["rw_cp_len"] = self.resolved_rw_cp_len()
-        out["cp_len"] = self.resolved_cp_len()
-        out["rw_tx_window"] = self.resolved_rw_tx_window()
-        if out["leakage_center"] is None:
-            out["leakage_center"] = [self.m // 2, self.n // 2]
-        return out
+        return self.channel.n_taps
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.resolved(), sort_keys=True)
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        """Hash of every field but ``output_dir``, which does not change any result."""
+        fields = dataclasses.asdict(self)
+        del fields["output_dir"]
+        return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def channel_config(cfg: ExperimentConfig) -> ChannelConfig:
+    return ChannelConfig(bandwidth_hz=cfg.bandwidth_hz, **dataclasses.asdict(cfg.channel))
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -228,7 +170,7 @@ _TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build and validate a config from a parsed JSON object."""
+    """Build a config from a parsed JSON object, fill its defaults and validate it."""
     _expect(isinstance(raw, dict), "top-level config must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
     _expect(not unknown, f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -245,16 +187,56 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         kwargs["snr_grid_db"] = _parse_snr_grid(kwargs["snr_grid_db"])
 
     cfg = ExperimentConfig(**kwargs)
+    _check_types(cfg)
+    cfg = _with_defaults(cfg)
     validate_config(cfg)
     return cfg
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
+def _with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Replace every None field by the experiment's documented default.
+
+    The impulse study defaults to a single zero-delay path whose Doppler is
+    pinned to leakage_fractional_doppler times the Doppler spacing;
+    everything else defaults to the 5-tap TDL-C profile at 500 km/h. The BER
+    sweep defaults to fading (Jakes) taps so high-SNR error counts stay
+    statistically meaningful; the other experiments use one deterministic
+    shift per tap.
+    """
+    def fill(value, default):
+        return default if value is None else value
+
+    ch, exp = cfg.channel, cfg.experiment
+    profile = fill(ch.profile, "single_path" if exp == "impulse_leakage" else "tdl_c")
+    n_taps = fill(ch.n_taps, 1 if profile == "single_path" else 5)
+    channel = dataclasses.replace(
+        ch, profile=profile, n_taps=n_taps,
+        doppler_model=fill(ch.doppler_model, "jakes_sum_of_sinusoids" if exp == "ber_sweep"
+                           else "single_shift_per_tap"),
+        fractional_doppler_override=fill(
+            ch.fractional_doppler_override,
+            cfg.leakage_fractional_doppler if exp == "impulse_leakage" else None))
+    return dataclasses.replace(
+        cfg, channel=channel,
+        bandwidth_hz=fill(cfg.bandwidth_hz, 10e6 if exp == "psd" else 1.92e6),
+        cp_len=fill(cfg.cp_len, max(n_taps - 1, 0)),
+        gf_filter_len=fill(cfg.gf_filter_len, cfg.n_sc // 4 + 1),
+        rw_cp_len=fill(cfg.rw_cp_len, cfg.n_sc // 4),
+        rw_tx_window=fill(cfg.rw_tx_window, exp in ("sidelobes", "psd")),
+        leakage_center=fill(cfg.leakage_center, (cfg.m // 2, cfg.n // 2)))
+
+
+def _check_types(cfg: ExperimentConfig) -> None:
     for section, prefix in ((cfg, ""), (cfg.channel, "channel.")):
         for f in dataclasses.fields(section):
             value = getattr(section, f.name)
             _expect(_has_type(value, f.type), f"{prefix}{f.name}: expected {f.type}, got "
                     f"{value!r} (floats must be finite and a bool is not an int)")
+
+
+def validate_config(cfg: ExperimentConfig) -> None:
+    """Type and range checks of a config whose defaults are filled."""
+    _check_types(cfg)
     _expect(cfg.experiment in EXPERIMENTS,
             f"experiment: unknown value {cfg.experiment!r}, expected one of {EXPERIMENTS}")
     for s in cfg.schemes:
@@ -266,19 +248,19 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for key, value, lo, hi in (
             ("m", cfg.m, 1, inf), ("n", cfg.n, 1, inf), ("n_sc_rb", cfg.n_sc_rb, 1, inf),
             ("seed", cfg.seed, 0, inf), ("n_frames", cfg.n_frames, 1, inf),
-            ("cp_len", cfg.resolved_cp_len(), 0, cfg.n_sc),
-            ("rw_cp_len", cfg.resolved_rw_cp_len(), 0, cfg.n_sc),
-            ("gf_filter_len", cfg.resolved_gf_filter_len(), 1, cfg.n_sc + 1),
+            ("cp_len", cfg.cp_len, 0, cfg.n_sc),
+            ("rw_cp_len", cfg.rw_cp_len, 0, cfg.n_sc),
+            ("gf_filter_len", cfg.gf_filter_len, 1, cfg.n_sc + 1),
             ("du_filter_len", cfg.du_filter_len, 1, cfg.m + 1),
             ("psd_segment_len", cfg.psd_segment_len, 64, inf),
             ("sidelobe_oversample", cfg.sidelobe_oversample, 2, inf),
-            ("channel.n_taps", cfg.n_taps_effective(), 1, inf),
+            ("channel.n_taps", cfg.channel.n_taps, 1, inf),
             ("channel.carrier_hz", cfg.channel.carrier_hz, 0, inf),
             ("channel.delay_spread_s", cfg.channel.delay_spread_s, 0, inf)):
         _expect(lo <= value <= hi, f"{key}: {value!r} outside [{lo}, {hi}]")
     _expect(cfg.m % cfg.n_sc_rb == 0,
             f"n_sc_rb: {cfg.n_sc_rb} does not divide m = {cfg.m} (dr_ufmc block constraint)")
-    _expect(cfg.resolved_bandwidth_hz() > 0, "bandwidth_hz must be positive")
+    _expect(cfg.bandwidth_hz > 0, "bandwidth_hz must be positive")
     for key in ("gf_atten_db", "du_atten_db"):
         value = getattr(cfg, key)
         _expect(value > 0, f"{key}: must be positive, got {value!r}")
@@ -288,15 +270,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         param = cfg.rw_window_param
         _expect(0.0 < param <= 1.0,
                 f"rw_window_param: raised_cosine roll-off must be in (0, 1], got {param!r}")
-    if cfg.channel.profile is not None:
-        _expect(cfg.channel.profile in PROFILES,
-                f"channel.profile: unknown value {cfg.channel.profile!r}")
-        _expect(cfg.channel.profile != "custom",
-                "channel.profile: custom profiles are built programmatically, "
-                "not from config files")
-    if cfg.channel.doppler_model is not None:
-        _expect(cfg.channel.doppler_model in DOPPLER_MODELS,
-                f"channel.doppler_model: unknown value {cfg.channel.doppler_model!r}")
+    _expect(cfg.channel.profile in PROFILES,
+            f"channel.profile: unknown value {cfg.channel.profile!r}")
+    _expect(cfg.channel.doppler_model in DOPPLER_MODELS,
+            f"channel.doppler_model: unknown value {cfg.channel.doppler_model!r}")
     _expect(0.0 < cfg.occupied_fraction <= 2.0 / 3.0,
             "occupied_fraction must be in (0, 2/3] so the offset band stays below Nyquist")
     n_active = 2 * int(round(cfg.n_sc * cfg.occupied_fraction / 2.0))
@@ -308,18 +285,29 @@ def validate_config(cfg: ExperimentConfig) -> None:
     w_m, w_n = cfg.leakage_half_widths
     _expect(0 <= w_m and 2 * w_m + 1 <= cfg.m and 0 <= w_n and 2 * w_n + 1 <= cfg.n,
             f"leakage_half_widths: window {2*w_m+1}x{2*w_n+1} does not fit grid {cfg.m}x{cfg.n}")
-    if cfg.leakage_center is not None:
-        m0, n0 = cfg.leakage_center
-        _expect(0 <= m0 < cfg.m and 0 <= n0 < cfg.n,
-                f"leakage_center: ({m0}, {n0}) outside grid {cfg.m}x{cfg.n}")
-    # The resolved profile must have n_taps distinct delays, all inside the frame.
+    m0, n0 = cfg.leakage_center
+    _expect(0 <= m0 < cfg.m and 0 <= n0 < cfg.n,
+            f"leakage_center: ({m0}, {n0}) outside grid {cfg.m}x{cfg.n}")
+    if cfg.experiment == "sidelobes":
+        # run_sidelobes averages bins b = k / os with n_sc/2 + n_sc_rb < b < n_sc - n_sc_rb
+        os_factor, rb = cfg.sidelobe_oversample, cfg.n_sc_rb
+        _expect(os_factor * cfg.n_sc // 2 + os_factor * rb + 1 < os_factor * (cfg.n_sc - rb),
+                f"n_sc_rb: a {rb}-bin guard on each side of the stopband leaves no bin "
+                f"of the {cfg.n_sc}-bin sidelobe spectrum to average")
+    if cfg.experiment == "psd":
+        tails = {"otfs": cfg.cp_len, "gf_otfs": cfg.gf_filter_len - 1,
+                 "rw_otfs": cfg.rw_cp_len, "dr_ufmc": cfg.du_filter_len - 1}
+        stream = cfg.n_frames * (cfg.n_sc + min(tails[s] for s in cfg.schemes))
+        _expect(cfg.psd_segment_len <= stream,
+                f"psd_segment_len: {cfg.psd_segment_len} is longer than the {stream}-sample "
+                f"transmit stream of {cfg.n_frames} frame(s)")
+    # The profile must have n_taps distinct delays, all inside the frame.
     delay_spread = cfg.channel.delay_spread_s
-    _expect(delay_spread * cfg.resolved_bandwidth_hz() <= cfg.n_sc,
+    _expect(delay_spread * cfg.bandwidth_hz <= cfg.n_sc,
             f"channel.delay_spread_s: {delay_spread!r} s is longer than the "
             f"{cfg.n_sc}-sample frame")
     try:
-        delays, _ = quantized_profile(
-            ChannelConfig(bandwidth_hz=cfg.resolved_bandwidth_hz(), **cfg.resolved_channel()))
+        delays, _ = quantized_profile(channel_config(cfg))
     except ValueError as exc:
         raise ConfigError(f"channel.n_taps: {exc} at delay_spread_s={delay_spread!r}") from exc
     _expect(delays[-1] < cfg.n_sc,

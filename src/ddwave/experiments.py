@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import channel as chan
 from .baselines import DrUfmcModem
-from .config import ExperimentConfig
+from .config import ExperimentConfig, channel_config
 from .detect import MmseEqualizer, qam_demap, qam_map
 from .gfotfs import GfOtfsModem
 from .metrics import doppler_leakage, oob_metric, psd_welch, wilson_interval
@@ -47,23 +47,17 @@ _P_BITS, _P_CHANNEL, _P_NOISE = 0, 1, 2
 
 
 def build_modems(cfg: ExperimentConfig) -> dict:
-    """Instantiate the configured schemes, all on one resolved geometry."""
-    geom = FrameGeometry(M=cfg.m, N=cfg.n, bandwidth_hz=cfg.resolved_bandwidth_hz())
+    """Instantiate the configured schemes, all on one geometry."""
+    geom = FrameGeometry(M=cfg.m, N=cfg.n, bandwidth_hz=cfg.bandwidth_hz)
     builders = {
-        "otfs": lambda: CpOtfsModem(geom, cfg.resolved_cp_len()),
-        "gf_otfs": lambda: GfOtfsModem(geom, cfg.n_sc_rb, cfg.resolved_gf_filter_len(),
-                                       cfg.gf_atten_db),
+        "otfs": lambda: CpOtfsModem(geom, cfg.cp_len),
+        "gf_otfs": lambda: GfOtfsModem(geom, cfg.n_sc_rb, cfg.gf_filter_len, cfg.gf_atten_db),
         "rw_otfs": lambda: CpOtfsModem(
-            geom, cfg.resolved_rw_cp_len(), WindowSpec(cfg.rw_window_kind, cfg.rw_window_param),
-            tx_window=cfg.resolved_rw_tx_window()),
+            geom, cfg.rw_cp_len, WindowSpec(cfg.rw_window_kind, cfg.rw_window_param),
+            tx_window=cfg.rw_tx_window),
         "dr_ufmc": lambda: DrUfmcModem(geom, cfg.n_sc_rb, cfg.du_filter_len, cfg.du_atten_db),
     }
     return {name: builders[name]() for name in cfg.schemes}
-
-
-def channel_config(cfg: ExperimentConfig) -> chan.ChannelConfig:
-    return chan.ChannelConfig(bandwidth_hz=cfg.resolved_bandwidth_hz(),
-                              **cfg.resolved_channel())
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +169,10 @@ def run_impulse_leakage(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dic
     modems = build_modems(cfg)
     ch_cfg = channel_config(cfg)
     geom = next(iter(modems.values())).geom
-    span = max(m.rx_len for m in modems.values()) + cfg.n_taps_effective() + 8
+    span = max(m.rx_len for m in modems.values()) + cfg.channel.n_taps + 8
     ch = chan.generate_channel(ch_cfg, span, seed=seedseq_for(cfg.seed, _P_CHANNEL, 0),
                                delta_nu_hz=geom.delta_nu_hz)
-    m0, n0 = cfg.leakage_center if cfg.leakage_center is not None else (cfg.m // 2, cfg.n // 2)
+    m0, n0 = cfg.leakage_center
     d = np.zeros(cfg.n_sc, dtype=complex)
     d[n0 * cfg.m + m0] = 1.0
     summary, paths = {}, {}
@@ -233,8 +227,7 @@ def run_psd(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
     compare shape, not bookkeeping.
     """
     modems = build_modems(cfg)
-    bw = cfg.resolved_bandwidth_hz()
-    occupied_hz = cfg.occupied_fraction * bw
+    occupied_hz = cfg.occupied_fraction * cfg.bandwidth_hz
     mask = centered_band_mask(cfg.n_sc, cfg.occupied_fraction)
     mask_block = centered_band_mask(cfg.m, cfg.occupied_fraction)
     streams = {name: [] for name in modems}
@@ -248,7 +241,7 @@ def run_psd(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
     for name, parts in streams.items():
         x = np.concatenate(parts)
         x = x / np.sqrt(np.mean(np.abs(x) ** 2))
-        est = psd_welch(x, bw, segment_len=cfg.psd_segment_len)
+        est = psd_welch(x, cfg.bandwidth_hz, segment_len=cfg.psd_segment_len)
         _check_finite(f"{name} psd", est.psd_db)
         path = out_dir / f"psd_{name}.csv"
         write_csv(path, "ddwave.psd.v1", ["freq_hz", "psd_db"],
@@ -284,7 +277,7 @@ def _ber_frame(frame_idx: int):
 
     bits = rng_for(cfg.seed, _P_BITS, frame_idx).integers(0, 2, size=cfg.n_sc * k)
     d = qam_map(bits, cfg.qam_order)
-    ch = chan.generate_channel(ch_cfg, max_rx + cfg.n_taps_effective() + 8,
+    ch = chan.generate_channel(ch_cfg, max_rx + cfg.channel.n_taps + 8,
                                seed=seedseq_for(cfg.seed, _P_CHANNEL, frame_idx),
                                delta_nu_hz=geom.delta_nu_hz)
     eta = chan.complex_noise(rng_for(cfg.seed, _P_NOISE, frame_idx), max_rx)
@@ -413,7 +406,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     summary, paths = runners[cfg.experiment](cfg, out_dir)
     report = ExperimentReport(
         experiment=cfg.experiment,
-        config=cfg.resolved(),
+        config=dataclasses.asdict(cfg),
         config_hash=cfg.config_hash(),
         seed=cfg.seed,
         summary=summary,

@@ -19,9 +19,6 @@ def _to_db(p: np.ndarray) -> np.ndarray:
 class PsdEstimate:
     freq_hz: np.ndarray   # centered, strictly increasing, symmetric about 0
     psd: np.ndarray       # linear density, power per Hz
-    segment_len: int
-    overlap: float
-    window: str
 
     @property
     def psd_db(self) -> np.ndarray:
@@ -35,29 +32,27 @@ class PsdEstimate:
         return float(_to_db(np.mean(self.psd[sel])))
 
 
-def psd_welch(x: np.ndarray, fs_hz: float, segment_len: int = 1024,
-              overlap: float = 0.5, window: str = "hann") -> PsdEstimate:
+def psd_welch(x: np.ndarray, fs_hz: float, segment_len: int = 1024) -> PsdEstimate:
     """Welch averaged periodogram of a complex baseband signal, two-sided and centered.
 
-    Density scaling: the PSD integrates to the mean signal power. The lowest
-    (unpaired) frequency bin is dropped so the axis is symmetric about zero.
+    Hann window, 50 % overlap, density scaling: the PSD integrates to the
+    mean signal power. The lowest (unpaired) frequency bin is dropped so the
+    axis is symmetric about zero.
     """
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("psd_welch expects a 1-D signal")
     if x.size < segment_len:
         raise ValueError(f"signal length {x.size} shorter than segment {segment_len}")
-    noverlap = int(round(segment_len * overlap))
     freqs, pxx = scipy.signal.welch(
-        x, fs=fs_hz, window=window, nperseg=segment_len, noverlap=noverlap,
+        x, fs=fs_hz, window="hann", nperseg=segment_len, noverlap=round(segment_len / 2),
         detrend=False, return_onesided=False, scaling="density")
     order = np.fft.fftshift(np.arange(freqs.size))
     freqs = np.fft.fftshift(freqs)
     pxx = pxx[order]
     if segment_len % 2 == 0:
         freqs, pxx = freqs[1:], pxx[1:]
-    return PsdEstimate(freq_hz=freqs, psd=pxx, segment_len=segment_len,
-                       overlap=overlap, window=window)
+    return PsdEstimate(freq_hz=freqs, psd=pxx)
 
 
 def oob_metric(psd: PsdEstimate, occupied_band_hz: tuple[float, float],

@@ -208,8 +208,8 @@ def oracle_matrix(operator_id: str, geom: FrameGeometry, bank=None,
                   cp_len: int | None = None) -> np.ndarray:
     """Dense materialization of a named operator, for small-instance verification.
 
-    ``A_cp`` and ``B_cp`` need the CP length ``cp_len``; ``T_0``, ``T_n``,
-    ``T_u`` and ``R_u`` need a filter bank spec with ``prototype``,
+    ``A_cp`` and ``B_cp`` need the CP length ``cp_len``; ``T_0``, ``T_u``
+    and ``R_u`` need a filter bank spec with ``prototype``,
     ``filter_len``, ``n_sc``, ``n_sc_rb`` and ``n_rb`` fields.
     """
     if operator_id == "F_MN":
@@ -233,7 +233,7 @@ def oracle_matrix(operator_id: str, geom: FrameGeometry, bank=None,
         return np.vstack([eye[geom.n_sc - cp_len:], eye]) if cp_len else eye.copy()
     if operator_id == "B_cp":
         return np.hstack([np.zeros((geom.n_sc, cp_len)), np.eye(geom.n_sc)])
-    if operator_id in ("T_0", "T_n", "T_u", "R_u"):
+    if operator_id in ("T_0", "T_u", "R_u"):
         if bank is None:
             raise DimensionError(f"oracle_matrix({operator_id!r}) requires a filter bank")
         if operator_id == "R_u":
@@ -243,8 +243,6 @@ def oracle_matrix(operator_id: str, geom: FrameGeometry, bank=None,
             return t0
         ref = t0 @ np.ones(bank.n_sc)
         gain = np.sqrt(np.mean(np.abs(ref) ** 2))
-        if operator_id == "T_n":
-            return t0 / gain
         # T_u: diagonal predistortion of the normalized modulator.
         s_f0 = _oracle_ru(bank.n_sc, bank.filter_len) @ ref
         p = np.mean(np.abs(s_f0)) / s_f0

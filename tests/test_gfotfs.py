@@ -115,8 +115,7 @@ class TestEffectiveChannel:
         gm = small_modem()
         base = chan.identity_channel(gm.rx_len + 4)
         scaled = chan.LtvChannelRealization(
-            tap_delays=base.tap_delays, gains=2.5j * base.gains,
-            doppler_hz=base.doppler_hz)
+            tap_delays=base.tap_delays, gains=2.5j * base.gains)
         assert np.max(np.abs(gm.effective_channel(scaled)
                              - 2.5j * gm.effective_channel(base))) < 1e-12
 
@@ -141,8 +140,7 @@ class TestEffectiveChannel:
         taps = np.array([0.9, 0.435j])
         ch = chan.LtvChannelRealization(
             tap_delays=np.array([0, 1]),
-            gains=np.repeat(taps[:, None], gm.rx_len + 2, axis=1),
-            doppler_hz=np.zeros(2))
+            gains=np.repeat(taps[:, None], gm.rx_len + 2, axis=1))
         h_bar = chan.delay_time_matrix(ch, gm.rx_len)
         dense = (oracle_matrix("Gamma", g).conj().T
                  @ oracle_matrix("R_u", g, gm.bank)

@@ -151,8 +151,7 @@ class TestEffectiveChannel:
         h_dd = modem.effective_channel(ident)
         assert np.max(np.abs(h_dd - np.eye(32))) < 1e-12
         scalar = chan.LtvChannelRealization(
-            tap_delays=ident.tap_delays, gains=(0.3 - 1.1j) * ident.gains,
-            doppler_hz=ident.doppler_hz)
+            tap_delays=ident.tap_delays, gains=(0.3 - 1.1j) * ident.gains)
         h_dd_c = modem.effective_channel(scalar)
         assert np.max(np.abs(h_dd_c - (0.3 - 1.1j) * np.eye(32))) < 1e-12
 
@@ -187,8 +186,7 @@ class TestEffectiveChannel:
         taps = np.array([1.0 + 0.2j, -0.4j, 0.25])
         ch = chan.LtvChannelRealization(
             tap_delays=np.array([0, 1, 2]),
-            gains=np.repeat(taps[:, None], modem.rx_len + 4, axis=1),
-            doppler_hz=np.zeros(3))
+            gains=np.repeat(taps[:, None], modem.rx_len + 4, axis=1))
         rng = np.random.default_rng(9)
         d = random_complex(rng, 32)
         s_t = zak_modulate(d, g)

@@ -34,9 +34,9 @@ class TestConfigParsing:
         cfg = parse_config(p)
         assert cfg.experiment == "ber_sweep"
         assert cfg.m == 64 and cfg.n == 8
-        assert cfg.resolved_bandwidth_hz() == 1.92e6
-        assert cfg.resolved_gf_filter_len() == 129
-        assert cfg.resolved_rw_cp_len() == 128
+        assert cfg.bandwidth_hz == 1.92e6
+        assert cfg.gf_filter_len == 129
+        assert cfg.rw_cp_len == 128
         assert cfg.qam_order == 16
         assert cfg.channel.carrier_hz == 5.9e9
         assert cfg.channel.speed_mps == pytest.approx(500 / 3.6)
@@ -44,7 +44,23 @@ class TestConfigParsing:
 
     def test_psd_bandwidth_default(self):
         cfg = config_from_dict({"experiment": "psd"})
-        assert cfg.resolved_bandwidth_hz() == 10e6
+        assert cfg.bandwidth_hz == 10e6
+
+    def test_parse_fills_every_default(self):
+        for raw in [{}] + [{"experiment": e} for e in EXPERIMENTS]:
+            cfg = config_from_dict(raw)
+            ch = cfg.channel
+            for value in (cfg.cp_len, cfg.gf_filter_len, cfg.rw_cp_len, cfg.rw_tx_window,
+                          cfg.bandwidth_hz, cfg.leakage_center,
+                          ch.profile, ch.n_taps, ch.doppler_model):
+                assert value is not None, raw
+            # a null override is a value: a random Doppler shift per tap
+            assert (ch.fractional_doppler_override is None) == (
+                cfg.experiment != "impulse_leakage")
+        cfg = config_from_dict({})
+        assert (cfg.cp_len, cfg.leakage_center, cfg.rw_tx_window) == (4, (32, 4), False)
+        assert (cfg.channel.profile, cfg.channel.n_taps, cfg.channel.doppler_model) == (
+            "tdl_c", 5, "jakes_sum_of_sinusoids")
 
     def test_snr_string_expansion(self):
         cfg = config_from_dict({"snr_grid_db": "0:5:40"})
@@ -85,6 +101,13 @@ class TestConfigParsing:
         a = config_from_dict({"seed": 1})
         b = config_from_dict({"seed": 1})
         c = config_from_dict({"seed": 2})
+        assert a.config_hash() == b.config_hash()
+        assert a.config_hash() != c.config_hash()
+
+    def test_hash_ignores_output_dir(self):
+        a = config_from_dict({"seed": 1, "output_dir": "run-a"})
+        b = config_from_dict({"seed": 1, "output_dir": "run-b"})
+        c = config_from_dict({"seed": 2, "output_dir": "run-a"})
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
@@ -280,6 +303,11 @@ class TestCli:
         ({"channel": {"carrier_hz": -1.0}}, "channel.carrier_hz"),
         ({"cp_len": -1}, "cp_len"),
         ({"rw_cp_len": 33}, "rw_cp_len"),
+        ({"experiment": "sidelobes", "m": 8, "n": 1, "n_sc_rb": 4, "n_frames": 2,
+          "du_filter_len": 5, "gf_filter_len": 3, "rw_cp_len": 2,
+          "leakage_half_widths": [0, 0]}, "n_sc_rb"),
+        ({"experiment": "psd", "m": 8, "n": 4, "n_frames": 1, "du_filter_len": 5,
+          "gf_filter_len": 9}, "psd_segment_len"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"
