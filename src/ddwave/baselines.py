@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .scfdma import ProbedModem, zak_demodulate, zak_modulate
-from .transforms import DimensionError, FrameGeometry
+from .transforms import DimensionError, FrameGeometry, blockwise_dft
 from .ufmc import FilterBankSpec, UfmcOperators, ufmc_analyze
 
 
@@ -53,16 +53,16 @@ class DrUfmcModem(ProbedModem):
 
     def modulate(self, d) -> np.ndarray:
         d = np.asarray(d)
-        s_t = zak_modulate(d, self.geom)
-        blocks = s_t.reshape((self.geom.N, self.geom.M) + d.shape[1:])
-        f_blocks = np.fft.fft(blocks, axis=1) / np.sqrt(self.geom.M)
-        return self.tx_from_block_spectra(f_blocks)
+        f_blocks = blockwise_dft(zak_modulate(d, self.geom), self.geom)
+        return self.tx_from_block_spectra(
+            f_blocks.reshape((self.geom.N, self.geom.M) + d.shape[1:]))
 
     def demodulate(self, r) -> np.ndarray:
         """Subband analysis of each block at its nominal boundaries, then the Zak inverse."""
         r = np.asarray(r)
         m, n_blocks = self.geom.M, self.geom.N
         blocks = np.stack([r[n * m:n * m + self.bank.out_len] for n in range(n_blocks)], axis=1)
-        f_blocks = ufmc_analyze(blocks, self.bank)
-        s_t = (np.fft.ifft(f_blocks, axis=0) * np.sqrt(m)).swapaxes(0, 1)
-        return zak_demodulate(s_t.reshape((self.geom.n_sc,) + r.shape[1:]), self.geom)
+        f_blocks = ufmc_analyze(blocks, self.bank).swapaxes(0, 1)
+        s_t = blockwise_dft(f_blocks.reshape((self.geom.n_sc,) + r.shape[1:]), self.geom,
+                            inverse=True)
+        return zak_demodulate(s_t, self.geom)

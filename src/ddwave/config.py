@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .channel import DOPPLER_MODELS, PROFILES, ChannelConfig, quantized_profile
+from .metrics import band_has_welch_bin
 from .scfdma import WINDOW_KINDS
 
 EXPERIMENTS = ("loopback", "impulse_leakage", "sidelobes", "psd", "ber_sweep", "oracle_suite")
@@ -69,7 +70,6 @@ class ExperimentConfig:
     # experiment-specific knobs
     leakage_center: tuple[int, int] | None = None   # None: grid center
     leakage_half_widths: tuple[int, int] = (1, 1)
-    leakage_fractional_doppler: float = 0.5
     occupied_fraction: float = 0.5
     psd_segment_len: int = 1024
     sidelobe_oversample: int = 8
@@ -94,6 +94,12 @@ class ExperimentConfig:
 
 def channel_config(cfg: ExperimentConfig) -> ChannelConfig:
     return ChannelConfig(bandwidth_hz=cfg.bandwidth_hz, **dataclasses.asdict(cfg.channel))
+
+
+def psd_bands(cfg: ExperimentConfig) -> tuple[tuple[float, float], tuple[float, float]]:
+    """|f| bands of the psd study in Hz: occupied [0, 0.45] and offset [0.55, 0.75] x occupied."""
+    occupied_hz = cfg.occupied_fraction * cfg.bandwidth_hz
+    return (0.0, 0.45 * occupied_hz), (0.55 * occupied_hz, 0.75 * occupied_hz)
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -197,11 +203,10 @@ def _with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
     """Replace every None field by the experiment's documented default.
 
     The impulse study defaults to a single zero-delay path whose Doppler is
-    pinned to leakage_fractional_doppler times the Doppler spacing;
-    everything else defaults to the 5-tap TDL-C profile at 500 km/h. The BER
-    sweep defaults to fading (Jakes) taps so high-SNR error counts stay
-    statistically meaningful; the other experiments use one deterministic
-    shift per tap.
+    pinned to half the Doppler spacing; everything else defaults to the
+    5-tap TDL-C profile at 500 km/h. The BER sweep defaults to fading (Jakes)
+    taps so high-SNR error counts stay statistically meaningful; the other
+    experiments use one deterministic shift per tap.
     """
     def fill(value, default):
         return default if value is None else value
@@ -215,7 +220,7 @@ def _with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
                            else "single_shift_per_tap"),
         fractional_doppler_override=fill(
             ch.fractional_doppler_override,
-            cfg.leakage_fractional_doppler if exp == "impulse_leakage" else None))
+            0.5 if exp == "impulse_leakage" else None))
     return dataclasses.replace(
         cfg, channel=channel,
         bandwidth_hz=fill(cfg.bandwidth_hz, 10e6 if exp == "psd" else 1.92e6),
@@ -301,6 +306,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _expect(cfg.psd_segment_len <= stream,
                 f"psd_segment_len: {cfg.psd_segment_len} is longer than the {stream}-sample "
                 f"transmit stream of {cfg.n_frames} frame(s)")
+        for lo, hi in psd_bands(cfg):
+            _expect(band_has_welch_bin(lo, hi, cfg.bandwidth_hz, cfg.psd_segment_len),
+                    f"psd_segment_len: {cfg.psd_segment_len} leaves no Welch bin in [{lo}, {hi}] Hz")
     # The profile must have n_taps distinct delays, all inside the frame.
     delay_spread = cfg.channel.delay_spread_s
     _expect(delay_spread * cfg.bandwidth_hz <= cfg.n_sc,

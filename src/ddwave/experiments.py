@@ -14,6 +14,7 @@ import functools
 import json
 import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import channel as chan
 from .baselines import DrUfmcModem
-from .config import ExperimentConfig, channel_config
+from .config import ExperimentConfig, channel_config, psd_bands
 from .detect import MmseEqualizer, qam_demap, qam_map
 from .gfotfs import GfOtfsModem
 from .metrics import doppler_leakage, oob_metric, psd_welch, wilson_interval
@@ -227,7 +228,6 @@ def run_psd(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
     compare shape, not bookkeeping.
     """
     modems = build_modems(cfg)
-    occupied_hz = cfg.occupied_fraction * cfg.bandwidth_hz
     mask = centered_band_mask(cfg.n_sc, cfg.occupied_fraction)
     mask_block = centered_band_mask(cfg.m, cfg.occupied_fraction)
     streams = {name: [] for name in modems}
@@ -235,8 +235,7 @@ def run_psd(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
         tx = _active_band_tx(modems, cfg, fi, mask, mask_block)
         for name, x in tx.items():
             streams[name].append(x)
-    occ_band = (0.0, 0.45 * occupied_hz)
-    off_band = (0.55 * occupied_hz, 0.75 * occupied_hz)
+    occ_band, off_band = psd_bands(cfg)
     summary, paths = {}, {}
     for name, parts in streams.items():
         x = np.concatenate(parts)
@@ -292,11 +291,10 @@ def _ber_frame(frame_idx: int):
         for si, snr_db in enumerate(cfg.snr_grid_db):
             var = 10.0 ** (-snr_db / 10.0)
             d_hat = eq.solve(y0 + np.sqrt(var) * y_eta, var)
-            if not np.all(np.isfinite(d_hat)):
-                raise NumericalFailure(f"non-finite MMSE output: {name} frame {frame_idx}")
+            _check_finite(f"{name} MMSE output, frame {frame_idx}", d_hat)
             per_snr[si] = np.sum(qam_demap(d_hat, cfg.qam_order) != bits)
         errors[name] = per_snr
-    return frame_idx, errors
+    return errors
 
 
 def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> tuple[dict, dict]:
@@ -305,20 +303,19 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> tup
     totals = {name: np.zeros(len(cfg.snr_grid_db), dtype=np.int64) for name in cfg.schemes}
 
     # Built here, before any pool exists, so that a bad scheme parameter
-    # raises in the caller; forked workers inherit the modems.
+    # raises in the caller; forked workers inherit the modems. A worker that
+    # raises or dies ends the loop, and the frames not yet started are cancelled.
     _ber_init(cfg)
+    pool = None
     try:
-        if workers <= 1:
-            results = map(_ber_frame, range(cfg.n_frames))
-            for _, errors in results:
-                for name, per_snr in errors.items():
-                    totals[name] += per_snr
-        else:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                for _, errors in pool.imap_unordered(_ber_frame, range(cfg.n_frames)):
-                    for name, per_snr in errors.items():
-                        totals[name] += per_snr
+        if workers > 1:
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        for errors in (pool.map if pool else map)(_ber_frame, range(cfg.n_frames)):
+            for name, per_snr in errors.items():
+                totals[name] += per_snr
     finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
         _WORKER.clear()
 
     n_bits = cfg.n_frames * bits_per_frame

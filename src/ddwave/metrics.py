@@ -55,6 +55,18 @@ def psd_welch(x: np.ndarray, fs_hz: float, segment_len: int = 1024) -> PsdEstima
     return PsdEstimate(freq_hz=freqs, psd=pxx)
 
 
+def band_has_welch_bin(lo_hz: float, hi_hz: float, fs_hz: float, segment_len: int) -> bool:
+    """Whether ``band_mean_db(lo_hz, hi_hz)`` of a :func:`psd_welch` estimate has a bin.
+
+    Its |f| are k * step, k <= (segment_len - 1) // 2, rounded as in np.fft.fftfreq.
+    """
+    step = 1.0 / (segment_len * (1.0 / fs_hz))
+    k = max(int(np.ceil(lo_hz / step)) - 1, 0)
+    while k * step < lo_hz:
+        k += 1
+    return k <= (segment_len - 1) // 2 and k * step <= hi_hz
+
+
 def oob_metric(psd: PsdEstimate, occupied_band_hz: tuple[float, float],
                offset_band_hz: tuple[float, float]) -> float:
     """Mean PSD over the offset band minus mean PSD over the occupied band, in dB.

@@ -63,7 +63,6 @@ class FilterBankSpec:
         k = np.arange(self.filter_len)
         self.shifted_filters = prototype[None, :] * np.exp(
             2j * np.pi * np.outer(self.alpha, k) / n_sc)
-        self._filter_fft_cache: dict[int, np.ndarray] = {}
 
     @classmethod
     def chebyshev(cls, n_sc: int, n_sc_rb: int, filter_len: int,
@@ -75,12 +74,6 @@ class FilterBankSpec:
     def out_len(self) -> int:
         return self.n_sc + self.filter_len - 1
 
-    def filter_ffts(self, n_fft: int) -> np.ndarray:
-        """FFTs of the shifted filters, cached per transform size."""
-        if n_fft not in self._filter_fft_cache:
-            self._filter_fft_cache[n_fft] = np.fft.fft(self.shifted_filters, n=n_fft, axis=1)
-        return self._filter_fft_cache[n_fft]
-
 
 def synthesis_matrix(bank: FilterBankSpec) -> np.ndarray:
     """Dense unnormalized modulator: column q is the synthesized response of bin q."""
@@ -89,7 +82,7 @@ def synthesis_matrix(bank: FilterBankSpec) -> np.ndarray:
     basis = np.exp(2j * np.pi * np.outer(idx, idx) / bank.n_sc) / np.sqrt(bank.n_sc)
     n_fft = next_fast_len(bank.out_len)
     spec = np.fft.fft(basis, n=n_fft, axis=0)
-    spec *= bank.filter_ffts(n_fft).T[:, idx // bank.n_sc_rb]
+    spec *= np.fft.fft(bank.shifted_filters, n=n_fft, axis=1).T[:, idx // bank.n_sc_rb]
     return np.fft.ifft(spec, axis=0)[:bank.out_len]
 
 
@@ -109,47 +102,25 @@ def ufmc_analyze(r: np.ndarray, bank: FilterBankSpec) -> np.ndarray:
     return spectrum[0::2]
 
 
-def normalize_gain(bank: FilterBankSpec, t0: np.ndarray) -> float:
-    """RMS per-sample amplitude of the all-ones response; divides the modulator.
-
-    ``t0`` is the bank's :func:`synthesis_matrix`.
-    """
-    ref = t0 @ np.ones(bank.n_sc)
-    gain_sq = float(np.mean(np.abs(ref) ** 2))
-    if gain_sq == 0.0:
-        raise ValueError("all-zero prototype: synthesis gain is zero")
-    return float(np.sqrt(gain_sq))
-
-
-def compute_predistortion(bank: FilterBankSpec, t0: np.ndarray) -> np.ndarray:
-    """Diagonal pre-compensation of the through-modem per-bin response.
-
-    Runs the all-ones vector through synthesis (``t0``, the bank's
-    :func:`synthesis_matrix`) and analysis, and returns
-    P[k] = mean_k |response| / response[k] so that the predistorted modem has
-    a flat (scaled) diagonal response.
-    """
-    ref = t0 @ np.ones(bank.n_sc)
-    s_f0 = ufmc_analyze(ref, bank)
-    mags = np.abs(s_f0)
-    if np.any(mags < 1e-300):
-        raise SingularPredistortionError("through-modem response has a zero bin")
-    return np.mean(mags) / s_f0
-
-
 class UfmcOperators:
     """The predistorted, power-normalized modulator of one bank.
 
-    With ``t0 = synthesis_matrix(bank)`` the raw modulator,
-    ``tu = (t0 / synth_norm_gain) @ diag(predistortion)`` is the modem
-    actually used for transmission. Only ``tu`` is kept.
+    With ``t0 = synthesis_matrix(bank)`` the raw modulator and ``ref`` its
+    all-ones response, ``tu = (t0 / synth_norm_gain) @ diag(predistortion)``
+    is the modem used for transmission: the gain is the RMS of ``ref`` and
+    the predistortion flattens the analysed ``ref``. Only ``tu`` is kept.
     """
 
     def __init__(self, bank: FilterBankSpec):
         self.bank = bank
         t0 = synthesis_matrix(bank)
-        self.synth_norm_gain = normalize_gain(bank, t0)
-        self.predistortion = compute_predistortion(bank, t0)
+        ref = t0 @ np.ones(bank.n_sc)
+        s_f0 = ufmc_analyze(ref, bank)
+        mags = np.abs(s_f0)
+        if np.any(mags < 1e-300):  # also an all-zero ref, i.e. a zero gain
+            raise SingularPredistortionError("through-modem response has a zero bin")
+        self.predistortion = np.mean(mags) / s_f0
         if not np.all(np.isfinite(self.predistortion)):
             raise SingularPredistortionError("non-finite predistortion entries")
+        self.synth_norm_gain = float(np.sqrt(np.mean(np.abs(ref) ** 2)))
         self.tu = (t0 / self.synth_norm_gain) * self.predistortion[None, :]

@@ -68,6 +68,17 @@ class TestGeneration:
         expected = np.exp(2j * np.pi * 0.5 * delta_nu * np.arange(16) / 1.92e6)
         assert np.max(np.abs(ch.gains[0] - expected)) < 1e-12
 
+    def test_jakes_override_taps_are_pure_tones(self):
+        cfg = ChannelConfig(doppler_model="jakes_sum_of_sinusoids",
+                            fractional_doppler_override=0.3)
+        delta_nu = cfg.bandwidth_hz / 512
+        ch = generate_channel(cfg, 600, seed=3, delta_nu_hz=delta_nu)
+        tone = np.exp(2j * np.pi * 0.3 * delta_nu * np.arange(600) / cfg.bandwidth_hz)
+        assert ch.n_taps == 5
+        for g in ch.gains:
+            assert abs(g[0]) > 1e-3
+            assert np.max(np.abs(g - g[0] * tone)) < 1e-12
+
     def test_override_requires_spacing(self):
         cfg = ChannelConfig(profile="single_path", fractional_doppler_override=0.5)
         with pytest.raises(ValueError):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from ddwave.metrics import doppler_leakage, oob_metric, psd_welch, wilson_interval
+from ddwave.metrics import (
+    band_has_welch_bin,
+    doppler_leakage,
+    oob_metric,
+    psd_welch,
+    wilson_interval,
+)
 
 
 class TestPsdWelch:
@@ -75,6 +81,36 @@ class TestOobMetric:
         est = psd_welch(np.ones(2048, dtype=complex), 1.0)
         with pytest.raises(ValueError):
             oob_metric(est, (0.0, 0.1), (0.9, 0.95))
+
+
+class TestBandHasWelchBin:
+    @staticmethod
+    def selects_a_bin(est, lo, hi):
+        try:
+            est.band_mean_db(lo, hi)
+        except ValueError:
+            return False
+        return True
+
+    def test_agrees_with_band_mean_db(self):
+        n_empty = 0
+        for seg in list(range(64, 200)) + [256, 1000, 1024]:
+            for fs in (1.92e6, 10e6, 7.3e5):
+                est = psd_welch(np.zeros(seg), fs, segment_len=seg)
+                bands = [(f * 0.55 * fs, f * 0.75 * fs) for f in (2 / 3, 0.5, 0.1, 0.03125)]
+                # bands whose edges sit on, or one float step off, an axis bin
+                for f in np.abs(est.freq_hz[[0, seg // 3, -2]]):
+                    bands += [(f, f), (np.nextafter(f, 0), np.nextafter(f, 0)),
+                              (np.nextafter(f, np.inf), 2 * f + 1.0)]
+                for lo, hi in bands:
+                    expected = self.selects_a_bin(est, lo, hi)
+                    n_empty += not expected
+                    assert band_has_welch_bin(lo, hi, fs, seg) == expected, (seg, fs, lo, hi)
+        assert n_empty > 100
+
+    def test_large_segment_builds_no_axis(self):
+        assert band_has_welch_bin(0.55e6, 0.75e6, 2e6, 2 ** 52)
+        assert not band_has_welch_bin(0.55e6, 0.56e6, 2e6, 64)
 
 
 class TestDopplerLeakage:

@@ -2,12 +2,18 @@
 
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddwave
 from ddwave.cli import main as cli_main
 from ddwave.config import (
     EXPERIMENTS,
@@ -57,6 +63,9 @@ class TestConfigParsing:
             # a null override is a value: a random Doppler shift per tap
             assert (ch.fractional_doppler_override is None) == (
                 cfg.experiment != "impulse_leakage")
+        assert config_from_dict({"experiment": "impulse_leakage"}).channel == ChannelSection(
+            profile="single_path", n_taps=1, doppler_model="single_shift_per_tap",
+            fractional_doppler_override=0.5)
         cfg = config_from_dict({})
         assert (cfg.cp_len, cfg.leakage_center, cfg.rw_tx_window) == (4, (32, 4), False)
         assert (cfg.channel.profile, cfg.channel.n_taps, cfg.channel.doppler_model) == (
@@ -229,7 +238,49 @@ class TestExperiments:
         assert rep.summary["n_failed"] == 0
 
 
+_DYING_WORKER = """
+import os
+import sys
+from pathlib import Path
+
+import ddwave.experiments as exp
+from ddwave.config import config_from_dict
+
+real_frame = exp._ber_frame
+
+
+def dying_frame(frame_idx):
+    if frame_idx == 1:
+        os._exit(1)
+    return real_frame(frame_idx)
+
+
+exp._ber_frame = dying_frame
+cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
+                        "n_frames": 4, "snr_grid_db": [10.0]})
+try:
+    exp.run_ber_sweep(cfg, Path(sys.argv[1]), workers=2)
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+
+
 class TestBerWorkers:
+    def test_dying_worker_ends_the_run(self, tmp_path):
+        # a pool that waits for the lost frame would hang the sweep; it runs
+        # in its own session so that a hang can be killed with its workers
+        src = str(Path(ddwave.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-c", _DYING_WORKER, str(tmp_path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                env=os.environ | {"PYTHONPATH": src}, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("run_ber_sweep still running 60 s after a worker died")
+        assert out.strip() == "BrokenProcessPool", err
+
     def test_scheme_error_raises_before_any_pool(self, tmp_path, monkeypatch):
         # a pool initializer that raises makes the pool respawn workers
         # forever, so the modems must fail in the caller first
@@ -308,6 +359,9 @@ class TestCli:
           "leakage_half_widths": [0, 0]}, "n_sc_rb"),
         ({"experiment": "psd", "m": 8, "n": 4, "n_frames": 1, "du_filter_len": 5,
           "gf_filter_len": 9}, "psd_segment_len"),
+        ({"experiment": "psd", "m": 128, "n": 4, "occupied_fraction": 0.03125,
+          "psd_segment_len": 64, "n_frames": 4}, "psd_segment_len"),
+        ({"leakage_fractional_doppler": 0.5}, "leakage_fractional_doppler"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"
@@ -332,6 +386,61 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "run_experiment", boom)
         assert cli_main(["run", str(cfgfile)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_nan_in_a_ber_solve_exits_three(self, tmp_path, capsys, monkeypatch, workers):
+        import ddwave.experiments as exp_mod
+
+        def nan_solve(self, d_tilde, noise_var):
+            return np.full(d_tilde.shape, np.nan, dtype=complex)
+        monkeypatch.setattr(exp_mod.MmseEqualizer, "solve", nan_solve)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "m": 8, "n": 4, "n_frames": 3, "gf_filter_len": 9, "du_filter_len": 5,
+            "snr_grid_db": [10.0], "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(cfgfile), "--workers", workers]) == 3
+        assert "non-finite values in otfs MMSE output, frame 0" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("experiment,what", [
+        ("psd", "gf_otfs psd"), ("sidelobes", "gf_otfs sidelobe spectrum")])
+    def test_nan_in_a_spectral_transmit_exits_three(self, tmp_path, capsys, monkeypatch,
+                                                    experiment, what):
+        import ddwave.experiments as exp_mod
+        real_tx = exp_mod._active_band_tx
+
+        def nan_tx(*args):
+            tx = real_tx(*args)
+            tx["gf_otfs"][0] = np.nan
+            return tx
+        monkeypatch.setattr(exp_mod, "_active_band_tx", nan_tx)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "experiment": experiment, "m": 8, "n": 4, "n_frames": 4, "psd_segment_len": 64,
+            "gf_filter_len": 9, "du_filter_len": 5, "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(cfgfile)]) == 3
+        assert f"non-finite values in {what}" in capsys.readouterr().err
+
+    def test_failing_oracle_suite_exits_one(self, tmp_path, capsys, monkeypatch):
+        import ddwave.experiments as exp_mod
+        monkeypatch.setattr(exp_mod, "oracle_checks",
+                            lambda: [("exact", 0.0, 0.0), ("off", 1.0, 1e-12)])
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"experiment": "oracle_suite",
+                                       "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(cfgfile)]) == 1
+        assert "oracle_suite: 1 check(s) failed" in capsys.readouterr().err
+        rows = (tmp_path / "out" / "oracle_suite.csv").read_text().splitlines()
+        assert rows[-2:] == ["exact,0,0,1", "off,1,1e-12,0"]
+
+    def test_oracle_command_with_a_failing_check_exits_one(self, capsys, monkeypatch):
+        import ddwave.cli as cli_mod
+        monkeypatch.setattr(cli_mod, "oracle_checks",
+                            lambda: [("exact", 0.0, 0.0), ("off", 1.0, 1e-12)])
+        assert cli_main(["oracle"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  off" in out and "PASS  exact" in out
+        assert "1/2 oracle checks passed" in out
 
     def test_seed_and_out_overrides(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

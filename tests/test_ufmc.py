@@ -10,9 +10,7 @@ from ddwave.ufmc import (
     FilterBankSpec,
     SingularPredistortionError,
     UfmcOperators,
-    compute_predistortion,
     design_chebyshev_prototype,
-    normalize_gain,
     synthesis_matrix,
     ufmc_analyze,
 )
@@ -164,7 +162,7 @@ class TestOfdmReduction:
     def test_unit_filter_predistortion_is_identity(self):
         g = small_geom()
         bank = small_bank(filter_len=1)
-        p = compute_predistortion(bank, synthesis_matrix(bank))
+        p = UfmcOperators(bank).predistortion
         assert np.max(np.abs(p - 1.0)) < 1e-12
 
 
@@ -172,7 +170,7 @@ class TestNormalization:
     def test_unit_mean_power_after_normalization(self):
         bank = table_bank()
         t0 = synthesis_matrix(bank)
-        gain = normalize_gain(bank, t0)
+        gain = UfmcOperators(bank).synth_norm_gain
         ref = (t0 / gain) @ np.ones(512)
         assert np.mean(np.abs(ref) ** 2) == pytest.approx(1.0, abs=1e-12)
 
@@ -181,8 +179,8 @@ class TestNormalization:
         bank_a = FilterBankSpec(g.n_sc, 4, design_chebyshev_prototype(9, 60.0))
         bank_b = FilterBankSpec(g.n_sc, 4, 3.7 * design_chebyshev_prototype(9, 60.0))
         t0_a, t0_b = synthesis_matrix(bank_a), synthesis_matrix(bank_b)
-        tn_a = t0_a / normalize_gain(bank_a, t0_a)
-        tn_b = t0_b / normalize_gain(bank_b, t0_b)
+        tn_a = t0_a / UfmcOperators(bank_a).synth_norm_gain
+        tn_b = t0_b / UfmcOperators(bank_b).synth_norm_gain
         assert np.max(np.abs(tn_a - tn_b)) < 1e-12
 
     def test_gain_fast_equals_oracle(self):
@@ -191,13 +189,12 @@ class TestNormalization:
         dense = oracle_matrix("T_0", g, bank)
         ref = dense @ np.ones(8)
         oracle_gain = np.sqrt(np.mean(np.abs(ref) ** 2))
-        assert normalize_gain(bank, synthesis_matrix(bank)) == pytest.approx(
-            oracle_gain, abs=1e-12)
+        assert UfmcOperators(bank).synth_norm_gain == pytest.approx(oracle_gain, abs=1e-12)
 
     def test_all_zero_prototype_rejected(self):
         bank = FilterBankSpec(32, 4, np.zeros(5))
         with pytest.raises(ValueError):
-            normalize_gain(bank, synthesis_matrix(bank))
+            UfmcOperators(bank)
 
 
 class TestPredistortion:
@@ -229,4 +226,4 @@ class TestPredistortion:
         # a prototype with a null exactly on a kept bin has no predistortion
         bank = FilterBankSpec(8, 4, np.zeros(3))
         with pytest.raises((SingularPredistortionError, ValueError)):
-            compute_predistortion(bank, synthesis_matrix(bank))
+            UfmcOperators(bank)
