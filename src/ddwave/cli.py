@@ -1,7 +1,7 @@
 """Command line interface: run experiments, verify the dense oracle, list schemes.
 
 Exit codes: 0 success, 1 oracle check failure, 2 configuration error,
-3 numerical failure (non-finite values detected).
+3 numerical failure (non-finite values detected), 4 a BER worker process died.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .config import SCHEMES, ConfigError, parse_config, validate_config
 from .experiments import NumericalFailure, oracle_checks, run_experiment
@@ -30,6 +31,9 @@ def _cmd_run(args) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenProcessPool as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 4
     print(f"{cfg.experiment}: wrote {len(report.csv_paths)} file(s) to {cfg.output_dir} "
           f"(config {report.config_hash}, seed {report.seed}, "
           f"{report.wall_clock_s:.1f} s)")

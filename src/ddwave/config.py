@@ -12,12 +12,15 @@ field. The configuration is echoed into every report.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .channel import DOPPLER_MODELS, PROFILES, ChannelConfig, quantized_profile
 from .metrics import band_has_welch_bin
@@ -52,7 +55,7 @@ class ExperimentConfig:
     n: int = 8
     bandwidth_hz: float | None = None     # 1.92 MHz, or 10 MHz for the psd experiment
     qam_order: int = 16
-    cp_len: int | None = None             # None: channel length - 1
+    cp_len: int | None = None             # None: channel length - 1 (psd, sidelobes: n_taps - 1)
     n_sc_rb: int = 4
     gf_filter_len: int | None = None      # None: M*N/4 + 1
     gf_atten_db: float = 60.0
@@ -206,7 +209,9 @@ def _with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
     pinned to half the Doppler spacing; everything else defaults to the
     5-tap TDL-C profile at 500 km/h. The BER sweep defaults to fading (Jakes)
     taps so high-SNR error counts stay statistically meaningful; the other
-    experiments use one deterministic shift per tap.
+    experiments use one deterministic shift per tap. The CP covers the
+    channel memory, the largest quantized tap delay, except in the spectral
+    studies, which keep n_taps - 1.
     """
     def fill(value, default):
         return default if value is None else value
@@ -221,10 +226,16 @@ def _with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         fractional_doppler_override=fill(
             ch.fractional_doppler_override,
             0.5 if exp == "impulse_leakage" else None))
+    bandwidth_hz = fill(cfg.bandwidth_hz, 10e6 if exp == "psd" else 1.92e6)
+    cp_len = max(n_taps - 1, 0)  # kept by psd and sidelobes: they send no frame through a channel
+    if cfg.cp_len is None and exp not in ("psd", "sidelobes"):
+        # a channel that validate_config rejects keeps n_taps - 1: its error names the channel
+        with np.errstate(all="ignore"), contextlib.suppress(ValueError):
+            ch_cfg = ChannelConfig(bandwidth_hz=bandwidth_hz, **dataclasses.asdict(channel))
+            memory = int(quantized_profile(ch_cfg)[0][-1])
+            cp_len = memory if 0 <= memory < cfg.n_sc else cp_len
     return dataclasses.replace(
-        cfg, channel=channel,
-        bandwidth_hz=fill(cfg.bandwidth_hz, 10e6 if exp == "psd" else 1.92e6),
-        cp_len=fill(cfg.cp_len, max(n_taps - 1, 0)),
+        cfg, channel=channel, bandwidth_hz=bandwidth_hz, cp_len=fill(cfg.cp_len, cp_len),
         gf_filter_len=fill(cfg.gf_filter_len, cfg.n_sc // 4 + 1),
         rw_cp_len=fill(cfg.rw_cp_len, cfg.n_sc // 4),
         rw_tx_window=fill(cfg.rw_tx_window, exp in ("sidelobes", "psd")),

@@ -79,8 +79,9 @@ class MmseEqualizer:
     """Linear MMSE detector for a fixed effective channel.
 
     Caches the Gram matrix so that solves at several noise levels reuse the
-    expensive product. The solve is (H^H H + var I) d = H^H y via Cholesky;
-    no explicit inverse is formed.
+    expensive product; ``gram`` holds its upper triangle only (zherk), the
+    half cho_factor reads. The solve is (H^H H + var I) d = H^H y via
+    Cholesky; no explicit inverse is formed.
     """
 
     def __init__(self, h_eff: np.ndarray):
@@ -88,7 +89,7 @@ class MmseEqualizer:
         if h_eff.ndim != 2 or h_eff.shape[0] != h_eff.shape[1]:
             raise ValueError(f"effective channel must be square, got {h_eff.shape}")
         self.h_eff = h_eff
-        self.gram = h_eff.conj().T @ h_eff
+        self.gram = scipy.linalg.blas.zherk(1.0, h_eff, trans=2, lower=0)
         self._n = h_eff.shape[0]
 
     def solve(self, d_tilde: np.ndarray, noise_var: float) -> np.ndarray:

@@ -9,15 +9,20 @@ random numbers); per-SNR noise is the unit vector scaled by sigma.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import functools
 import json
 import multiprocessing
+import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import channel as chan
@@ -89,6 +94,7 @@ class ExperimentReport:
     summary: dict
     csv_paths: dict
     wall_clock_s: float
+    environment: dict
     version: str = __version__
 
     def to_json(self) -> str:
@@ -257,13 +263,48 @@ def run_psd(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
 
 # ---- BER sweep ------------------------------------------------------------
 
+# The Gram product and h^H y run in numpy's bundled OpenBLAS, the Cholesky in scipy's.
+_OPENBLAS = ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+             (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
+
+
+@contextlib.contextmanager
+def _one_blas_thread(record: dict):
+    """Pin both OpenBLAS copies to one thread, which fork workers inherit, and restore them.
+
+    One thread is faster for the sweep's 512-point products even alone, and a
+    thread per core in each worker oversubscribes the cores. An explicit
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, or a missing library or symbol,
+    pins nothing. ``record`` gets each library's file and threads, and why not pinned.
+    """
+    libs, why = {}, [f"explicit env {k}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+                     if os.environ.get(k)]
+    for module, pattern, suffix in _OPENBLAS:
+        found = sorted(Path(module.__file__).parents[1].glob(pattern))
+        record[module.__name__] = {"file": found[0].name if found else None}
+        try:
+            lib = ctypes.CDLL(str(found[0]))
+            get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}")
+                        for op in ("get", "set"))
+        except (IndexError, OSError, AttributeError) as exc:
+            why.append(f"{module.__name__}: {exc if found else 'no ' + pattern}")
+            continue
+        get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+        libs[module.__name__] = (get, put, get())
+    pinned = {} if why else libs
+    for _, put, _ in pinned.values():
+        put(1)
+    for name, (get, _, _) in libs.items():
+        record[name]["threads"] = get()
+    record["not_pinned"] = "; ".join(why) or None
+    try:
+        yield
+    finally:
+        for _, put, before in pinned.values():
+            put(before)
+
+
 _WORKER: dict = {}
-
-
-def _ber_init(cfg: ExperimentConfig) -> None:
-    _WORKER["cfg"] = cfg
-    _WORKER["modems"] = build_modems(cfg)
-    _WORKER["ch_cfg"] = channel_config(cfg)
 
 
 def _ber_frame(frame_idx: int):
@@ -297,7 +338,9 @@ def _ber_frame(frame_idx: int):
     return errors
 
 
-def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> tuple[dict, dict]:
+def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
+                  blas: dict | None = None) -> tuple[dict, dict]:
+    """Monte Carlo BER of every scheme; ``blas`` receives the BLAS thread record."""
     k = int(np.log2(cfg.qam_order))
     bits_per_frame = cfg.n_sc * k
     totals = {name: np.zeros(len(cfg.snr_grid_db), dtype=np.int64) for name in cfg.schemes}
@@ -305,18 +348,19 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> tup
     # Built here, before any pool exists, so that a bad scheme parameter
     # raises in the caller; forked workers inherit the modems. A worker that
     # raises or dies ends the loop, and the frames not yet started are cancelled.
-    _ber_init(cfg)
+    _WORKER.update(cfg=cfg, modems=build_modems(cfg), ch_cfg=channel_config(cfg))
     pool = None
-    try:
-        if workers > 1:
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        for errors in (pool.map if pool else map)(_ber_frame, range(cfg.n_frames)):
-            for name, per_snr in errors.items():
-                totals[name] += per_snr
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
-        _WORKER.clear()
+    with _one_blas_thread({} if blas is None else blas):
+        try:
+            if workers > 1:
+                pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            for errors in (pool.map if pool else map)(_ber_frame, range(cfg.n_frames)):
+                for name, per_snr in errors.items():
+                    totals[name] += per_snr
+        finally:
+            if pool:
+                pool.shutdown(cancel_futures=True)
+            _WORKER.clear()
 
     n_bits = cfg.n_frames * bits_per_frame
     summary, paths = {}, {}
@@ -392,12 +436,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     t_start = time.time()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    pooled = cfg.experiment == "ber_sweep" and workers > 1
+    environment = {"python": platform.python_version(), "numpy": np.__version__,
+                   "scipy": scipy.__version__, "blas": {}, "workers": workers,
+                   "pool_start_method": "fork" if pooled else None,
+                   "cores": len(os.sched_getaffinity(0))}
     runners = {
         "loopback": run_loopback,
         "impulse_leakage": run_impulse_leakage,
         "sidelobes": run_sidelobes,
         "psd": run_psd,
-        "ber_sweep": functools.partial(run_ber_sweep, workers=workers),
+        "ber_sweep": functools.partial(run_ber_sweep, workers=workers, blas=environment["blas"]),
         "oracle_suite": run_oracle_suite,
     }
     summary, paths = runners[cfg.experiment](cfg, out_dir)
@@ -409,6 +458,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
         summary=summary,
         csv_paths=paths,
         wall_clock_s=time.time() - t_start,
+        environment=environment,
     )
     (out_dir / "report.json").write_text(report.to_json())
     return report

@@ -90,6 +90,13 @@ class TestMmse:
         d = rng.normal(size=16) + 1j * rng.normal(size=16)
         assert np.max(np.abs(MmseEqualizer(q).solve(q @ d, 0.0) - d)) < 1e-10
 
+    def test_gram_is_the_upper_triangle_of_h_hermitian_h(self):
+        rng = np.random.default_rng(7)
+        h = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        gram = MmseEqualizer(h).gram
+        assert np.max(np.abs(np.triu(gram) - np.triu(h.conj().T @ h))) < 1e-10
+        assert not np.any(np.tril(gram, -1))
+
     def test_singular_zero_noise_raises(self):
         h = np.zeros((4, 4), dtype=complex)
         with pytest.raises(RegularizationRequiredError):

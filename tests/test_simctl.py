@@ -1,5 +1,6 @@
 """Config parsing, experiment dispatch, CSV output, CLI, determinism."""
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +72,15 @@ class TestConfigParsing:
         assert (cfg.cp_len, cfg.leakage_center, cfg.rw_tx_window) == (4, (32, 4), False)
         assert (cfg.channel.profile, cfg.channel.n_taps, cfg.channel.doppler_model) == (
             "tdl_c", 5, "jakes_sum_of_sinusoids")
+
+    def test_cp_default_covers_the_channel_memory(self):
+        # quantized TDL-C delays [0 1 2 3 5]: the CP covers 5 samples, not n_taps - 1 = 4
+        cfg = config_from_dict({"channel": {"delay_spread_s": 2e-6}})
+        assert cfg.cp_len == 5
+        assert config_from_dict({"experiment": "loopback"}).cp_len == 4
+        assert config_from_dict({"cp_len": 2, "channel": {"delay_spread_s": 2e-6}}).cp_len == 2
+        # the spectral studies send no frame through the channel and keep n_taps - 1
+        assert config_from_dict({"experiment": "psd"}).cp_len == 4
 
     def test_snr_string_expansion(self):
         cfg = config_from_dict({"snr_grid_db": "0:5:40"})
@@ -238,12 +249,13 @@ class TestExperiments:
         assert rep.summary["n_failed"] == 0
 
 
-_DYING_WORKER = """
+_DYING_FRAME = """
 import os
 import sys
 from pathlib import Path
 
 import ddwave.experiments as exp
+from ddwave.cli import main
 from ddwave.config import config_from_dict
 
 real_frame = exp._ber_frame
@@ -256,30 +268,50 @@ def dying_frame(frame_idx):
 
 
 exp._ber_frame = dying_frame
-cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
-                        "n_frames": 4, "snr_grid_db": [10.0]})
-try:
-    exp.run_ber_sweep(cfg, Path(sys.argv[1]), workers=2)
-except Exception as exc:
-    print(type(exc).__name__)
 """
+_SMALL_SWEEP = {"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5, "n_frames": 4,
+                "snr_grid_db": [10.0]}
+
+
+def _run_in_own_session(script: str, *args: str, env: dict | None = None):
+    """Run ``script`` with ddwave and the tests on its path, in a session of its own
+    so that a hang is killed together with any pool workers."""
+    path = [str(Path(ddwave.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    cmd = [sys.executable, "-c", script, *args]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=(env or os.environ) | {"PYTHONPATH": os.pathsep.join(path)},
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("subprocess still running after 60 s")
+    return subprocess.CompletedProcess(cmd, proc.returncode, out, err)
 
 
 class TestBerWorkers:
     def test_dying_worker_ends_the_run(self, tmp_path):
-        # a pool that waits for the lost frame would hang the sweep; it runs
-        # in its own session so that a hang can be killed with its workers
-        src = str(Path(ddwave.__file__).resolve().parents[1])
-        proc = subprocess.Popen([sys.executable, "-c", _DYING_WORKER, str(tmp_path)],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                                env=os.environ | {"PYTHONPATH": src}, start_new_session=True)
-        try:
-            out, err = proc.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            pytest.fail("run_ber_sweep still running 60 s after a worker died")
-        assert out.strip() == "BrokenProcessPool", err
+        # a pool that waits for the lost frame would hang the sweep
+        proc = _run_in_own_session(_DYING_FRAME + f"""
+cfg = config_from_dict({_SMALL_SWEEP!r})
+try:
+    exp.run_ber_sweep(cfg, Path(sys.argv[1]), workers=2)
+except Exception as exc:
+    print(type(exc).__name__)
+""", str(tmp_path))
+        assert proc.stdout.strip() == "BrokenProcessPool", proc.stderr
+
+    def test_dying_worker_exits_four(self, tmp_path):
+        # exit 1 is reserved for oracle failures
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(_SMALL_SWEEP | {"output_dir": str(tmp_path / "out")}))
+        proc = _run_in_own_session(
+            _DYING_FRAME + "sys.exit(main(['run', sys.argv[1], '--workers', '2']))",
+            str(cfgfile))
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("worker failure:")
+        assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_scheme_error_raises_before_any_pool(self, tmp_path, monkeypatch):
         # a pool initializer that raises makes the pool respawn workers
@@ -294,6 +326,165 @@ class TestBerWorkers:
         cfg = dataclasses.replace(cfg, gf_atten_db=-5.0)  # bypasses validate_config
         with pytest.raises(ValueError):
             run_ber_sweep(cfg, tmp_path, workers=2)
+
+
+def _openblas_calls(op: str) -> dict:
+    """numpy's and scipy's bundled OpenBLAS ``scipy_openblas_{op}_num_threads``."""
+    calls = {}
+    for module, pattern, suffix in ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+                                    (scipy, "scipy.libs/libscipy_openblas-*.so", "")):
+        found = sorted(Path(module.__file__).parents[1].glob(pattern))
+        if not found:
+            pytest.skip(f"{module.__name__} bundles no OpenBLAS")
+        fn = getattr(ctypes.CDLL(str(found[0])), f"scipy_openblas_{op}_num_threads{suffix}")
+        fn.argtypes, fn.restype = ([], ctypes.c_int) if op == "get" else ([ctypes.c_int], None)
+        calls[module.__name__] = fn
+    return calls
+
+
+def _blas_threads() -> dict:
+    return {name: get() for name, get in _openblas_calls("get").items()}
+
+
+_FORK_WORKER_THREADS = """
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+import ddwave.experiments as exp
+from ddwave.config import config_from_dict
+from test_simctl import _blas_threads, _openblas_calls
+
+for put in _openblas_calls("set").values():
+    put(2)
+out = Path(sys.argv[1])
+
+
+def reporting_frame(frame_idx):
+    (out / f"frame{frame_idx}.json").write_text(json.dumps([os.getpid(), _blas_threads()]))
+    return {"otfs": np.zeros(1, dtype=np.int64)}
+
+
+exp._ber_frame = reporting_frame
+cfg = config_from_dict(json.loads(sys.argv[2]))
+exp.run_ber_sweep(cfg, out, workers=2)
+print(json.dumps([os.getpid(), _blas_threads()]))
+"""
+
+
+class TestBlasThreads:
+    """run_ber_sweep runs both bundled OpenBLAS copies on one thread and restores them."""
+
+    @pytest.fixture
+    def two_threads(self, monkeypatch):
+        for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(key, raising=False)
+        before = _blas_threads()
+        puts = _openblas_calls("set")
+        for put in puts.values():
+            put(2)
+        yield
+        for name, put in puts.items():
+            put(before[name])
+
+    def sweep(self, tmp_path):
+        return config_from_dict(_SMALL_SWEEP | {"n_frames": 2,
+                                                "output_dir": str(tmp_path / "out")})
+
+    def test_pinned_during_the_sweep_and_restored_after(self, tmp_path, monkeypatch,
+                                                        two_threads):
+        import ddwave.experiments as exp_mod
+        real_frame, seen = exp_mod._ber_frame, []
+
+        def recording_frame(frame_idx):
+            seen.append(_blas_threads())
+            return real_frame(frame_idx)
+        monkeypatch.setattr(exp_mod, "_ber_frame", recording_frame)
+        report = run_experiment(self.sweep(tmp_path))
+        assert seen == [{"numpy": 1, "scipy": 1}] * 2
+        assert _blas_threads() == {"numpy": 2, "scipy": 2}
+        blas = report.environment["blas"]
+        assert blas["not_pinned"] is None
+        assert blas["numpy"]["threads"] == blas["scipy"]["threads"] == 1
+        assert blas["numpy"]["file"].startswith("libscipy_openblas64_")
+
+    def test_restored_after_a_failing_frame(self, tmp_path, monkeypatch, two_threads):
+        import ddwave.experiments as exp_mod
+
+        def failing_frame(frame_idx):
+            raise NumericalFailure("synthetic")
+        monkeypatch.setattr(exp_mod, "_ber_frame", failing_frame)
+        with pytest.raises(NumericalFailure):
+            run_ber_sweep(self.sweep(tmp_path), tmp_path)
+        assert _blas_threads() == {"numpy": 2, "scipy": 2}
+
+    def test_fork_workers_inherit_one_thread(self, tmp_path):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        raw = json.dumps(_SMALL_SWEEP | {"schemes": ["otfs"]})
+        proc = _run_in_own_session(_FORK_WORKER_THREADS, str(tmp_path), raw, env=env)
+        assert proc.returncode == 0, proc.stderr
+        parent_pid, after = json.loads(proc.stdout.strip().splitlines()[-1])
+        frames = [json.loads((tmp_path / f"frame{i}.json").read_text()) for i in range(4)]
+        assert all(pid != parent_pid for pid, _ in frames)
+        assert [threads for _, threads in frames] == [{"numpy": 1, "scipy": 1}] * 4
+        assert after == {"numpy": 2, "scipy": 2}
+
+    def test_explicit_env_is_honoured(self, tmp_path):
+        script = """
+import json, sys
+from ddwave.config import config_from_dict
+from ddwave.experiments import run_experiment
+from test_simctl import _blas_threads
+before = _blas_threads()
+report = run_experiment(config_from_dict(json.loads(sys.argv[1])))
+print(json.dumps([before, report.environment]))
+"""
+        raw = json.dumps(_SMALL_SWEEP | {"n_frames": 1, "output_dir": str(tmp_path / "out")})
+        proc = _run_in_own_session(script, raw, env=os.environ | {"OPENBLAS_NUM_THREADS": "2"})
+        assert proc.returncode == 0, proc.stderr
+        before, env = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert env["blas"]["not_pinned"] == "explicit env OPENBLAS_NUM_THREADS"
+        assert {name: env["blas"][name]["threads"] for name in before} == before
+        assert (env["workers"], env["pool_start_method"]) == (1, None)
+        assert env["cores"] == len(os.sched_getaffinity(0))
+
+    def test_missing_library_or_symbol_pins_nothing(self, tmp_path, monkeypatch, two_threads):
+        import ddwave.experiments as exp_mod
+        (np_mod, _, np_suffix), (sp_mod, sp_pattern, _) = exp_mod._OPENBLAS
+        monkeypatch.setattr(exp_mod, "_OPENBLAS", (
+            (np_mod, "numpy.libs/no-such-openblas-*.so", np_suffix),
+            (sp_mod, sp_pattern, "_no_such_suffix")))
+        real_frame, seen = exp_mod._ber_frame, []
+
+        def recording_frame(frame_idx):
+            seen.append(_blas_threads())
+            return real_frame(frame_idx)
+        monkeypatch.setattr(exp_mod, "_ber_frame", recording_frame)
+        blas = {}
+        run_ber_sweep(self.sweep(tmp_path), tmp_path, blas=blas)
+        assert seen == [{"numpy": 2, "scipy": 2}] * 2
+        assert blas["numpy"] == {"file": None}
+        assert blas["scipy"]["file"].startswith("libscipy_openblas-")
+        assert "numpy: no numpy.libs/no-such-openblas-*.so" in blas["not_pinned"]
+        assert "scipy_openblas_get_num_threads_no_such_suffix" in blas["not_pinned"]
+
+    def test_psd_leaves_the_threads_alone(self, tmp_path, monkeypatch, two_threads):
+        import ddwave.experiments as exp_mod
+        real_welch, seen = exp_mod.psd_welch, []
+
+        def recording_welch(*args, **kwargs):
+            seen.append(_blas_threads())
+            return real_welch(*args, **kwargs)
+        monkeypatch.setattr(exp_mod, "psd_welch", recording_welch)
+        cfg = config_from_dict({"experiment": "psd", "m": 8, "n": 4, "n_frames": 8,
+                                "psd_segment_len": 64, "gf_filter_len": 9,
+                                "du_filter_len": 5, "output_dir": str(tmp_path / "out")})
+        report = run_experiment(cfg)
+        assert seen and all(threads == {"numpy": 2, "scipy": 2} for threads in seen)
+        assert report.environment["blas"] == {}
 
 
 class TestBuildModems:
