@@ -226,16 +226,16 @@ def _with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         fractional_doppler_override=fill(
             ch.fractional_doppler_override,
             0.5 if exp == "impulse_leakage" else None))
-    bandwidth_hz = fill(cfg.bandwidth_hz, 10e6 if exp == "psd" else 1.92e6)
+    cfg = dataclasses.replace(cfg, channel=channel, bandwidth_hz=fill(
+        cfg.bandwidth_hz, 10e6 if exp == "psd" else 1.92e6))
     cp_len = max(n_taps - 1, 0)  # kept by psd and sidelobes: they send no frame through a channel
     if cfg.cp_len is None and exp not in ("psd", "sidelobes"):
         # a channel that validate_config rejects keeps n_taps - 1: its error names the channel
         with np.errstate(all="ignore"), contextlib.suppress(ValueError):
-            ch_cfg = ChannelConfig(bandwidth_hz=bandwidth_hz, **dataclasses.asdict(channel))
-            memory = int(quantized_profile(ch_cfg)[0][-1])
+            memory = int(quantized_profile(channel_config(cfg))[0][-1])
             cp_len = memory if 0 <= memory < cfg.n_sc else cp_len
     return dataclasses.replace(
-        cfg, channel=channel, bandwidth_hz=bandwidth_hz, cp_len=fill(cfg.cp_len, cp_len),
+        cfg, cp_len=fill(cfg.cp_len, cp_len),
         gf_filter_len=fill(cfg.gf_filter_len, cfg.n_sc // 4 + 1),
         rw_cp_len=fill(cfg.rw_cp_len, cfg.n_sc // 4),
         rw_tx_window=fill(cfg.rw_tx_window, exp in ("sidelobes", "psd")),
