@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 from .config import SCHEMES, ConfigError, parse_config, validate_config
 from .experiments import NumericalFailure, oracle_checks, run_experiment
@@ -17,12 +18,18 @@ from .experiments import NumericalFailure, oracle_checks, run_experiment
 
 def _cmd_run(args) -> int:
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers: {args.workers} is below 1")
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.out)
         validate_config(cfg)
+        try:
+            Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output_dir: cannot create {cfg.output_dir!r}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -71,7 +78,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="override the output directory")
     p_run.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the BER sweep (default 1)")
+                       help="worker processes for the BER sweep, at most n_frames (default 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_oracle = sub.add_parser("oracle", help="run the small-instance dense-matrix checks")

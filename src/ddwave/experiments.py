@@ -31,7 +31,7 @@ from .config import ExperimentConfig, channel_config, psd_bands
 from .detect import MmseEqualizer, qam_demap, qam_map
 from .gfotfs import GfOtfsModem
 from .metrics import doppler_leakage, oob_metric, psd_welch, wilson_interval
-from .scfdma import CpOtfsModem, WindowSpec, zak_modulate
+from .scfdma import CpOtfsModem, zak_modulate
 from .transforms import FrameGeometry, oracle_matrix, to_delay_doppler, dft_matrix
 from .ufmc import FilterBankSpec, synthesis_matrix, ufmc_analyze
 
@@ -58,9 +58,8 @@ def build_modems(cfg: ExperimentConfig) -> dict:
     builders = {
         "otfs": lambda: CpOtfsModem(geom, cfg.cp_len),
         "gf_otfs": lambda: GfOtfsModem(geom, cfg.n_sc_rb, cfg.gf_filter_len, cfg.gf_atten_db),
-        "rw_otfs": lambda: CpOtfsModem(
-            geom, cfg.rw_cp_len, WindowSpec(cfg.rw_window_kind, cfg.rw_window_param),
-            tx_window=cfg.rw_tx_window),
+        "rw_otfs": lambda: CpOtfsModem(geom, cfg.rw_cp_len, cfg.rw_window_param,
+                                       tx_window=cfg.rw_tx_window),
         "dr_ufmc": lambda: DrUfmcModem(geom, cfg.n_sc_rb, cfg.du_filter_len, cfg.du_atten_db),
     }
     return {name: builders[name]() for name in cfg.schemes}
@@ -353,7 +352,8 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
     with _one_blas_thread({} if blas is None else blas):
         try:
             if workers > 1:
-                pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+                pool = ProcessPoolExecutor(min(workers, cfg.n_frames),
+                                           mp_context=multiprocessing.get_context("fork"))
             for errors in (pool.map if pool else map)(_ber_frame, range(cfg.n_frames)):
                 for name, per_snr in errors.items():
                     totals[name] += per_snr

@@ -7,16 +7,15 @@ frequency-Doppler domain where the filtered modems hook in. Their equality
 is the factorization identity checked in the test suite. The
 effective-channel probe that every modem shares lives here as well.
 
-``CpOtfsModem(geom, cp_len, window=None, tx_window=False)`` serves both CP
-schemes: plain OTFS (``otfs``, no window) and receiver-windowed OTFS
+``CpOtfsModem(geom, cp_len, window_db=None, tx_window=False)`` serves both
+CP schemes: plain OTFS (``otfs``, no window) and receiver-windowed OTFS
 (``rw_otfs``), which multiplies the kept delay-time samples by a global
-window to tame Doppler-induced leakage, and with ``tx_window`` also the
-transmitted ones for sidelobe studies.
+Dolph-Chebyshev window with ``window_db`` dB sidelobe attenuation to tame
+Doppler-induced leakage, and with ``tx_window`` also the transmitted ones
+for sidelobe studies.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal.windows import chebwin
@@ -31,41 +30,6 @@ from .transforms import (
     to_delay_doppler,
     to_frequency_doppler,
 )
-
-WINDOW_KINDS = ("dolph_chebyshev", "raised_cosine", "rectangular")
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Global window: kind and its shape parameter.
-
-    The parameter is the sidelobe attenuation in dB for dolph_chebyshev and
-    the roll-off fraction in (0, 1] for raised_cosine. Values are peak
-    normalized to 1.
-    """
-
-    kind: str = "dolph_chebyshev"
-    parameter: float = 60.0
-
-    def values(self, length: int) -> np.ndarray:
-        if self.kind == "rectangular":
-            return np.ones(length)
-        if self.kind == "dolph_chebyshev":
-            w = chebwin(length, at=self.parameter)
-            return w / w.max()
-        if self.kind == "raised_cosine":
-            beta = self.parameter
-            if not 0.0 < beta <= 1.0:
-                raise ValueError(f"raised_cosine roll-off must be in (0, 1], got {beta}")
-            n = np.arange(length)
-            edge = beta * length / 2.0
-            w = np.ones(length)
-            left = n < edge
-            right = n >= length - edge
-            w[left] = 0.5 * (1 - np.cos(np.pi * n[left] / edge))
-            w[right] = 0.5 * (1 - np.cos(np.pi * (length - 1 - n[right]) / edge))
-            return w
-        raise ValueError(f"unknown window kind {self.kind!r}, expected one of {WINDOW_KINDS}")
 
 
 def zak_modulate(d, geom: FrameGeometry) -> np.ndarray:
@@ -109,20 +73,24 @@ class ProbedModem:
 class CpOtfsModem(ProbedModem):
     """CP-OTFS transceiver over the SC-FDMA route, optionally windowed.
 
-    ``window`` (a :class:`WindowSpec`, sized to M*N) multiplies the
+    With ``window_db`` set, a length-M*N Dolph-Chebyshev window of that
+    sidelobe attenuation in dB, peak normalized to 1, multiplies the
     delay-time samples after CP removal, and with ``tx_window`` also before
     the CP is added.
     """
 
     def __init__(self, geom: FrameGeometry, cp_len: int = 0,
-                 window: WindowSpec | None = None, tx_window: bool = False):
+                 window_db: float | None = None, tx_window: bool = False):
         if cp_len < 0:
             raise DimensionError(f"cp_len must be nonnegative, got {cp_len}")
-        if tx_window and window is None:
-            raise ValueError("tx_window requires a window")
+        if tx_window and window_db is None:
+            raise ValueError("tx_window requires window_db")
         self.geom = geom
         self.cp_len = cp_len
-        self.window_values = None if window is None else window.values(geom.n_sc)
+        self.window_values = None
+        if window_db is not None:
+            w = chebwin(geom.n_sc, at=window_db)
+            self.window_values = w / w.max()
         self.tx_window = tx_window
         self.rx_len = geom.n_sc + cp_len
 

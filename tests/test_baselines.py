@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.signal.windows import chebwin
 
 from ddwave import channel as chan
 from ddwave.baselines import DrUfmcModem
 from ddwave.detect import MmseEqualizer
-from ddwave.scfdma import CpOtfsModem, WindowSpec, zak_modulate
+from ddwave.scfdma import CpOtfsModem, zak_modulate
 from ddwave.transforms import DimensionError, FrameGeometry, full_dft, to_frequency_doppler
 
 
@@ -19,43 +20,23 @@ def random_complex(rng, n):
 
 
 class TestWindowSpec:
-    def test_rectangular(self):
-        assert np.array_equal(WindowSpec("rectangular").values(8), np.ones(8))
+    """The Dolph-Chebyshev window CpOtfsModem builds from ``window_db``."""
 
     def test_peak_normalized(self):
-        for kind, param in (("dolph_chebyshev", 60.0), ("raised_cosine", 0.5)):
-            w = WindowSpec(kind, param).values(64)
-            assert w.max() == pytest.approx(1.0)
-            assert np.all(np.isfinite(w))
-
-    def test_raised_cosine_rolloff_bounds(self):
-        with pytest.raises(ValueError):
-            WindowSpec("raised_cosine", 1.5).values(16)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            WindowSpec("hamming").values(16)
+        w = CpOtfsModem(FrameGeometry(M=8, N=8), window_db=60.0).window_values
+        assert w.max() == pytest.approx(1.0)
+        assert np.all(np.isfinite(w))
+        assert np.array_equal(w, chebwin(64, at=60.0) / chebwin(64, at=60.0).max())
 
 
 class TestRwOtfs:
-    def test_rectangular_window_equals_plain_otfs(self):
-        g = geom_8x4()
-        rw = CpOtfsModem(g, 3, WindowSpec("rectangular"), tx_window=True)
-        plain = CpOtfsModem(g, 3)
-        rng = np.random.default_rng(0)
-        d = random_complex(rng, 32)
-        assert np.max(np.abs(rw.modulate(d) - plain.modulate(d))) < 1e-12
-        r = random_complex(rng, 35)
-        assert np.max(np.abs(rw.demodulate(r) - plain.demodulate(r))) < 1e-12
-
     def test_tx_window_sample_exact(self):
         g = geom_8x4()
-        spec = WindowSpec("dolph_chebyshev", 60.0)
-        rw = CpOtfsModem(g, 2, spec, tx_window=True)
+        rw = CpOtfsModem(g, 2, window_db=60.0, tx_window=True)
         rng = np.random.default_rng(1)
         d = random_complex(rng, 32)
         s_t = full_dft(to_frequency_doppler(d, g), inverse=True)
-        windowed = spec.values(32) * s_t
+        windowed = rw.window_values * s_t
         x = rw.modulate(d)
         assert np.max(np.abs(x[2:] - windowed)) < 1e-12
         assert np.max(np.abs(x[:2] - windowed[-2:])) < 1e-12
@@ -63,7 +44,7 @@ class TestRwOtfs:
     def test_windowing_is_spectral_circular_convolution(self):
         # multiplying the delay-time frame by the window convolves its
         # spectrum circularly with the window transform
-        w = WindowSpec("dolph_chebyshev", 60.0).values(32)
+        w = CpOtfsModem(geom_8x4(), window_db=60.0).window_values
         rng = np.random.default_rng(2)
         s = random_complex(rng, 32)
         lhs = np.fft.fft(w * s)
@@ -77,7 +58,7 @@ class TestRwOtfs:
             CpOtfsModem(geom_8x4(), 2, tx_window=True)
 
     def test_mmse_recovers_windowed_frame(self):
-        rw = CpOtfsModem(geom_8x4(), 8, WindowSpec("dolph_chebyshev", 60.0))
+        rw = CpOtfsModem(geom_8x4(), 8, window_db=60.0)
         ident = chan.identity_channel(rw.rx_len + 4)
         h = rw.effective_channel(ident)
         rng = np.random.default_rng(3)
@@ -89,7 +70,7 @@ class TestRwOtfs:
 
     def test_effective_channel_reproduces_signal_path(self):
         g = geom_8x4()
-        rw = CpOtfsModem(g, 8, WindowSpec("dolph_chebyshev", 50.0))
+        rw = CpOtfsModem(g, 8, window_db=50.0)
         cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6)
         ch = chan.generate_channel(cfg, rw.rx_len + 8, seed=21,
                                    delta_nu_hz=g.delta_nu_hz)

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,35 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/config.json")
+
+    @pytest.mark.parametrize("raw", [
+        # occupied_fraction does not fit the 6-bin blocks, but only psd reads it
+        {"m": 6, "n_sc_rb": 3, "gf_filter_len": 9, "du_filter_len": 5},
+        # the 3x3 leakage window does not fit n = 2, but only impulse_leakage reads it
+        {"m": 8, "n": 2, "n_sc_rb": 4, "gf_filter_len": 5, "du_filter_len": 5},
+        # du_filter_len 20 does not fit m = 8, but dr_ufmc does not run
+        {"schemes": ["otfs"], "m": 8, "n": 4, "gf_filter_len": 9},
+    ])
+    def test_grid_fit_checked_only_where_read(self, tmp_path, raw):
+        cfg = config_from_dict(raw | {"experiment": "ber_sweep", "n_frames": 1,
+                                      "output_dir": str(tmp_path / "out")})
+        run_experiment(cfg)
+        assert (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("raw,field", [
+        ({"experiment": "psd", "m": 6, "n_sc_rb": 3}, "occupied_fraction"),
+        ({"experiment": "psd", "schemes": ["otfs"], "m": 8, "n": 4, "n_sc_rb": 3},
+         "occupied_fraction"),
+        ({"experiment": "impulse_leakage", "m": 8, "n": 2}, "leakage_half_widths"),
+        ({"experiment": "impulse_leakage", "m": 8, "n": 4, "leakage_center": [8, 0]},
+         "leakage_center"),
+        ({"schemes": ["dr_ufmc"], "m": 8, "n": 4, "du_filter_len": 20}, "du_filter_len"),
+        ({"schemes": ["dr_ufmc"], "m": 6, "n": 2, "n_sc_rb": 4}, "does not divide m = 6"),
+        ({"schemes": ["gf_otfs"], "m": 6, "n": 3, "n_sc_rb": 4}, "does not divide m\\*n = 18"),
+    ])
+    def test_grid_fit_checked_for_its_reader(self, raw, field):
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict({"gf_filter_len": 3, "du_filter_len": 5} | raw)
 
     def test_hash_stable_and_sensitive(self):
         a = config_from_dict({"seed": 1})
@@ -312,6 +342,19 @@ except Exception as exc:
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr.startswith("worker failure:")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_pool_no_larger_than_the_frame_count(self, tmp_path, monkeypatch):
+        # the fork pool starts all its processes at the first submit
+        import ddwave.experiments as exp_mod
+        sizes = []
+
+        def recording_pool(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return ProcessPoolExecutor(max_workers, **kwargs)
+        monkeypatch.setattr(exp_mod, "ProcessPoolExecutor", recording_pool)
+        cfg = config_from_dict(_SMALL_SWEEP | {"n_frames": 2, "schemes": ["otfs"]})
+        run_ber_sweep(cfg, tmp_path, workers=8)
+        assert sizes == [2]
 
     def test_scheme_error_raises_before_any_pool(self, tmp_path, monkeypatch):
         # a pool initializer that raises makes the pool respawn workers
@@ -528,7 +571,7 @@ class TestCli:
         ({"gf_atten_db": -5}, "gf_atten_db"),
         ({"du_atten_db": 0}, "du_atten_db"),
         ({"seed": -1}, "seed"),
-        ({"rw_window_kind": "raised_cosine"}, "rw_window_param"),
+        ({"rw_window_param": -5}, "rw_window_param"),
         ({"seed": True}, "seed"),
         ({"m": "64"}, "m:"),
         ({"leakage_half_widths": ["a", 1]}, "leakage_half_widths"),
@@ -553,6 +596,10 @@ class TestCli:
         ({"experiment": "psd", "m": 128, "n": 4, "occupied_fraction": 0.03125,
           "psd_segment_len": 64, "n_frames": 4}, "psd_segment_len"),
         ({"leakage_fractional_doppler": 0.5}, "leakage_fractional_doppler"),
+        ({"rw_window_kind": "raised_cosine"}, "rw_window_kind"),
+        ({"gf_atten_db": 1e6}, "gf_atten_db"),
+        ({"du_atten_db": 1e6}, "du_atten_db"),
+        ({"rw_window_param": 1e6}, "rw_window_param"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"
@@ -563,6 +610,35 @@ class TestCli:
         assert cli_main(["run", str(cfgfile)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        pytest.param(None, id="directory"),
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(b"[" * 200_000, id="nested-too-deep"),
+    ])
+    def test_unreadable_config_exit_two(self, tmp_path, capsys, content):
+        cfgfile = tmp_path / "cfg.json"
+        if content is None:
+            cfgfile.mkdir()
+        else:
+            cfgfile.write_bytes(content)
+        assert cli_main(["run", str(cfgfile)]) == 2
+        assert str(cfgfile) in capsys.readouterr().err
+
+    def test_out_onto_a_regular_file_exit_two(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text("{}")
+        (tmp_path / "taken").write_text("")
+        assert cli_main(["run", str(cfgfile), "--out", str(tmp_path / "taken")]) == 2
+        assert "output_dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_two(self, tmp_path, capsys, workers):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(_SMALL_SWEEP | {"output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(cfgfile), "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_snr_string_with_too_many_points_rejected(self):
         with pytest.raises(ConfigError, match="snr_grid_db"):
             config_from_dict({"snr_grid_db": "0:1e-6:1"})
@@ -570,7 +646,7 @@ class TestCli:
     def test_numerical_failure_exit_three(self, tmp_path, capsys, monkeypatch):
         import ddwave.cli as cli_mod
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text("{}")
+        cfgfile.write_text(json.dumps({"output_dir": str(tmp_path / "out")}))
 
         def boom(cfg, workers=1):
             raise NumericalFailure("synthetic NaN")
