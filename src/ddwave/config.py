@@ -272,7 +272,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
             ("leakage_center", min(cfg.leakage_center), 0, inf),
             ("channel.n_taps", cfg.channel.n_taps, 1, inf),
             ("channel.carrier_hz", cfg.channel.carrier_hz, 0, inf),
-            ("channel.delay_spread_s", cfg.channel.delay_spread_s, 0, inf)):
+            ("channel.delay_spread_s", cfg.channel.delay_spread_s, 0, inf),
+            # 10^(-snr/10) overflows far below -300 dB; the detectors need a positive variance
+            ("snr_grid_db", min(cfg.snr_grid_db), -300, 300),
+            ("snr_grid_db", max(cfg.snr_grid_db), -300, 300)):
         _expect(lo <= value <= hi, f"{key}: {value!r} outside [{lo}, {hi}]")
     if "gf_otfs" in cfg.schemes:
         _expect(cfg.n_sc % cfg.n_sc_rb == 0,

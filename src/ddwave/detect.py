@@ -1,4 +1,9 @@
-"""Symbol detection: regularized linear (MMSE) equalization and Gray-coded QAM."""
+"""Symbol detection: regularized linear (MMSE) equalization and Gray-coded QAM.
+
+A modem's ``detector(ch)`` has ``solve(y, noise_var)``. otfs, rw_otfs and
+dr_ufmc solve structured (:class:`StructuredMmse`); :class:`MmseEqualizer` on
+the dense probed effective channel is their oracle and gf_otfs's path.
+"""
 
 from __future__ import annotations
 
@@ -76,7 +81,10 @@ def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
 
 
 class MmseEqualizer:
-    """Linear MMSE detector for a fixed effective channel.
+    """Dense linear MMSE detector for a fixed effective channel.
+
+    It is the default ``detector`` of every modem (the one ``gf_otfs`` runs)
+    and the oracle that the structured detectors are tested against.
 
     Caches the Gram matrix so that solves at several noise levels reuse the
     expensive product; ``gram`` holds its upper triangle only (zherk), the
@@ -106,3 +114,21 @@ class MmseEqualizer:
                     "a positive noise variance is required") from exc
             raise
         return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+
+class StructuredMmse:
+    """Linear MMSE for an effective channel U T U^H, with U unitary and T structured.
+
+    As U^H H^H H U = T^H T, the solve is d = U (T^H T + var I)^-1 T^H U^H y and
+    never forms H. ``to_t`` applies U^H, ``from_t`` applies U, and
+    ``factor(var)`` factors T^H T + var I and returns its solver.
+    """
+
+    def __init__(self, t, factor, to_t, from_t):
+        self.t_h = t.conj().T
+        self.factor, self.to_t, self.from_t = factor, to_t, from_t
+
+    def solve(self, y: np.ndarray, noise_var: float) -> np.ndarray:
+        if noise_var < 0:
+            raise ValueError("noise_var must be nonnegative")
+        return self.from_t(self.factor(noise_var)(self.t_h @ self.to_t(y)))

@@ -28,7 +28,7 @@ from . import __version__
 from . import channel as chan
 from .baselines import DrUfmcModem
 from .config import ExperimentConfig, channel_config, psd_bands
-from .detect import MmseEqualizer, qam_demap, qam_map
+from .detect import qam_demap, qam_map
 from .gfotfs import GfOtfsModem
 from .metrics import doppler_leakage, oob_metric, psd_welch, wilson_interval
 from .scfdma import CpOtfsModem, zak_modulate
@@ -150,7 +150,7 @@ def run_loopback(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
     k = int(np.log2(cfg.qam_order))
     span = max(m.rx_len for m in modems.values()) + 8
     ident = chan.identity_channel(span)
-    equalizers = {name: MmseEqualizer(m.effective_channel(ident)) for name, m in modems.items()}
+    detectors = {name: m.detector(ident) for name, m in modems.items()}
     summary, paths = {}, {}
     for name, modem in modems.items():
         rows = []
@@ -159,7 +159,7 @@ def run_loopback(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
             bits = rng_for(cfg.seed, _P_BITS, fi).integers(0, 2, size=cfg.n_sc * k)
             d = qam_map(bits, cfg.qam_order)
             r = chan.apply_channel(modem.modulate(d), ident, out_len=modem.rx_len)
-            d_hat = equalizers[name].solve(modem.demodulate(r), 0.0)
+            d_hat = detectors[name].solve(modem.demodulate(r), 0.0)
             _check_finite(f"{name} loopback detect", d_hat)
             n_err = int(np.sum(qam_demap(d_hat, cfg.qam_order) != bits))
             total_err += n_err
@@ -326,11 +326,11 @@ def _ber_frame(frame_idx: int):
         x = modem.modulate(d)
         y0 = modem.demodulate(chan.apply_channel(x, ch, out_len=modem.rx_len))
         y_eta = modem.demodulate(eta[:modem.rx_len])
-        eq = MmseEqualizer(modem.effective_channel(ch))
+        detector = modem.detector(ch)
         per_snr = np.zeros(len(cfg.snr_grid_db), dtype=np.int64)
         for si, snr_db in enumerate(cfg.snr_grid_db):
             var = 10.0 ** (-snr_db / 10.0)
-            d_hat = eq.solve(y0 + np.sqrt(var) * y_eta, var)
+            d_hat = detector.solve(y0 + np.sqrt(var) * y_eta, var)
             _check_finite(f"{name} MMSE output, frame {frame_idx}", d_hat)
             per_snr[si] = np.sum(qam_demap(d_hat, cfg.qam_order) != bits)
         errors[name] = per_snr
@@ -438,7 +438,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     pooled = cfg.experiment == "ber_sweep" and workers > 1
     environment = {"python": platform.python_version(), "numpy": np.__version__,
-                   "scipy": scipy.__version__, "blas": {}, "workers": workers,
+                   "scipy": scipy.__version__, "blas": {},
+                   "workers": min(workers, cfg.n_frames) if pooled else workers,
                    "pool_start_method": "fork" if pooled else None,
                    "cores": len(os.sched_getaffinity(0))}
     runners = {

@@ -12,15 +12,18 @@ CP schemes: plain OTFS (``otfs``, no window) and receiver-windowed OTFS
 (``rw_otfs``), which multiplies the kept delay-time samples by a global
 Dolph-Chebyshev window with ``window_db`` dB sidelobe attenuation to tame
 Doppler-induced leakage, and with ``tx_window`` also the transmitted ones
-for sidelobe studies.
+for sidelobe studies. Its ``detector`` solves on a sparse time-domain
+channel built straight from the taps, with no probe.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse.linalg
 from scipy.signal.windows import chebwin
 
 from . import channel as chan
+from .detect import MmseEqualizer, StructuredMmse
 from .transforms import (
     DimensionError,
     FrameGeometry,
@@ -58,7 +61,9 @@ class ProbedModem:
     A subclass provides ``geom``, ``rx_len``, ``modulate`` and ``demodulate``,
     all linear and columnwise on matrices. The probe pushes the identity basis
     through the chain; the transmitted basis does not depend on the channel,
-    so it is built on the first probe and kept.
+    so it is built on the first probe and kept. The dense probe and
+    :class:`MmseEqualizer` are the default ``detector`` (gf_otfs's) and the
+    oracle of the modems that override it with a structured solve.
     """
 
     _basis: np.ndarray | None = None
@@ -68,6 +73,10 @@ class ProbedModem:
         if self._basis is None:
             self._basis = self.modulate(np.eye(self.geom.n_sc, dtype=complex))
         return self.demodulate(chan.apply_channel(self._basis, ch, out_len=self.rx_len))
+
+    def detector(self, ch: chan.LtvChannelRealization):
+        """MMSE detector for one realization, with ``solve(y, noise_var)``."""
+        return MmseEqualizer(self.effective_channel(ch))
 
 
 class CpOtfsModem(ProbedModem):
@@ -97,9 +106,15 @@ class CpOtfsModem(ProbedModem):
     def _windowed(self, s_t: np.ndarray) -> np.ndarray:
         return s_t * self.window_values.reshape((-1,) + (1,) * (s_t.ndim - 1))
 
+    def _to_time(self, d) -> np.ndarray:
+        return full_dft(to_frequency_doppler(d, self.geom), inverse=True)
+
+    def _from_time(self, s_t) -> np.ndarray:
+        return to_delay_doppler(full_dft(s_t), self.geom)
+
     def modulate(self, d) -> np.ndarray:
         """Frequency-Doppler route F_MN^H Gamma d, the TX window if on, then the CP."""
-        s_t = full_dft(to_frequency_doppler(d, self.geom), inverse=True)
+        s_t = self._to_time(d)
         if self.tx_window:
             s_t = self._windowed(s_t)
         return add_cp(s_t, self.cp_len)
@@ -113,4 +128,24 @@ class CpOtfsModem(ProbedModem):
         kept = remove_cp(np.asarray(r)[:self.rx_len], self.cp_len, self.geom.n_sc)
         if self.window_values is not None:
             kept = self._windowed(kept)
-        return to_delay_doppler(full_dft(kept), self.geom)
+        return self._from_time(kept)
+
+    def detector(self, ch: chan.LtvChannelRealization) -> StructuredMmse:
+        """Structured MMSE on K = W_rx B_cp H A_cp W_tx, one ``splu`` per noise variance.
+
+        The effective channel is Gamma^H F K F^H Gamma. K is built from the
+        taps with no probe: K[k, (k - tau_l) mod n] = g_l[cp + k] where
+        cp + k >= tau_l, times the windows, so n_taps entries a row.
+        """
+        n, cp, w = self.geom.n_sc, self.cp_len, self.window_values
+        k, tau = np.arange(n), ch.tap_delays[:, None]
+        hit = cp + k >= tau
+        rows, cols = np.broadcast_to(k, hit.shape)[hit], ((k - tau) % n)[hit]
+        vals = ch.gains[:, cp:cp + n][hit]
+        if w is not None:
+            vals = vals * w[rows] * (w[cols] if self.tx_window else 1.0)
+        k_mat = scipy.sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+        gram, eye = k_mat.conj().T @ k_mat, scipy.sparse.identity(n, format="csc")
+        return StructuredMmse(
+            k_mat, lambda var: scipy.sparse.linalg.splu((gram + var * eye).tocsc()).solve,
+            self._to_time, self._from_time)

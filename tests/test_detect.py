@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddwave import channel as chan
+from ddwave.config import channel_config, config_from_dict
 from ddwave.detect import (
     MmseEqualizer,
     RegularizationRequiredError,
+    StructuredMmse,
     qam_demap,
     qam_map,
 )
+from ddwave.experiments import build_modems, run_ber_sweep
 
 
 class TestQam:
@@ -141,3 +145,67 @@ class TestDetectFrame:
         assert bits_hat.size == 32 * 4
         # distance of each equalized symbol to its hard decision
         assert np.max(np.abs(d_hat - qam_map(bits_hat, 16))) < 1e-10
+
+
+_STRUCTURED = ["otfs", "rw_otfs", "dr_ufmc"]
+
+
+class TestStructuredMmse:
+    """otfs, rw_otfs and dr_ufmc solve structured; the dense probe is their oracle."""
+
+    @pytest.mark.parametrize("override", [
+        pytest.param({}, id="tdl_c-jakes"),
+        pytest.param({"channel": {"doppler_model": "single_shift_per_tap"}},
+                     id="tdl_c-single-shift"),
+        pytest.param({"channel": {"profile": "single_path", "fractional_doppler_override": 0.5}},
+                     id="single-path-override"),
+        # the channel memory (5 samples) is longer than the CP
+        pytest.param({"schemes": ["otfs"], "cp_len": 0}, id="otfs-cp0"),
+        pytest.param({"schemes": ["otfs"], "cp_len": 1}, id="otfs-cp1"),
+        pytest.param({"schemes": ["rw_otfs"], "rw_tx_window": True}, id="rw_otfs-tx-window"),
+        pytest.param({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5}, id="8x4"),
+        # a 6-sample channel memory carries a transmit block two receive blocks down
+        pytest.param({"m": 8, "n": 8, "gf_filter_len": 9, "du_filter_len": 5,
+                      "channel": {"delay_spread_s": 5e-7}}, id="8x8-two-blocks-below"),
+    ])
+    def test_matches_the_dense_oracle(self, override):
+        cfg = config_from_dict({"experiment": "ber_sweep", "schemes": _STRUCTURED} | override)
+        modems = build_modems(cfg)
+        geom = next(iter(modems.values())).geom
+        rng = np.random.default_rng(7)
+        d = qam_map(rng.integers(0, 2, size=geom.n_sc * 4), 16)
+        for seed in (3, 4):
+            ch = chan.generate_channel(channel_config(cfg), max(m.rx_len for m in modems.values())
+                                       + 8, seed=seed, delta_nu_hz=geom.delta_nu_hz)
+            for name, modem in modems.items():
+                y0 = modem.demodulate(chan.apply_channel(modem.modulate(d), ch,
+                                                         out_len=modem.rx_len))
+                y_eta = modem.demodulate(chan.complex_noise(rng, modem.rx_len))
+                dense, structured = MmseEqualizer(modem.effective_channel(ch)), modem.detector(ch)
+                assert isinstance(structured, StructuredMmse), name
+                for snr_db in (0.0, 40.0):
+                    var = 10.0 ** (-snr_db / 10.0)
+                    y = y0 + np.sqrt(var) * y_eta
+                    err = np.max(np.abs(structured.solve(y, var) - dense.solve(y, var)))
+                    assert err <= 1e-10, (name, seed, snr_db, err)
+
+    def test_the_ber_sweep_never_probes_them(self, tmp_path, monkeypatch):
+        # dr_ufmc probes 3 colours x M = 192 columns at 64x8, the CP schemes none
+        from ddwave.baselines import DrUfmcModem
+        from ddwave.scfdma import CpOtfsModem
+
+        def no_probe(self, ch):
+            raise AssertionError("dense probe in the BER sweep")
+        for cls in (CpOtfsModem, DrUfmcModem):
+            monkeypatch.setattr(cls, "effective_channel", no_probe)
+        real_apply, widths = chan.apply_channel, []
+
+        def recording_apply(x, ch, out_len=None):
+            widths.append(x.shape[1] if x.ndim == 2 else 1)
+            return real_apply(x, ch, out_len)
+        monkeypatch.setattr(chan, "apply_channel", recording_apply)
+        cfg = config_from_dict({"experiment": "ber_sweep", "schemes": _STRUCTURED,
+                                "n_frames": 2, "snr_grid_db": [0.0, 40.0]})
+        summary, _ = run_ber_sweep(cfg, tmp_path)
+        assert set(summary) == set(_STRUCTURED)
+        assert max(widths) == 192

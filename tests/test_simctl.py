@@ -356,6 +356,12 @@ except Exception as exc:
         run_ber_sweep(cfg, tmp_path, workers=8)
         assert sizes == [2]
 
+    def test_report_records_the_processes_that_ran(self, tmp_path):
+        cfg = config_from_dict(_SMALL_SWEEP | {"n_frames": 2, "schemes": ["otfs"],
+                                               "output_dir": str(tmp_path / "out")})
+        env = run_experiment(cfg, workers=8).environment
+        assert (env["workers"], env["pool_start_method"]) == (2, "fork")
+
     def test_scheme_error_raises_before_any_pool(self, tmp_path, monkeypatch):
         # a pool initializer that raises makes the pool respawn workers
         # forever, so the modems must fail in the caller first
@@ -600,6 +606,7 @@ class TestCli:
         ({"gf_atten_db": 1e6}, "gf_atten_db"),
         ({"du_atten_db": 1e6}, "du_atten_db"),
         ({"rw_window_param": 1e6}, "rw_window_param"),
+        ({"snr_grid_db": [-5000]}, "snr_grid_db"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"
@@ -656,11 +663,12 @@ class TestCli:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_nan_in_a_ber_solve_exits_three(self, tmp_path, capsys, monkeypatch, workers):
-        import ddwave.experiments as exp_mod
+        # otfs's detector is the structured solver
+        from ddwave.detect import StructuredMmse
 
         def nan_solve(self, d_tilde, noise_var):
             return np.full(d_tilde.shape, np.nan, dtype=complex)
-        monkeypatch.setattr(exp_mod.MmseEqualizer, "solve", nan_solve)
+        monkeypatch.setattr(StructuredMmse, "solve", nan_solve)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
             "m": 8, "n": 4, "n_frames": 3, "gf_filter_len": 9, "du_filter_len": 5,
