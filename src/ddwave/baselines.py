@@ -104,5 +104,5 @@ class DrUfmcModem(ProbedModem):
         def factor(var):
             cb = scipy.linalg.cholesky_banded(np.vstack([band[:1] + var, band[1:]]), lower=True)
             return functools.partial(scipy.linalg.cho_solve_banded, (cb, True))
-        return StructuredMmse(t[:, :n], factor, lambda y: zak_modulate(y, self.geom),
+        return StructuredMmse(t[:, :n].conj().T, factor, lambda y: zak_modulate(y, self.geom),
                               lambda x: zak_demodulate(x, self.geom))

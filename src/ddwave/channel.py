@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
 
@@ -180,18 +181,18 @@ def apply_channel(x: np.ndarray, ch: LtvChannelRealization,
     return y
 
 
-def delay_time_matrix(ch: LtvChannelRealization, k: int) -> np.ndarray:
-    """Dense K x K banded matrix H[i, j] = h[i - j, i]."""
+def delay_time_matrix(ch: LtvChannelRealization, k: int) -> scipy.sparse.csr_array:
+    """Sparse K x K banded matrix H[i, j] = h[i - j, i], built from the taps.
+
+    Row i holds g_l[i] at column i - tau_l for every tap with tau_l <= i, so
+    ``H @ x`` equals ``apply_channel(x, ch, out_len=K)`` for a length-K x.
+    """
     if ch.span < k:
         raise ValueError(f"realization spans {ch.span} samples, need {k}")
-    h = np.zeros((k, k), dtype=complex)
-    for tap in range(ch.n_taps):
-        tau = int(ch.tap_delays[tap])
-        if tau >= k:
-            continue
-        rows = np.arange(tau, k)
-        h[rows, rows - tau] = ch.gains[tap, tau:k]
-    return h
+    i, tau = np.arange(k), ch.tap_delays[:, None]
+    hit = i >= tau
+    rows = np.broadcast_to(i, hit.shape)[hit]
+    return scipy.sparse.csr_array((ch.gains[:, :k][hit], (rows, (i - tau)[hit])), shape=(k, k))
 
 
 def complex_noise(rng, n: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.signal.windows import chebwin
 
 from .channel import DOPPLER_MODELS, PROFILES, ChannelConfig, quantized_profile
 from .metrics import band_has_welch_bin
@@ -291,6 +292,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         value = getattr(cfg, key)
         _expect(0 < value <= 1000,
                 f"{key}: Dolph-Chebyshev attenuation {value!r} dB outside (0, 1000]")
+    if "rw_otfs" in cfg.schemes:
+        # rw_otfs's window; at 512 samples it first goes non-positive at 296 dB
+        w = chebwin(cfg.n_sc, at=cfg.rw_window_param)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = w / w.max()
+        _expect(bool(np.all(np.isfinite(w) & (w > 0))),
+                f"rw_window_param: the {cfg.n_sc}-sample Dolph-Chebyshev window at "
+                f"{cfg.rw_window_param!r} dB has non-positive or non-finite samples")
     _expect(cfg.channel.profile in PROFILES,
             f"channel.profile: unknown value {cfg.channel.profile!r}")
     _expect(cfg.channel.doppler_model in DOPPLER_MODELS,

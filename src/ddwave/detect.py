@@ -1,8 +1,8 @@
 """Symbol detection: regularized linear (MMSE) equalization and Gray-coded QAM.
 
-A modem's ``detector(ch)`` has ``solve(y, noise_var)``. otfs, rw_otfs and
-dr_ufmc solve structured (:class:`StructuredMmse`); :class:`MmseEqualizer` on
-the dense probed effective channel is their oracle and gf_otfs's path.
+A modem's ``detector(ch)`` is a :class:`StructuredMmse` with
+``solve(y, noise_var)``; :class:`MmseEqualizer` on the dense probed effective
+channel is the oracle of every detector.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
 class MmseEqualizer:
     """Dense linear MMSE detector for a fixed effective channel.
 
-    It is the default ``detector`` of every modem (the one ``gf_otfs`` runs)
-    and the oracle that the structured detectors are tested against.
+    It is the oracle that every modem's structured detector is tested
+    against; no experiment runs it.
 
     Caches the Gram matrix so that solves at several noise levels reuse the
     expensive product; ``gram`` holds its upper triangle only (zherk), the
@@ -120,13 +120,13 @@ class StructuredMmse:
     """Linear MMSE for an effective channel U T U^H, with U unitary and T structured.
 
     As U^H H^H H U = T^H T, the solve is d = U (T^H T + var I)^-1 T^H U^H y and
-    never forms H. ``to_t`` applies U^H, ``from_t`` applies U, and
-    ``factor(var)`` factors T^H T + var I and returns its solver.
+    never forms H. ``t_h`` applies T^H with ``@`` (a matrix or a linear
+    operator), ``to_t`` applies U^H, ``from_t`` applies U, and ``factor(var)``
+    factors T^H T + var I and returns its solver.
     """
 
-    def __init__(self, t, factor, to_t, from_t):
-        self.t_h = t.conj().T
-        self.factor, self.to_t, self.from_t = factor, to_t, from_t
+    def __init__(self, t_h, factor, to_t, from_t):
+        self.t_h, self.factor, self.to_t, self.from_t = t_h, factor, to_t, from_t
 
     def solve(self, y: np.ndarray, noise_var: float) -> np.ndarray:
         if noise_var < 0:

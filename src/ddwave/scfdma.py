@@ -5,7 +5,8 @@ s_t = (F_N^H kron I_M) d (per-delay inverse DFT across Doppler), and the
 SC-FDMA path s_t = F_MN^H Gamma d, which routes through the
 frequency-Doppler domain where the filtered modems hook in. Their equality
 is the factorization identity checked in the test suite. The
-effective-channel probe that every modem shares lives here as well.
+effective-channel probe that every modem shares, the dense oracle of the
+detectors, lives here as well.
 
 ``CpOtfsModem(geom, cp_len, window_db=None, tx_window=False)`` serves both
 CP schemes: plain OTFS (``otfs``, no window) and receiver-windowed OTFS
@@ -23,7 +24,7 @@ import scipy.sparse.linalg
 from scipy.signal.windows import chebwin
 
 from . import channel as chan
-from .detect import MmseEqualizer, StructuredMmse
+from .detect import StructuredMmse
 from .transforms import (
     DimensionError,
     FrameGeometry,
@@ -59,11 +60,11 @@ class ProbedModem:
     """Effective-channel probe shared by every modem.
 
     A subclass provides ``geom``, ``rx_len``, ``modulate`` and ``demodulate``,
-    all linear and columnwise on matrices. The probe pushes the identity basis
+    all linear and columnwise on matrices, and ``detector(ch)``, a structured
+    MMSE with ``solve(y, noise_var)``. The probe pushes the identity basis
     through the chain; the transmitted basis does not depend on the channel,
     so it is built on the first probe and kept. The dense probe and
-    :class:`MmseEqualizer` are the default ``detector`` (gf_otfs's) and the
-    oracle of the modems that override it with a structured solve.
+    :class:`ddwave.detect.MmseEqualizer` are the oracle of every detector.
     """
 
     _basis: np.ndarray | None = None
@@ -73,10 +74,6 @@ class ProbedModem:
         if self._basis is None:
             self._basis = self.modulate(np.eye(self.geom.n_sc, dtype=complex))
         return self.demodulate(chan.apply_channel(self._basis, ch, out_len=self.rx_len))
-
-    def detector(self, ch: chan.LtvChannelRealization):
-        """MMSE detector for one realization, with ``solve(y, noise_var)``."""
-        return MmseEqualizer(self.effective_channel(ch))
 
 
 class CpOtfsModem(ProbedModem):
@@ -133,19 +130,20 @@ class CpOtfsModem(ProbedModem):
     def detector(self, ch: chan.LtvChannelRealization) -> StructuredMmse:
         """Structured MMSE on K = W_rx B_cp H A_cp W_tx, one ``splu`` per noise variance.
 
-        The effective channel is Gamma^H F K F^H Gamma. K is built from the
-        taps with no probe: K[k, (k - tau_l) mod n] = g_l[cp + k] where
-        cp + k >= tau_l, times the windows, so n_taps entries a row.
+        The effective channel is Gamma^H F K F^H Gamma. K is rows cp: of the
+        sparse delay-time matrix H times the CP insertion A_cp, then the
+        windows, with no probe: n_taps entries a row.
         """
         n, cp, w = self.geom.n_sc, self.cp_len, self.window_values
-        k, tau = np.arange(n), ch.tap_delays[:, None]
-        hit = cp + k >= tau
-        rows, cols = np.broadcast_to(k, hit.shape)[hit], ((k - tau) % n)[hit]
-        vals = ch.gains[:, cp:cp + n][hit]
+        j = np.arange(n + cp)
+        a_cp = scipy.sparse.csr_array((np.ones(n + cp), (j, (j - cp) % n)), shape=(n + cp, n))
+        k_mat = chan.delay_time_matrix(ch, n + cp)[cp:] @ a_cp
         if w is not None:
-            vals = vals * w[rows] * (w[cols] if self.tx_window else 1.0)
-        k_mat = scipy.sparse.csr_array((vals, (rows, cols)), shape=(n, n))
-        gram, eye = k_mat.conj().T @ k_mat, scipy.sparse.identity(n, format="csc")
+            k_mat = scipy.sparse.diags_array(w) @ k_mat
+            if self.tx_window:
+                k_mat = k_mat @ scipy.sparse.diags_array(w)
+        k_h = k_mat.conj().T
+        gram, eye = k_h @ k_mat, scipy.sparse.identity(n, format="csc")
         return StructuredMmse(
-            k_mat, lambda var: scipy.sparse.linalg.splu((gram + var * eye).tocsc()).solve,
+            k_h, lambda var: scipy.sparse.linalg.splu((gram + var * eye).tocsc()).solve,
             self._to_time, self._from_time)

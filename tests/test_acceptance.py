@@ -136,7 +136,7 @@ def test_criterion_6_fast_paths_equal_dense_oracle():
     cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6,
                              doppler_model="jakes_sum_of_sinusoids")
     ch = chan.generate_channel(cfg, otfs.rx_len + 8, seed=3, delta_nu_hz=g.delta_nu_hz)
-    h = chan.delay_time_matrix(ch, otfs.rx_len)
+    h = chan.delay_time_matrix(ch, otfs.rx_len).toarray()
     r = chan.apply_channel(otfs.modulate(d), ch, out_len=otfs.rx_len)
     errs["demodulate"] = np.max(np.abs(
         otfs.demodulate(r) - gamma.conj().T @ f_full @ b_cp @ r))
@@ -149,7 +149,7 @@ def test_criterion_6_fast_paths_equal_dense_oracle():
     rr = rng.normal(size=40) + 1j * rng.normal(size=40)
     errs["subband_analysis"] = np.max(np.abs(ufmc_analyze(rr, bank) - r_u @ rr))
     errs["gf_modulate"] = np.max(np.abs(gm.modulate(d) - t_u @ gamma @ d))
-    h_bar = chan.delay_time_matrix(ch, gm.rx_len)
+    h_bar = chan.delay_time_matrix(ch, gm.rx_len).toarray()
     r_gf = chan.apply_channel(gm.modulate(d), ch, out_len=gm.rx_len)
     errs["gf_demodulate"] = np.max(np.abs(
         gm.demodulate(r_gf) - gamma.conj().T @ r_u @ r_gf))

@@ -14,7 +14,7 @@ from ddwave.detect import (
     qam_demap,
     qam_map,
 )
-from ddwave.experiments import build_modems, run_ber_sweep
+from ddwave.experiments import _one_blas_thread, build_modems, run_ber_sweep
 
 
 class TestQam:
@@ -147,11 +147,18 @@ class TestDetectFrame:
         assert np.max(np.abs(d_hat - qam_map(bits_hat, 16))) < 1e-10
 
 
-_STRUCTURED = ["otfs", "rw_otfs", "dr_ufmc"]
+_STRUCTURED = ["otfs", "gf_otfs", "rw_otfs", "dr_ufmc"]
+
+
+@pytest.fixture
+def one_blas_thread():
+    """The BER sweep's BLAS setting, under which the oracle's Cholesky is also faster."""
+    with _one_blas_thread({}):
+        yield
 
 
 class TestStructuredMmse:
-    """otfs, rw_otfs and dr_ufmc solve structured; the dense probe is their oracle."""
+    """Every scheme solves structured; the dense probe is their oracle."""
 
     @pytest.mark.parametrize("override", [
         pytest.param({}, id="tdl_c-jakes"),
@@ -167,8 +174,10 @@ class TestStructuredMmse:
         # a 6-sample channel memory carries a transmit block two receive blocks down
         pytest.param({"m": 8, "n": 8, "gf_filter_len": 9, "du_filter_len": 5,
                       "channel": {"delay_spread_s": 5e-7}}, id="8x8-two-blocks-below"),
+        # four times the default 500 km/h spreads inter-Doppler interference wider
+        pytest.param({"channel": {"speed_mps": 4 * 500.0 / 3.6}}, id="high-doppler"),
     ])
-    def test_matches_the_dense_oracle(self, override):
+    def test_matches_the_dense_oracle(self, override, one_blas_thread):
         cfg = config_from_dict({"experiment": "ber_sweep", "schemes": _STRUCTURED} | override)
         modems = build_modems(cfg)
         geom = next(iter(modems.values())).geom
@@ -183,20 +192,21 @@ class TestStructuredMmse:
                 y_eta = modem.demodulate(chan.complex_noise(rng, modem.rx_len))
                 dense, structured = MmseEqualizer(modem.effective_channel(ch)), modem.detector(ch)
                 assert isinstance(structured, StructuredMmse), name
-                for snr_db in (0.0, 40.0):
+                for snr_db in range(0, 45, 5):
                     var = 10.0 ** (-snr_db / 10.0)
                     y = y0 + np.sqrt(var) * y_eta
                     err = np.max(np.abs(structured.solve(y, var) - dense.solve(y, var)))
                     assert err <= 1e-10, (name, seed, snr_db, err)
 
     def test_the_ber_sweep_never_probes_them(self, tmp_path, monkeypatch):
-        # dr_ufmc probes 3 colours x M = 192 columns at 64x8, the CP schemes none
+        # dr_ufmc probes 3 colours x M = 192 columns at 64x8, gf_otfs 32, the CP schemes none
         from ddwave.baselines import DrUfmcModem
+        from ddwave.gfotfs import GfOtfsModem
         from ddwave.scfdma import CpOtfsModem
 
         def no_probe(self, ch):
             raise AssertionError("dense probe in the BER sweep")
-        for cls in (CpOtfsModem, DrUfmcModem):
+        for cls in (CpOtfsModem, GfOtfsModem, DrUfmcModem):
             monkeypatch.setattr(cls, "effective_channel", no_probe)
         real_apply, widths = chan.apply_channel, []
 
@@ -209,3 +219,19 @@ class TestStructuredMmse:
         summary, _ = run_ber_sweep(cfg, tmp_path)
         assert set(summary) == set(_STRUCTURED)
         assert max(widths) == 192
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_conjugate_gradients_capped_below_convergence_raise(self, monkeypatch):
+        # a non-finite input is no convergence failure: it comes back non-finite, for exit 3
+        from ddwave import gfotfs
+        cfg = config_from_dict({"experiment": "ber_sweep", "schemes": ["gf_otfs"]})
+        modem = build_modems(cfg)["gf_otfs"]
+        ch = chan.generate_channel(channel_config(cfg), modem.rx_len + 8, seed=3,
+                                   delta_nu_hz=modem.geom.delta_nu_hz)
+        y = modem.demodulate(chan.complex_noise(np.random.default_rng(8), modem.rx_len))
+        detector = modem.detector(ch)
+        detector.solve(y, 1e-4)  # converges within the default cap
+        monkeypatch.setattr(gfotfs, "CG_MAX_ITERATIONS", 1)
+        with pytest.raises(np.linalg.LinAlgError, match="conjugate gradients"):
+            detector.solve(y, 1e-4)
+        assert np.all(np.isnan(detector.solve(np.full_like(y, np.nan), 1e-4)))

@@ -141,7 +141,7 @@ class TestEffectiveChannel:
         ch = chan.LtvChannelRealization(
             tap_delays=np.array([0, 1]),
             gains=np.repeat(taps[:, None], gm.rx_len + 2, axis=1))
-        h_bar = chan.delay_time_matrix(ch, gm.rx_len)
+        h_bar = chan.delay_time_matrix(ch, gm.rx_len).toarray()
         dense = (oracle_matrix("Gamma", g).conj().T
                  @ oracle_matrix("R_u", g, gm.bank)
                  @ h_bar

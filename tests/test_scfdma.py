@@ -161,7 +161,7 @@ class TestEffectiveChannel:
         cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6, n_taps=5)
         ch = chan.generate_channel(cfg, modem.rx_len + 8, seed=11,
                                    delta_nu_hz=g.delta_nu_hz)
-        h = chan.delay_time_matrix(ch, modem.rx_len)
+        h = chan.delay_time_matrix(ch, modem.rx_len).toarray()
         a_cp = oracle_matrix("A_cp", g, cp_len=4)
         b_cp = oracle_matrix("B_cp", g, cp_len=4)
         gamma = oracle_matrix("Gamma", g)

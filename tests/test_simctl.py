@@ -607,6 +607,8 @@ class TestCli:
         ({"du_atten_db": 1e6}, "du_atten_db"),
         ({"rw_window_param": 1e6}, "rw_window_param"),
         ({"snr_grid_db": [-5000]}, "snr_grid_db"),
+        ({"experiment": "loopback", "m": 64, "n": 8, "rw_window_param": 1000, "n_frames": 3,
+          "schemes": ["rw_otfs"]}, "rw_window_param"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"
@@ -616,6 +618,20 @@ class TestCli:
             "output_dir": str(tmp_path / "out")} | override))
         assert cli_main(["run", str(cfgfile)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_largest_accepted_window_decodes_the_loopback(self, tmp_path):
+        # the 512-sample window goes non-positive at 296 dB but not at 297, so scan down from 1000
+        raw = {"experiment": "loopback", "n_frames": 3, "schemes": ["rw_otfs"], "seed": 5,
+               "output_dir": str(tmp_path)}
+
+        def accepted(at):
+            try:
+                return config_from_dict(raw | {"rw_window_param": float(at)})
+            except ConfigError:
+                return None
+        cfg = next(c for c in map(accepted, np.arange(1000.0, 0.0, -0.5)) if c is not None)
+        assert 290.0 < cfg.rw_window_param < 1000.0
+        assert run_experiment(cfg).summary["rw_otfs"]["total_errors"] == 0
 
     @pytest.mark.parametrize("content", [
         pytest.param(None, id="directory"),
