@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal.windows import chebwin
 
 from .channel import DOPPLER_MODELS, PROFILES, ChannelConfig, quantized_profile
 from .metrics import band_has_welch_bin
+from .ufmc import dolph_chebyshev_window
 
 EXPERIMENTS = ("loopback", "impulse_leakage", "sidelobes", "psd", "ber_sweep", "oracle_suite")
 SCHEMES = ("otfs", "gf_otfs", "rw_otfs", "dr_ufmc")
@@ -262,6 +262,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     inf = math.inf
     for key, value, lo, hi in (
             ("m", cfg.m, 1, inf), ("n", cfg.n, 1, inf), ("n_sc_rb", cfg.n_sc_rb, 1, inf),
+            # the modems hold dense (m*n)-square complex matrices: 4 GiB at 2^14
+            ("m * n", cfg.n_sc, 1, 2 ** 14),
             ("seed", cfg.seed, 0, inf), ("n_frames", cfg.n_frames, 1, inf),
             ("cp_len", cfg.cp_len, 0, cfg.n_sc),
             ("rw_cp_len", cfg.rw_cp_len, 0, cfg.n_sc),
@@ -287,16 +289,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _expect(cfg.m % cfg.n_sc_rb == 0,
                 f"n_sc_rb: {cfg.n_sc_rb} does not divide m = {cfg.m} (dr_ufmc block constraint)")
     _expect(cfg.bandwidth_hz > 0, "bandwidth_hz must be positive")
-    # chebwin overflows above about 6165 dB; doubles resolve no more than about 320 dB
+    # the window overflows above about 6165 dB; doubles resolve no more than about 320 dB
     for key in ("gf_atten_db", "du_atten_db", "rw_window_param"):
         value = getattr(cfg, key)
         _expect(0 < value <= 1000,
                 f"{key}: Dolph-Chebyshev attenuation {value!r} dB outside (0, 1000]")
     if "rw_otfs" in cfg.schemes:
         # rw_otfs's window; at 512 samples it first goes non-positive at 296 dB
-        w = chebwin(cfg.n_sc, at=cfg.rw_window_param)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = w / w.max()
+        w = dolph_chebyshev_window(cfg.n_sc, cfg.rw_window_param)
         _expect(bool(np.all(np.isfinite(w) & (w > 0))),
                 f"rw_window_param: the {cfg.n_sc}-sample Dolph-Chebyshev window at "
                 f"{cfg.rw_window_param!r} dB has non-positive or non-finite samples")

@@ -6,9 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import fft
 
 DB_FLOOR = -200.0
+WELCH_BLOCK = 128  # segments per FFT call: bounds the complex transient to 2 MB at 1024
 
 
 def _to_db(p: np.ndarray) -> np.ndarray:
@@ -37,19 +39,27 @@ def psd_welch(x: np.ndarray, fs_hz: float, segment_len: int = 1024) -> PsdEstima
 
     Hann window, 50 % overlap, density scaling: the PSD integrates to the
     mean signal power. The lowest (unpaired) frequency bin is dropped so the
-    axis is symmetric about zero.
+    axis is symmetric about zero. Welch (1967) in the steps and order of
+    scipy's ``welch`` (pinned to it in the tests), transforming the segments
+    a block at a time so the complex spectrogram is never held whole.
     """
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("psd_welch expects a 1-D signal")
-    if x.size < segment_len:
-        raise ValueError(f"signal length {x.size} shorter than segment {segment_len}")
-    freqs, pxx = scipy.signal.welch(
-        x, fs=fs_hz, window="hann", nperseg=segment_len, noverlap=round(segment_len / 2),
-        detrend=False, return_onesided=False, scaling="density")
-    order = np.fft.fftshift(np.arange(freqs.size))
-    freqs = np.fft.fftshift(freqs)
-    pxx = pxx[order]
+    if not 2 <= segment_len <= x.size:  # a 1-sample Hann window is 0
+        raise ValueError(f"segment_len {segment_len} outside [2, signal length {x.size}]")
+    # periodic Hann window at density scaling; Python's sum adds in sequence
+    win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment_len + 1)[:-1])
+    win = win * (1 / np.sqrt(sum(win ** 2) / (1 / fs_hz)))
+    hop = segment_len - round(segment_len / 2)
+    segments = sliding_window_view(x, segment_len)[::hop]
+    # |S|^2 laid out as scipy's, C-order (segment_len, n_seg), so the mean rounds alike
+    power = np.empty((segment_len, len(segments)))
+    for start in range(0, power.shape[1], WELCH_BLOCK):
+        spec = fft(segments[start:start + WELCH_BLOCK] * win, axis=-1).T
+        power[:, start:start + spec.shape[1]] = spec.real ** 2 + spec.imag ** 2
+    freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1 / fs_hz))
+    pxx = np.fft.fftshift(power.mean(axis=-1))
     if segment_len % 2 == 0:
         freqs, pxx = freqs[1:], pxx[1:]
     return PsdEstimate(freq_hz=freqs, psd=pxx)

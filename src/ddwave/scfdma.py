@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse.linalg
-from scipy.signal.windows import chebwin
 
 from . import channel as chan
 from .detect import StructuredMmse
@@ -34,6 +33,7 @@ from .transforms import (
     to_delay_doppler,
     to_frequency_doppler,
 )
+from .ufmc import dolph_chebyshev_window
 
 
 def zak_modulate(d, geom: FrameGeometry) -> np.ndarray:
@@ -95,8 +95,7 @@ class CpOtfsModem(ProbedModem):
         self.cp_len = cp_len
         self.window_values = None
         if window_db is not None:
-            w = chebwin(geom.n_sc, at=window_db)
-            self.window_values = w / w.max()
+            self.window_values = dolph_chebyshev_window(geom.n_sc, window_db)
         self.tx_window = tx_window
         self.rx_len = geom.n_sc + cp_len
 

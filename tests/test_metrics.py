@@ -1,7 +1,10 @@
 """Measurement kernels: Welch PSD, OOB level, leakage ratio, Wilson intervals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.signal
 
 from ddwave.metrics import (
     band_has_welch_bin,
@@ -55,6 +58,37 @@ class TestPsdWelch:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             psd_welch(np.zeros(100, dtype=complex), 1.0, segment_len=1024)
+
+    def test_one_sample_segment_rejected(self):
+        with pytest.raises(ValueError):
+            psd_welch(np.ones(100, dtype=complex), 1.0, segment_len=1)
+
+
+class TestPsdWelchEqualsScipy:
+    """psd_welch is scipy's ``welch`` at the same settings, shifted, lowest bin dropped."""
+
+    @pytest.mark.parametrize("segment_len, n, fs", [
+        (64, 64, 1.0), (64, 1000, 1.92e6), (65, 1000, 1.92e6), (97, 12_345, 3.0),
+        (256, 300_001, 5.0), (1023, 65_537, 7.3e5), (1024, 40_000, 10e6)])
+    def test_equals_scipy_welch(self, segment_len, n, fs):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        est = psd_welch(x, fs, segment_len=segment_len)
+        freqs, pxx = scipy.signal.welch(
+            x, fs=fs, window="hann", nperseg=segment_len, noverlap=round(segment_len / 2),
+            detrend=False, return_onesided=False, scaling="density")
+        drop = int(segment_len % 2 == 0)
+        np.testing.assert_allclose(est.psd, np.fft.fftshift(pxx)[drop:], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(est.freq_hz, np.fft.fftshift(freqs)[drop:], rtol=1e-13)
+
+    def test_complex_spectrogram_never_whole(self):
+        # 2047 segments of 1024: the whole complex FFT alone would be 33.5 MB
+        x = np.ones(1 << 20, dtype=complex)
+        tracemalloc.start()
+        psd_welch(x, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2047 * 1024 * 16
 
 
 class TestOobMetric:

@@ -320,6 +320,14 @@ def _run_in_own_session(script: str, *args: str, env: dict | None = None):
     return subprocess.CompletedProcess(cmd, proc.returncode, out, err)
 
 
+def test_import_leaves_out_scipy_signal_and_stats():
+    # scipy.signal brings scipy.stats: about 0.8 s and 40 MB on every start
+    proc = _run_in_own_session(
+        "import sys, ddwave.cli, ddwave.config, ddwave.experiments\n"
+        "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])")
+    assert proc.stdout.strip() == "[]", proc.stderr
+
+
 class TestBerWorkers:
     def test_dying_worker_ends_the_run(self, tmp_path):
         # a pool that waits for the lost frame would hang the sweep
@@ -607,6 +615,7 @@ class TestCli:
         ({"du_atten_db": 1e6}, "du_atten_db"),
         ({"rw_window_param": 1e6}, "rw_window_param"),
         ({"snr_grid_db": [-5000]}, "snr_grid_db"),
+        ({"n": 75140865}, "m * n"),
         ({"experiment": "loopback", "m": 64, "n": 8, "rw_window_param": 1000, "n_frames": 3,
           "schemes": ["rw_otfs"]}, "rw_window_param"),
     ])

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.signal.windows import chebwin
 
 from ddwave.transforms import DimensionError, FrameGeometry, oracle_matrix
 from ddwave.ufmc import (
@@ -11,6 +12,7 @@ from ddwave.ufmc import (
     SingularPredistortionError,
     UfmcOperators,
     design_chebyshev_prototype,
+    dolph_chebyshev_window,
     synthesis_matrix,
     ufmc_analyze,
 )
@@ -26,6 +28,36 @@ def small_bank(filter_len=9):
 
 def table_bank():
     return FilterBankSpec.chebyshev(512, 4, 129, atten_db=60.0)
+
+
+class TestDolphChebyshevWindow:
+    """The window is scipy's ``chebwin``, sample for sample."""
+
+    @staticmethod
+    def assert_equals_scipy(length, atten_db):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # scipy's below-45-dB note
+            expected = chebwin(length, at=atten_db)
+        assert np.array_equal(dolph_chebyshev_window(length, atten_db), expected), \
+            (length, atten_db)
+
+    def test_every_length_to_600(self):
+        for length in [*range(601), 640, 1024, 2048]:
+            for atten_db in (0.5, 13.0, 30.0, 44.5, 45.0, 60.0, 123.4, 296.0, 297.0,
+                             640.5, 998.5, 1000.0):
+                self.assert_equals_scipy(length, atten_db)
+
+    def test_every_half_db_to_1000(self):
+        # 296 and 297 dB bracket rw_otfs's first non-positive 512-sample window
+        for length in (63, 512, 2048):
+            for atten_db in np.arange(1, 2001) / 2:
+                self.assert_equals_scipy(length, atten_db)
+
+    def test_no_warning_below_45_db(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = dolph_chebyshev_window(64, 30.0)
+        assert w.max() == 1.0
 
 
 class TestPrototypeDesign:
@@ -105,7 +137,7 @@ class TestSynthesis:
     def test_containment_improves_with_attenuation(self):
         leak = []
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             for atten in (40.0, 60.0, 80.0):
                 bank = FilterBankSpec.chebyshev(512, 4, 129, atten_db=atten)
                 s_f = np.zeros(512, dtype=complex)
