@@ -615,9 +615,9 @@ class TestCli:
         ({"du_atten_db": 1e6}, "du_atten_db"),
         ({"rw_window_param": 1e6}, "rw_window_param"),
         ({"snr_grid_db": [-5000]}, "snr_grid_db"),
-        ({"n": 75140865}, "m * n"),
         ({"experiment": "loopback", "m": 64, "n": 8, "rw_window_param": 1000, "n_frames": 3,
           "schemes": ["rw_otfs"]}, "rw_window_param"),
+        ({"n": 75140865}, "m * n"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"
