@@ -11,13 +11,10 @@ baseline (``rw_otfs``) is :class:`ddwave.scfdma.CpOtfsModem` with a window.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
-import scipy.linalg
 
 from . import channel as chan
-from .detect import StructuredMmse
+from .detect import StructuredMmse, banded_factor
 from .scfdma import ProbedModem, zak_demodulate, zak_modulate
 from .transforms import DimensionError, FrameGeometry, blockwise_dft
 from .ufmc import FilterBankSpec, UfmcOperators, ufmc_analyze
@@ -51,12 +48,12 @@ class DrUfmcModem(ProbedModem):
         if f_blocks.shape[:2] != (self.geom.N, self.geom.M):
             raise DimensionError(
                 f"expected leading shape {(self.geom.N, self.geom.M)}, got {f_blocks.shape[:2]}")
-        filtered = np.einsum("lm,nm...->nl...", self.block_mod, f_blocks)
-        out = np.zeros((self.rx_len,) + f_blocks.shape[2:], dtype=complex)
         m, block_len = self.geom.M, self.bank.out_len
+        filtered = self.block_mod @ f_blocks.reshape(self.geom.N, m, -1)
+        out = np.zeros((self.rx_len, filtered.shape[2]), dtype=complex)
         for n in range(self.geom.N):
             out[n * m:n * m + block_len] += filtered[n]
-        return out
+        return out.reshape((self.rx_len,) + f_blocks.shape[2:])
 
     def modulate(self, d) -> np.ndarray:
         d = np.asarray(d)
@@ -100,9 +97,6 @@ class DrUfmcModem(ProbedModem):
             t[rows, cols] = resp[rows, j % c * m:(j % c + 1) * m]
             g[j * m:(j + c) * m, cols] = t[rows, j * m:(j + c) * m].conj().T @ t[rows, cols]
         band = g[np.arange(c * m)[:, None] + np.arange(n), np.arange(n)]  # band[i, q] = G[q + i, q]
-
-        def factor(var):
-            cb = scipy.linalg.cholesky_banded(np.vstack([band[:1] + var, band[1:]]), lower=True)
-            return functools.partial(scipy.linalg.cho_solve_banded, (cb, True))
-        return StructuredMmse(t[:, :n].conj().T, factor, lambda y: zak_modulate(y, self.geom),
+        return StructuredMmse(t[:, :n].conj().T, banded_factor(band, np.arange(n)),
+                              lambda y: zak_modulate(y, self.geom),
                               lambda x: zak_demodulate(x, self.geom))

@@ -24,7 +24,6 @@ import numpy as np
 
 from .channel import DOPPLER_MODELS, PROFILES, ChannelConfig, quantized_profile
 from .metrics import band_has_welch_bin
-from .ufmc import dolph_chebyshev_window
 
 EXPERIMENTS = ("loopback", "impulse_leakage", "sidelobes", "psd", "ber_sweep", "oracle_suite")
 SCHEMES = ("otfs", "gf_otfs", "rw_otfs", "dr_ufmc")
@@ -259,7 +258,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _expect(len(set(cfg.schemes)) == len(cfg.schemes),
             f"schemes: each scheme may appear once, got {list(cfg.schemes)}")
     _expect(cfg.qam_order in (4, 16, 64), f"qam_order: {cfg.qam_order} not in (4, 16, 64)")
-    inf = math.inf
+    inf, snr_max = math.inf, -10.0 * math.log10(max(cfg.n_sc, 1) * np.finfo(float).eps)
     for key, value, lo, hi in (
             ("m", cfg.m, 1, inf), ("n", cfg.n, 1, inf), ("n_sc_rb", cfg.n_sc_rb, 1, inf),
             # the modems hold dense (m*n)-square complex matrices: 4 GiB at 2^14
@@ -276,9 +275,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
             ("channel.n_taps", cfg.channel.n_taps, 1, inf),
             ("channel.carrier_hz", cfg.channel.carrier_hz, 0, inf),
             ("channel.delay_spread_s", cfg.channel.delay_spread_s, 0, inf),
-            # 10^(-snr/10) overflows far below -300 dB; the detectors need a positive variance
-            ("snr_grid_db", min(cfg.snr_grid_db), -300, 300),
-            ("snr_grid_db", max(cfg.snr_grid_db), -300, 300)):
+            # 10^(-snr/10) overflows far below -300 dB; above -10 log10(m*n*eps) dB the
+            # noise variance is lost in the rounding of the detectors' Gram
+            ("snr_grid_db", min(cfg.snr_grid_db), -300, snr_max),
+            ("snr_grid_db", max(cfg.snr_grid_db), -300, snr_max)):
         _expect(lo <= value <= hi, f"{key}: {value!r} outside [{lo}, {hi}]")
     if "gf_otfs" in cfg.schemes:
         _expect(cfg.n_sc % cfg.n_sc_rb == 0,
@@ -295,11 +295,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _expect(0 < value <= 1000,
                 f"{key}: Dolph-Chebyshev attenuation {value!r} dB outside (0, 1000]")
     if "rw_otfs" in cfg.schemes:
-        # rw_otfs's window; at 512 samples it first goes non-positive at 296 dB
-        w = dolph_chebyshev_window(cfg.n_sc, cfg.rw_window_param)
-        _expect(bool(np.all(np.isfinite(w) & (w > 0))),
-                f"rw_window_param: the {cfg.n_sc}-sample Dolph-Chebyshev window at "
-                f"{cfg.rw_window_param!r} dB has non-positive or non-finite samples")
+        # up to -20 log10(2*m*n*eps) dB every sample of rw_otfs's window is positive
+        # (checked in 0.5 dB steps for lengths 2 to 300 and 11 more up to 2^14)
+        rw_max = -20.0 * math.log10(2 * cfg.n_sc * np.finfo(float).eps)
+        _expect(cfg.rw_window_param <= rw_max,
+                f"rw_window_param: {cfg.rw_window_param!r} dB above {rw_max:.1f} dB, where the "
+                f"{cfg.n_sc}-sample Dolph-Chebyshev window may round to non-positive samples")
     _expect(cfg.channel.profile in PROFILES,
             f"channel.profile: unknown value {cfg.channel.profile!r}")
     _expect(cfg.channel.doppler_model in DOPPLER_MODELS,

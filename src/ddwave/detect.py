@@ -1,8 +1,8 @@
 """Symbol detection: regularized linear (MMSE) equalization and Gray-coded QAM.
 
 A modem's ``detector(ch)`` is a :class:`StructuredMmse` with
-``solve(y, noise_var)``; :class:`MmseEqualizer` on the dense probed effective
-channel is the oracle of every detector.
+``solve(y, noise_var)`` that factors by :func:`banded_factor`;
+:class:`MmseEqualizer` on the dense probed effective channel is their oracle.
 """
 
 from __future__ import annotations
@@ -80,49 +80,15 @@ def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
     return bits.ravel()
 
 
-class MmseEqualizer:
-    """Dense linear MMSE detector for a fixed effective channel.
-
-    It is the oracle that every modem's structured detector is tested
-    against; no experiment runs it.
-
-    Caches the Gram matrix so that solves at several noise levels reuse the
-    expensive product; ``gram`` holds its upper triangle only (zherk), the
-    half cho_factor reads. The solve is (H^H H + var I) d = H^H y via
-    Cholesky; no explicit inverse is formed.
-    """
-
-    def __init__(self, h_eff: np.ndarray):
-        h_eff = np.asarray(h_eff)
-        if h_eff.ndim != 2 or h_eff.shape[0] != h_eff.shape[1]:
-            raise ValueError(f"effective channel must be square, got {h_eff.shape}")
-        self.h_eff = h_eff
-        self.gram = scipy.linalg.blas.zherk(1.0, h_eff, trans=2, lower=0)
-        self._n = h_eff.shape[0]
-
-    def solve(self, d_tilde: np.ndarray, noise_var: float) -> np.ndarray:
-        if noise_var < 0:
-            raise ValueError("noise_var must be nonnegative")
-        rhs = self.h_eff.conj().T @ d_tilde
-        a = self.gram if noise_var == 0.0 else self.gram + noise_var * np.eye(self._n)
-        try:
-            factor = scipy.linalg.cho_factor(a, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            if noise_var == 0.0:
-                raise RegularizationRequiredError(
-                    "singular effective channel with noise_var=0; "
-                    "a positive noise variance is required") from exc
-            raise
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-
-
 class StructuredMmse:
     """Linear MMSE for an effective channel U T U^H, with U unitary and T structured.
 
     As U^H H^H H U = T^H T, the solve is d = U (T^H T + var I)^-1 T^H U^H y and
     never forms H. ``t_h`` applies T^H with ``@`` (a matrix or a linear
     operator), ``to_t`` applies U^H, ``from_t`` applies U, and ``factor(var)``
-    factors T^H T + var I and returns its solver.
+    factors T^H T + var I and returns its solver. The contract: at
+    ``noise_var == 0`` a singular T raises :class:`RegularizationRequiredError`,
+    and at a positive ``noise_var`` an all-zero T gives exact zeros.
     """
 
     def __init__(self, t_h, factor, to_t, from_t):
@@ -131,4 +97,61 @@ class StructuredMmse:
     def solve(self, y: np.ndarray, noise_var: float) -> np.ndarray:
         if noise_var < 0:
             raise ValueError("noise_var must be nonnegative")
-        return self.from_t(self.factor(noise_var)(self.t_h @ self.to_t(y)))
+        try:
+            solver = self.factor(noise_var)
+        except np.linalg.LinAlgError as exc:
+            if noise_var == 0.0:
+                raise RegularizationRequiredError("a singular channel needs noise_var > 0") from exc
+            raise
+        return self.from_t(solver(self.t_h @ self.to_t(y)))
+
+
+class MmseEqualizer(StructuredMmse):
+    """Dense linear MMSE detector for a fixed effective channel (T = H, U = I).
+
+    It is the oracle that every modem's structured detector is tested
+    against; no experiment runs it.
+
+    Caches the Gram matrix so that solves at several noise levels reuse the
+    expensive product; ``gram`` holds its upper triangle only (zherk), the
+    half cho_factor reads; no explicit inverse is formed.
+    """
+
+    def __init__(self, h_eff: np.ndarray):
+        h_eff = np.asarray(h_eff)
+        if h_eff.ndim != 2 or h_eff.shape[0] != h_eff.shape[1]:
+            raise ValueError(f"effective channel must be square, got {h_eff.shape}")
+        self.gram = scipy.linalg.blas.zherk(1.0, h_eff, trans=2, lower=0)
+
+        def factor(var):
+            a = self.gram if var == 0.0 else self.gram + var * np.eye(h_eff.shape[0])
+            c = scipy.linalg.cho_factor(a, check_finite=False)
+            return lambda rhs: scipy.linalg.cho_solve(c, rhs, check_finite=False)
+        super().__init__(h_eff.conj().T, factor, lambda y: y, lambda x: x)
+
+
+def cyclic_band_factor(gram, half_width: int):
+    """:func:`banded_factor` of a sparse Hermitian Gram that is a cyclic band of ``half_width``.
+
+    In the reflected order 0, n-1, 1, n-2, ... it is a plain band of 2 * half_width."""
+    n = gram.shape[0]
+    order = np.empty(n, dtype=int)
+    order[0::2], order[1::2] = np.arange((n + 1) // 2), n - 1 - np.arange(n // 2)
+    g, pos = gram.tocoo(), np.argsort(order)
+    r, q = pos[g.row], pos[g.col]
+    low = r >= q
+    band = np.zeros((min(2 * half_width, n - 1) + 1, n), dtype=complex)
+    band[(r - q)[low], q[low]] = g.data[low]
+    return banded_factor(band, order)
+
+
+def banded_factor(band: np.ndarray, order: np.ndarray):
+    """``factor(var)``: one banded Cholesky of G + var I, band[i, q] = G[order[q + i], order[q]]."""
+    pos = np.argsort(order)
+
+    def factor(var):
+        cb = scipy.linalg.cholesky_banded(np.vstack([band[:1] + var, band[1:]]), lower=True,
+                                          check_finite=False)
+        return lambda v: scipy.linalg.cho_solve_banded((cb, True), v[order],
+                                                       check_finite=False)[pos]
+    return factor

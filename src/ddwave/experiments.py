@@ -330,7 +330,11 @@ def _ber_frame(frame_idx: int):
         per_snr = np.zeros(len(cfg.snr_grid_db), dtype=np.int64)
         for si, snr_db in enumerate(cfg.snr_grid_db):
             var = 10.0 ** (-snr_db / 10.0)
-            d_hat = detector.solve(y0 + np.sqrt(var) * y_eta, var)
+            try:
+                d_hat = detector.solve(y0 + np.sqrt(var) * y_eta, var)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure(
+                    f"{name} detector failed: frame {frame_idx}, {snr_db} dB: {exc}") from exc
             _check_finite(f"{name} MMSE output, frame {frame_idx}", d_hat)
             per_snr[si] = np.sum(qam_demap(d_hat, cfg.qam_order) != bits)
         errors[name] = per_snr

@@ -16,12 +16,11 @@ band.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from . import channel as chan
-from .detect import RegularizationRequiredError, StructuredMmse
+from .detect import StructuredMmse, cyclic_band_factor
 from .scfdma import ProbedModem
 from .transforms import FrameGeometry, to_delay_doppler, to_frequency_doppler
 from .ufmc import FilterBankSpec, UfmcOperators, ufmc_analyze
@@ -31,11 +30,10 @@ from .ufmc import FilterBankSpec, UfmcOperators, ufmc_analyze
 # colours) needs 3-6 iterations and about 28 ms of detection a frame at 3 SNR
 # points; 8 needs 4-11 (31 ms) and 16, with 64 colours, 3-5 (32 ms).
 BAND_HALF_WIDTH = 12
-# CG stops at this residual relative to the right-hand side and gives up after
-# CG_MAX_ITERATIONS steps. Over 40 such frames the largest deviation from the
-# dense MMSE was 4.4e-11 at 1e-13 and 6.9e-12 at 1e-14, against a bound of 1e-10.
+# CG stops at this residual relative to the right-hand side. Over 40 such frames
+# the largest deviation from the dense MMSE was 4.4e-11 at 1e-13 and 6.9e-12 at
+# 1e-14, against a bound of 1e-10.
 CG_RTOL = 1e-14
-CG_MAX_ITERATIONS = 100
 
 
 class GfOtfsModem(ProbedModem):
@@ -73,8 +71,8 @@ class GfOtfsModem(ProbedModem):
         sparse delay-time H and the analysis, never formed. The preconditioner
         is the cyclic band |i - j| <= b of A, recovered from ``n_colours``
         coloured probe columns (Curtis, Powell & Reid 1974). Its Gram, a
-        cyclic band of 2b, becomes a plain band of 4b in the reflected order
-        0, n-1, 1, n-2, ... and is factored with ``cholesky_banded``.
+        cyclic band of 2b, is factored by :func:`ddwave.detect.cyclic_band_factor`.
+        CG gives up after n iterations, its bound in exact arithmetic.
         """
         n, c = self.geom.n_sc, self.n_colours
         h = chan.delay_time_matrix(ch, self.rx_len)
@@ -96,37 +94,20 @@ class GfOtfsModem(ProbedModem):
         rows = (cols + offs[:, None]) % n
         a_band = scipy.sparse.csc_array((resp[rows, cols % c].ravel(),
                                          (rows.ravel(), cols.ravel())), shape=(n, n))
-        g = (a_band.conj().T @ a_band).tocoo()
-        order = np.empty(n, dtype=int)
-        order[0::2], order[1::2] = np.arange((n + 1) // 2), n - 1 - np.arange(n // 2)
-        pos = np.argsort(order)
-        r, q = pos[g.row], pos[g.col]
-        low = r >= q
-        band = np.zeros((int((r - q)[low].max()) + 1, n), dtype=complex)
-        band[(r - q)[low], q[low]] = g.data[low]
+        band_factor = cyclic_band_factor(a_band.conj().T @ a_band, 2 * BAND_HALF_WIDTH)
 
         def factor(var):
-            try:
-                cb = scipy.linalg.cholesky_banded(np.vstack([band[:1] + var, band[1:]]),
-                                                  lower=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                if var == 0.0:
-                    raise RegularizationRequiredError(
-                        "singular band preconditioner with noise_var=0; "
-                        "a positive noise variance is required") from exc
-                raise
+            precond = _operator(n, band_factor(var))
             gram = _operator(n, lambda v: a_h(a(v)) + var * v)
-            precond = _operator(n, lambda v: scipy.linalg.cho_solve_banded(
-                (cb, True), v[order], check_finite=False)[pos])
 
             def solve(rhs):
                 # Hestenes & Stiefel 1952, from the preconditioner's solution
                 x, info = scipy.sparse.linalg.cg(gram, rhs, precond @ rhs, rtol=CG_RTOL,
-                                                 maxiter=CG_MAX_ITERATIONS, M=precond)
+                                                 maxiter=n, M=precond)
                 if info and np.all(np.isfinite(x)):  # a non-finite x is the caller's to report
                     raise np.linalg.LinAlgError(
                         f"conjugate gradients did not reach relative residual {CG_RTOL:.0e} "
-                        f"in {CG_MAX_ITERATIONS} iterations")
+                        f"in {n} iterations")
                 return x
             return solve
         return StructuredMmse(_operator(n, a_h), factor,

@@ -13,20 +13,21 @@ CP schemes: plain OTFS (``otfs``, no window) and receiver-windowed OTFS
 (``rw_otfs``), which multiplies the kept delay-time samples by a global
 Dolph-Chebyshev window with ``window_db`` dB sidelobe attenuation to tame
 Doppler-induced leakage, and with ``tx_window`` also the transmitted ones
-for sidelobe studies. Its ``detector`` solves on a sparse time-domain
-channel built straight from the taps, with no probe.
+for sidelobe studies. Its ``detector`` factors the banded Gram of a sparse
+time-domain channel built straight from the taps, with no probe.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg
+import scipy.sparse
 
 from . import channel as chan
-from .detect import StructuredMmse
+from .detect import StructuredMmse, cyclic_band_factor
 from .transforms import (
     DimensionError,
     FrameGeometry,
+    _check_first_axis,
     add_cp,
     full_dft,
     remove_cp,
@@ -38,21 +39,15 @@ from .ufmc import dolph_chebyshev_window
 
 def zak_modulate(d, geom: FrameGeometry) -> np.ndarray:
     """Delay-Doppler to delay-time: inverse DFT over the Doppler axis per delay bin."""
-    d = np.asarray(d)
-    if d.shape[0] != geom.n_sc:
-        raise DimensionError(f"expected leading dimension {geom.n_sc}, got {d.shape[0]}")
-    rest = d.shape[1:]
-    v = d.reshape((geom.N, geom.M) + rest)
+    d = _check_first_axis(d, geom.n_sc, "zak_modulate")
+    v = d.reshape((geom.N, geom.M) + d.shape[1:])
     return (np.fft.ifft(v, axis=0) * np.sqrt(geom.N)).reshape(d.shape)
 
 
 def zak_demodulate(s_t, geom: FrameGeometry) -> np.ndarray:
     """Inverse of :func:`zak_modulate`: forward DFT over the Doppler axis."""
-    s_t = np.asarray(s_t)
-    if s_t.shape[0] != geom.n_sc:
-        raise DimensionError(f"expected leading dimension {geom.n_sc}, got {s_t.shape[0]}")
-    rest = s_t.shape[1:]
-    v = s_t.reshape((geom.N, geom.M) + rest)
+    s_t = _check_first_axis(s_t, geom.n_sc, "zak_demodulate")
+    v = s_t.reshape((geom.N, geom.M) + s_t.shape[1:])
     return (np.fft.fft(v, axis=0) / np.sqrt(geom.N)).reshape(s_t.shape)
 
 
@@ -127,11 +122,12 @@ class CpOtfsModem(ProbedModem):
         return self._from_time(kept)
 
     def detector(self, ch: chan.LtvChannelRealization) -> StructuredMmse:
-        """Structured MMSE on K = W_rx B_cp H A_cp W_tx, one ``splu`` per noise variance.
+        """Structured MMSE on K = W_rx B_cp H A_cp W_tx, one banded Cholesky per noise variance.
 
         The effective channel is Gamma^H F K F^H Gamma. K is rows cp: of the
         sparse delay-time matrix H times the CP insertion A_cp, then the
-        windows, with no probe: n_taps entries a row.
+        windows, with no probe: its entries lie at (k, (k - tau_l) mod n), so
+        K^H K is a cyclic band of half-width tau_max.
         """
         n, cp, w = self.geom.n_sc, self.cp_len, self.window_values
         j = np.arange(n + cp)
@@ -142,7 +138,5 @@ class CpOtfsModem(ProbedModem):
             if self.tx_window:
                 k_mat = k_mat @ scipy.sparse.diags_array(w)
         k_h = k_mat.conj().T
-        gram, eye = k_h @ k_mat, scipy.sparse.identity(n, format="csc")
-        return StructuredMmse(
-            k_h, lambda var: scipy.sparse.linalg.splu((gram + var * eye).tocsc()).solve,
-            self._to_time, self._from_time)
+        return StructuredMmse(k_h, cyclic_band_factor(k_h @ k_mat, int(ch.tap_delays[-1])),
+                              self._to_time, self._from_time)

@@ -220,10 +220,27 @@ class TestStructuredMmse:
         assert set(summary) == set(_STRUCTURED)
         assert max(widths) == 192
 
+    @pytest.mark.parametrize("scheme", _STRUCTURED)
+    def test_an_all_zero_channel_needs_regularization(self, scheme):
+        # the contract: a singular channel raises at noise_var 0, and an all-zero
+        # one gives exact zeros at a positive noise_var
+        cfg = config_from_dict({"experiment": "ber_sweep", "schemes": [scheme], "m": 8, "n": 4,
+                                "gf_filter_len": 9, "du_filter_len": 5})
+        modem = build_modems(cfg)[scheme]
+        ch = chan.LtvChannelRealization(np.arange(5),
+                                        np.zeros((5, modem.rx_len + 8), dtype=complex))
+        y = modem.demodulate(chan.complex_noise(np.random.default_rng(8), modem.rx_len))
+        detector = modem.detector(ch)
+        with pytest.raises(RegularizationRequiredError):
+            detector.solve(y, 0.0)
+        d_hat = detector.solve(y, 0.5)
+        assert d_hat.shape == y.shape
+        assert not np.any(d_hat)
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_conjugate_gradients_capped_below_convergence_raise(self, monkeypatch):
         # a non-finite input is no convergence failure: it comes back non-finite, for exit 3
-        from ddwave import gfotfs
+        import scipy.sparse.linalg
         cfg = config_from_dict({"experiment": "ber_sweep", "schemes": ["gf_otfs"]})
         modem = build_modems(cfg)["gf_otfs"]
         ch = chan.generate_channel(channel_config(cfg), modem.rx_len + 8, seed=3,
@@ -231,7 +248,9 @@ class TestStructuredMmse:
         y = modem.demodulate(chan.complex_noise(np.random.default_rng(8), modem.rx_len))
         detector = modem.detector(ch)
         detector.solve(y, 1e-4)  # converges within the default cap
-        monkeypatch.setattr(gfotfs, "CG_MAX_ITERATIONS", 1)
+        real_cg = scipy.sparse.linalg.cg
+        monkeypatch.setattr(scipy.sparse.linalg, "cg",
+                            lambda *args, **kwargs: real_cg(*args, **kwargs | {"maxiter": 1}))
         with pytest.raises(np.linalg.LinAlgError, match="conjugate gradients"):
             detector.solve(y, 1e-4)
         assert np.all(np.isnan(detector.solve(np.full_like(y, np.nan), 1e-4)))

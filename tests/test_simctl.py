@@ -618,6 +618,7 @@ class TestCli:
         ({"experiment": "loopback", "m": 64, "n": 8, "rw_window_param": 1000, "n_frames": 3,
           "schemes": ["rw_otfs"]}, "rw_window_param"),
         ({"n": 75140865}, "m * n"),
+        ({"snr_grid_db": [180.0]}, "snr_grid_db"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"
@@ -629,7 +630,7 @@ class TestCli:
         assert field in capsys.readouterr().err
 
     def test_largest_accepted_window_decodes_the_loopback(self, tmp_path):
-        # the 512-sample window goes non-positive at 296 dB but not at 297, so scan down from 1000
+        # the largest accepted attenuation is -20 log10(2 * 512 * eps) = 252.9 dB; scan down to it
         raw = {"experiment": "loopback", "n_frames": 3, "schemes": ["rw_otfs"], "seed": 5,
                "output_dir": str(tmp_path)}
 
@@ -639,7 +640,7 @@ class TestCli:
             except ConfigError:
                 return None
         cfg = next(c for c in map(accepted, np.arange(1000.0, 0.0, -0.5)) if c is not None)
-        assert 290.0 < cfg.rw_window_param < 1000.0
+        assert cfg.rw_window_param == np.floor(-40 * np.log10(2 * 512 * np.finfo(float).eps)) / 2
         assert run_experiment(cfg).summary["rw_otfs"]["total_errors"] == 0
 
     @pytest.mark.parametrize("content", [
@@ -685,6 +686,27 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "run_experiment", boom)
         assert cli_main(["run", str(cfgfile)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_a_failed_ber_solve_exits_three(self, tmp_path, capsys, monkeypatch):
+        from ddwave.detect import StructuredMmse
+
+        def failed_solve(self, d_tilde, noise_var):
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+        monkeypatch.setattr(StructuredMmse, "solve", failed_solve)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(_SMALL_SWEEP | {"schemes": ["rw_otfs"],
+                                                      "snr_grid_db": [12.5],
+                                                      "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(cfgfile)]) == 3
+        assert "rw_otfs detector failed: frame 0, 12.5 dB" in capsys.readouterr().err
+
+    def test_gf_otfs_at_1024_bins_converges(self, tmp_path):
+        # 16 x 64 frames need up to 140 conjugate-gradient iterations at 40 dB
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "m": 16, "n": 64, "gf_filter_len": 9, "snr_grid_db": [40.0], "n_frames": 2,
+            "schemes": ["gf_otfs"], "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(cfgfile)]) == 0
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_nan_in_a_ber_solve_exits_three(self, tmp_path, capsys, monkeypatch, workers):
