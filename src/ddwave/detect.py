@@ -130,17 +130,19 @@ class MmseEqualizer(StructuredMmse):
         super().__init__(h_eff.conj().T, factor, lambda y: y, lambda x: x)
 
 
-def cyclic_band_factor(gram, half_width: int):
-    """:func:`banded_factor` of a sparse Hermitian Gram that is a cyclic band of ``half_width``.
+def cyclic_band_factor(gram):
+    """:func:`banded_factor` of a sparse Hermitian Gram that is a cyclic band.
 
-    In the reflected order 0, n-1, 1, n-2, ... it is a plain band of 2 * half_width."""
+    In the reflected order 0, n-1, 1, n-2, ... a cyclic band of half-width b is a
+    plain band of 2b; the band is as high as the Gram's entries need, one row if
+    it has none."""
     n = gram.shape[0]
     order = np.empty(n, dtype=int)
     order[0::2], order[1::2] = np.arange((n + 1) // 2), n - 1 - np.arange(n // 2)
     g, pos = gram.tocoo(), np.argsort(order)
     r, q = pos[g.row], pos[g.col]
     low = r >= q
-    band = np.zeros((min(2 * half_width, n - 1) + 1, n), dtype=complex)
+    band = np.zeros((int((r - q)[low].max(initial=0)) + 1, n), dtype=complex)
     band[(r - q)[low], q[low]] = g.data[low]
     return banded_factor(band, order)
 

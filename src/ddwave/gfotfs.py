@@ -94,7 +94,7 @@ class GfOtfsModem(ProbedModem):
         rows = (cols + offs[:, None]) % n
         a_band = scipy.sparse.csc_array((resp[rows, cols % c].ravel(),
                                          (rows.ravel(), cols.ravel())), shape=(n, n))
-        band_factor = cyclic_band_factor(a_band.conj().T @ a_band, 2 * BAND_HALF_WIDTH)
+        band_factor = cyclic_band_factor(a_band.conj().T @ a_band)
 
         def factor(var):
             precond = _operator(n, band_factor(var))

@@ -138,5 +138,5 @@ class CpOtfsModem(ProbedModem):
             if self.tx_window:
                 k_mat = k_mat @ scipy.sparse.diags_array(w)
         k_h = k_mat.conj().T
-        return StructuredMmse(k_h, cyclic_band_factor(k_h @ k_mat, int(ch.tap_delays[-1])),
+        return StructuredMmse(k_h, cyclic_band_factor(k_h @ k_mat),
                               self._to_time, self._from_time)

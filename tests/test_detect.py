@@ -176,6 +176,9 @@ class TestStructuredMmse:
                       "channel": {"delay_spread_s": 5e-7}}, id="8x8-two-blocks-below"),
         # four times the default 500 km/h spreads inter-Doppler interference wider
         pytest.param({"channel": {"speed_mps": 4 * 500.0 / 3.6}}, id="high-doppler"),
+        # 53 has no divisor to colour gf_otfs's probe by: it keeps all of A, whose
+        # Gram is dense
+        pytest.param({"m": 53, "n": 1, "n_sc_rb": 1}, id="53x1-one-colour-a-column"),
     ])
     def test_matches_the_dense_oracle(self, override, one_blas_thread):
         cfg = config_from_dict({"experiment": "ber_sweep", "schemes": _STRUCTURED} | override)
