@@ -1,9 +1,10 @@
 """Linear time-varying tapped-delay-line channel, AWGN, and delay-time matrices.
 
 A realization holds per-tap integer delays and complex gain sequences g_l[i]
-over the sample index i. Applying the channel computes
-y[i] = sum_l g_l[i] * x[i - tau_l], which matches the banded delay-time matrix
-H with H[i, j] = h[i - j, i].
+over the sample index i. The sparse banded delay-time matrix H with
+H[i, j] = h[i - j, i] is the one definition of the channel: applying it to a
+signal computes y[i] = sum_l g_l[i] * x[i - tau_l], and the CP and gf_otfs
+detectors multiply the same matrix.
 """
 
 from __future__ import annotations
@@ -164,35 +165,28 @@ def apply_channel(x: np.ndarray, ch: LtvChannelRealization,
     matrices.
     """
     x = np.asarray(x)
-    n = x.shape[0]
-    full_len = n + ch.channel_len - 1
     if out_len is None:
-        out_len = full_len
-    if ch.span < min(out_len, full_len):
-        raise ValueError(f"realization spans {ch.span} samples, need {min(out_len, full_len)}")
-    y = np.zeros((out_len,) + x.shape[1:], dtype=complex)
-    for tap in range(ch.n_taps):
-        tau = int(ch.tap_delays[tap])
-        stop = min(out_len, tau + n)
-        if stop <= tau:
-            continue
-        g = ch.gains[tap, tau:stop]
-        y[tau:stop] += g.reshape((-1,) + (1,) * (x.ndim - 1)) * x[:stop - tau]
-    return y
+        out_len = x.shape[0] + ch.channel_len - 1
+    return delay_time_matrix(ch, out_len, x.shape[0]) @ x
 
 
-def delay_time_matrix(ch: LtvChannelRealization, k: int) -> scipy.sparse.csr_array:
-    """Sparse K x K banded matrix H[i, j] = h[i - j, i], built from the taps.
+def delay_time_matrix(ch: LtvChannelRealization, k: int,
+                      n: int | None = None) -> scipy.sparse.csr_array:
+    """Sparse k x n (default k x k) banded matrix H[i, j] = h[i - j, i], built from the taps.
 
-    Row i holds g_l[i] at column i - tau_l for every tap with tau_l <= i, so
-    ``H @ x`` equals ``apply_channel(x, ch, out_len=K)`` for a length-K x.
+    Row i holds g_l[i] at column i - tau_l for every tap with
+    0 <= i - tau_l < n, so ``H @ x`` is the channel output of a length-n x
+    cut to k samples. Rows past n + L - 1 are empty and read no gains.
     """
-    if ch.span < k:
-        raise ValueError(f"realization spans {ch.span} samples, need {k}")
-    i, tau = np.arange(k), ch.tap_delays[:, None]
-    hit = i >= tau
-    rows = np.broadcast_to(i, hit.shape)[hit]
-    return scipy.sparse.csr_array((ch.gains[:, :k][hit], (rows, (i - tau)[hit])), shape=(k, k))
+    n = k if n is None else n
+    rows = min(k, n + ch.channel_len - 1)
+    if ch.span < rows:
+        raise ValueError(f"realization spans {ch.span} samples, need {rows}")
+    i, tau = np.arange(rows), ch.tap_delays[:, None]
+    hit = (i >= tau) & (i - tau < n)
+    return scipy.sparse.csr_array(
+        (ch.gains[:, :rows][hit], (np.broadcast_to(i, hit.shape)[hit], (i - tau)[hit])),
+        shape=(k, n))
 
 
 def complex_noise(rng, n: int) -> np.ndarray:

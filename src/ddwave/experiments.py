@@ -148,8 +148,7 @@ def _active_band_tx(modems: dict, cfg: ExperimentConfig, frame_idx: int,
 def run_loopback(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
     modems = build_modems(cfg)
     k = int(np.log2(cfg.qam_order))
-    span = max(m.rx_len for m in modems.values()) + 8
-    ident = chan.identity_channel(span)
+    ident = chan.identity_channel(max(m.rx_len for m in modems.values()))
     detectors = {name: m.detector(ident) for name, m in modems.items()}
     summary, paths = {}, {}
     for name, modem in modems.items():
@@ -175,7 +174,7 @@ def run_impulse_leakage(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dic
     modems = build_modems(cfg)
     ch_cfg = channel_config(cfg)
     geom = next(iter(modems.values())).geom
-    span = max(m.rx_len for m in modems.values()) + cfg.channel.n_taps + 8
+    span = max(m.rx_len for m in modems.values())
     ch = chan.generate_channel(ch_cfg, span, seed=seedseq_for(cfg.seed, _P_CHANNEL, 0),
                                delta_nu_hz=geom.delta_nu_hz)
     m0, n0 = cfg.leakage_center
@@ -316,8 +315,7 @@ def _ber_frame(frame_idx: int):
 
     bits = rng_for(cfg.seed, _P_BITS, frame_idx).integers(0, 2, size=cfg.n_sc * k)
     d = qam_map(bits, cfg.qam_order)
-    ch = chan.generate_channel(ch_cfg, max_rx + cfg.channel.n_taps + 8,
-                               seed=seedseq_for(cfg.seed, _P_CHANNEL, frame_idx),
+    ch = chan.generate_channel(ch_cfg, max_rx, seed=seedseq_for(cfg.seed, _P_CHANNEL, frame_idx),
                                delta_nu_hz=geom.delta_nu_hz)
     eta = chan.complex_noise(rng_for(cfg.seed, _P_NOISE, frame_idx), max_rx)
 

@@ -13,8 +13,9 @@ CP schemes: plain OTFS (``otfs``, no window) and receiver-windowed OTFS
 (``rw_otfs``), which multiplies the kept delay-time samples by a global
 Dolph-Chebyshev window with ``window_db`` dB sidelobe attenuation to tame
 Doppler-induced leakage, and with ``tx_window`` also the transmitted ones
-for sidelobe studies. Its ``detector`` factors the banded Gram of a sparse
-time-domain channel built straight from the taps, with no probe.
+for sidelobe studies. Its prefix and windows are two sparse operators that
+``modulate``, ``demodulate`` and ``detector`` all multiply; the detector
+factors the banded Gram of ``rx H tx``, with no probe.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ from .transforms import (
     DimensionError,
     FrameGeometry,
     _check_first_axis,
-    add_cp,
     full_dft,
-    remove_cp,
     to_delay_doppler,
     to_frequency_doppler,
 )
@@ -77,25 +76,32 @@ class CpOtfsModem(ProbedModem):
     With ``window_db`` set, a length-M*N Dolph-Chebyshev window of that
     sidelobe attenuation in dB, peak normalized to 1, multiplies the
     delay-time samples after CP removal, and with ``tx_window`` also before
-    the CP is added.
+    the CP is added. The prefix and the windows are two sparse operators,
+    built once: ``tx = A_cp W_tx``, (n+cp) x n, and ``rx = W_rx B_cp``,
+    n x (n+cp), with W = I where there is no window.
     """
 
     def __init__(self, geom: FrameGeometry, cp_len: int = 0,
                  window_db: float | None = None, tx_window: bool = False):
-        if cp_len < 0:
-            raise DimensionError(f"cp_len must be nonnegative, got {cp_len}")
+        n = geom.n_sc
+        if not 0 <= cp_len <= n:
+            raise DimensionError(f"cp_len must be in [0, {n}] (M*N), got {cp_len}")
         if tx_window and window_db is None:
             raise ValueError("tx_window requires window_db")
         self.geom = geom
         self.cp_len = cp_len
         self.window_values = None
         if window_db is not None:
-            self.window_values = dolph_chebyshev_window(geom.n_sc, window_db)
+            self.window_values = dolph_chebyshev_window(n, window_db)
         self.tx_window = tx_window
-        self.rx_len = geom.n_sc + cp_len
-
-    def _windowed(self, s_t: np.ndarray) -> np.ndarray:
-        return s_t * self.window_values.reshape((-1,) + (1,) * (s_t.ndim - 1))
+        self.rx_len = n + cp_len
+        ones = np.ones(n)
+        w_rx = ones if window_db is None else self.window_values
+        w_tx = self.window_values if tx_window else ones
+        j = np.arange(self.rx_len)
+        col = (j - cp_len) % n
+        self.tx = scipy.sparse.csr_array((w_tx[col], (j, col)), shape=(self.rx_len, n))
+        self.rx = scipy.sparse.csr_array((w_rx, (j[:n], j[cp_len:])), shape=(n, self.rx_len))
 
     def _to_time(self, d) -> np.ndarray:
         return full_dft(to_frequency_doppler(d, self.geom), inverse=True)
@@ -104,39 +110,27 @@ class CpOtfsModem(ProbedModem):
         return to_delay_doppler(full_dft(s_t), self.geom)
 
     def modulate(self, d) -> np.ndarray:
-        """Frequency-Doppler route F_MN^H Gamma d, the TX window if on, then the CP."""
-        s_t = self._to_time(d)
-        if self.tx_window:
-            s_t = self._windowed(s_t)
-        return add_cp(s_t, self.cp_len)
+        """tx F_MN^H Gamma d: the frequency-Doppler route, then the TX window if on and the CP."""
+        return self.tx @ self._to_time(d)
 
     def demodulate(self, r) -> np.ndarray:
-        """CP removal, the RX window if any, full DFT, then the inverse frequency-Doppler route.
+        """Gamma^H F_MN rx r: CP removal and the RX window if any, then the inverse route.
 
         Samples beyond rx_len (the channel tail) are dropped; shorter input
         is rejected. Works columnwise on matrices.
         """
-        kept = remove_cp(np.asarray(r)[:self.rx_len], self.cp_len, self.geom.n_sc)
-        if self.window_values is not None:
-            kept = self._windowed(kept)
-        return self._from_time(kept)
+        r = _check_first_axis(np.asarray(r)[:self.rx_len], self.rx_len, "demodulate")
+        return self._from_time(self.rx @ r)
 
     def detector(self, ch: chan.LtvChannelRealization) -> StructuredMmse:
         """Structured MMSE on K = W_rx B_cp H A_cp W_tx, one banded Cholesky per noise variance.
 
-        The effective channel is Gamma^H F K F^H Gamma. K is rows cp: of the
-        sparse delay-time matrix H times the CP insertion A_cp, then the
-        windows, with no probe: its entries lie at (k, (k - tau_l) mod n), so
-        K^H K is a cyclic band of half-width tau_max.
+        The effective channel is Gamma^H F K F^H Gamma. K is the modem's two
+        operators around the sparse delay-time matrix H, with no probe: its
+        entries lie at (k, (k - tau_l) mod n), so K^H K is a cyclic band of
+        half-width tau_max.
         """
-        n, cp, w = self.geom.n_sc, self.cp_len, self.window_values
-        j = np.arange(n + cp)
-        a_cp = scipy.sparse.csr_array((np.ones(n + cp), (j, (j - cp) % n)), shape=(n + cp, n))
-        k_mat = chan.delay_time_matrix(ch, n + cp)[cp:] @ a_cp
-        if w is not None:
-            k_mat = scipy.sparse.diags_array(w) @ k_mat
-            if self.tx_window:
-                k_mat = k_mat @ scipy.sparse.diags_array(w)
+        k_mat = self.rx @ chan.delay_time_matrix(ch, self.rx_len) @ self.tx
         k_h = k_mat.conj().T
         return StructuredMmse(k_h, cyclic_band_factor(k_h @ k_mat),
                               self._to_time, self._from_time)

@@ -15,7 +15,8 @@ frequency-Doppler domain:
 Composed, they give the unitary map ``Gamma`` such that the full MN-point DFT
 factors as F_MN = Psi (I_N kron F_M) Omega (F_N kron I_M). Fast paths here are
 O(MN log M); dense materializations live in :func:`oracle_matrix` and are only
-meant for small-instance verification.
+meant for small-instance verification. The CP modem's sparse prefix
+operators are pinned to the ``A_cp`` and ``B_cp`` oracles.
 """
 
 from __future__ import annotations
@@ -144,24 +145,6 @@ def to_delay_doppler(y, geom: FrameGeometry) -> np.ndarray:
     """Gamma^H y: inverse of :func:`to_frequency_doppler`."""
     return apply_twiddle(blockwise_dft(deinterleave(y, geom), geom, inverse=True),
                          geom, conjugate=True)
-
-
-def add_cp(s, cp_len: int) -> np.ndarray:
-    """Prepend the last cp_len samples (columnwise on matrices)."""
-    s = np.asarray(s)
-    if cp_len < 0:
-        raise DimensionError(f"cp_len must be nonnegative, got {cp_len}")
-    if cp_len == 0:
-        return s.copy()
-    if cp_len > s.shape[0]:
-        raise DimensionError(f"cp_len={cp_len} exceeds signal length {s.shape[0]}")
-    return np.concatenate([s[-cp_len:], s], axis=0)
-
-
-def remove_cp(r, cp_len: int, n: int) -> np.ndarray:
-    """Drop the first cp_len samples, keeping exactly n."""
-    r = _check_first_axis(r, n + cp_len, "remove_cp")
-    return r[cp_len:]
 
 
 # ---------------------------------------------------------------------------

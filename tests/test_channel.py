@@ -131,6 +131,45 @@ class TestApply:
         for col in range(4):
             assert np.max(np.abs(batched[:, col] - apply_channel(x[:, col], ch))) < 1e-14
 
+    @staticmethod
+    def _explicit_sum(x, ch, out_len):
+        y = np.zeros((out_len,) + x.shape[1:], dtype=complex)
+        for i in range(out_len):
+            for tau, g in zip(ch.tap_delays, ch.gains):
+                if 0 <= i - tau < x.shape[0]:
+                    y[i] += g[i] * x[i - tau]
+        return y
+
+    @pytest.mark.parametrize("cols", [(), (3,)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("extra", [-7, 0, 5], ids=["cut", "full", "padded"])
+    def test_time_varying_taps_equal_the_explicit_sum(self, cols, extra):
+        # y[i] = sum_l g_l[i] x[i - tau_l] for i < out_len, with out_len below,
+        # at and above len(x) + L - 1
+        cfg = ChannelConfig(bandwidth_hz=1.92e6, doppler_model="jakes_sum_of_sinusoids")
+        ch = generate_channel(cfg, 40, seed=4)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(20,) + cols) + 1j * rng.normal(size=(20,) + cols)
+        out_len = 20 + ch.channel_len - 1 + extra
+        y = apply_channel(x, ch, out_len=out_len)
+        assert y.shape == (out_len,) + cols
+        assert np.max(np.abs(y - self._explicit_sum(x, ch, out_len))) < 1e-14
+        assert delay_time_matrix(ch, out_len, 20).shape == (out_len, 20)
+
+    @pytest.mark.parametrize("out_len", [10, 24, 31])
+    def test_span_is_checked_at_its_boundary(self, out_len):
+        # the gains are read up to min(out_len, len(x) + L - 1) and no further
+        cfg = ChannelConfig(bandwidth_hz=1.92e6, doppler_model="jakes_sum_of_sinusoids")
+        ch = generate_channel(cfg, 64, seed=4)
+        x = np.random.default_rng(6).normal(size=20) + 0j
+        need = min(out_len, 20 + ch.channel_len - 1)
+
+        def cut(span):
+            return LtvChannelRealization(tap_delays=ch.tap_delays, gains=ch.gains[:, :span])
+        assert np.array_equal(apply_channel(x, cut(need), out_len),
+                              apply_channel(x, ch, out_len))
+        with pytest.raises(ValueError, match=f"spans {need - 1} samples, need {need}"):
+            apply_channel(x, cut(need - 1), out_len)
+
 
 class TestDelayTimeMatrix:
     def test_identity_channel(self):

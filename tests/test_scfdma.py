@@ -105,9 +105,38 @@ class TestPathEquivalence:
 
 class TestCpHandling:
     def test_cp_is_tail_copy(self):
-        from ddwave.transforms import add_cp
-        x = add_cp(np.array([1.0, 2.0, 3.0, 4.0]), 2)
+        x = CpOtfsModem(FrameGeometry(M=4, N=1), cp_len=2).tx @ np.array([1.0, 2.0, 3.0, 4.0])
         assert np.array_equal(x, [3.0, 4.0, 1.0, 2.0, 3.0, 4.0])
+
+    def test_tx_operator_copies_tail(self):
+        s = np.array([0.0, 1.0, 2.0, 3.0])
+        tx = CpOtfsModem(FrameGeometry(M=2, N=2), cp_len=2).tx
+        assert np.array_equal(tx @ s, [2.0, 3.0, 0.0, 1.0, 2.0, 3.0])
+
+    def test_rx_operator_inverts_tx(self):
+        rng = np.random.default_rng(7)
+        s = random_complex(rng, 12)
+        modem = CpOtfsModem(FrameGeometry(M=4, N=3), cp_len=5)
+        assert np.array_equal(modem.rx @ (modem.tx @ s), s)
+
+    @pytest.mark.parametrize("window_db,tx_window", [(None, False), (60.0, False), (60.0, True)],
+                             ids=["no-window", "rx-window", "both-windows"])
+    def test_operators_equal_the_oracles(self, window_db, tx_window):
+        # tx = A_cp W_tx and rx = W_rx B_cp, with W = I where there is no window
+        g = geom_8x4()
+        modem = CpOtfsModem(g, 5, window_db, tx_window)
+        ones = np.ones(g.n_sc)
+        w_rx = ones if window_db is None else modem.window_values
+        w_tx = modem.window_values if tx_window else ones
+        assert np.array_equal(modem.tx.toarray(),
+                              oracle_matrix("A_cp", g, cp_len=5) * w_tx[None, :])
+        assert np.array_equal(modem.rx.toarray(),
+                              w_rx[:, None] * oracle_matrix("B_cp", g, cp_len=5))
+
+    def test_cp_longer_than_the_frame_rejected(self):
+        assert CpOtfsModem(geom_8x4(), cp_len=32).rx_len == 64
+        with pytest.raises(DimensionError, match="cp_len"):
+            CpOtfsModem(geom_8x4(), cp_len=33)
 
     def test_loopback_with_cp(self):
         rng = np.random.default_rng(6)
@@ -117,8 +146,13 @@ class TestCpHandling:
         assert np.max(np.abs(d_hat - d)) < 1e-10
 
     def test_demodulate_checks_length(self):
+        modem = CpOtfsModem(geom_8x4(), cp_len=5)
         with pytest.raises(DimensionError):
-            CpOtfsModem(geom_8x4(), cp_len=5).demodulate(np.zeros(32))
+            modem.demodulate(np.zeros(32))
+        with pytest.raises(DimensionError, match="demodulate"):
+            modem.demodulate(np.zeros((36, 2)))
+        # the channel tail past rx_len = 37 is dropped
+        assert modem.demodulate(np.zeros((40, 2))).shape == (32, 2)
 
     def test_negative_cp_rejected(self):
         with pytest.raises(DimensionError):

@@ -619,6 +619,7 @@ class TestCli:
           "schemes": ["rw_otfs"]}, "rw_window_param"),
         ({"n": 75140865}, "m * n"),
         ({"snr_grid_db": [180.0]}, "snr_grid_db"),
+        ({"m": 64, "n": 128}, "m * n"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"
@@ -628,6 +629,14 @@ class TestCli:
             "output_dir": str(tmp_path / "out")} | override))
         assert cli_main(["run", str(cfgfile)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_cp_schemes_run_at_m_times_n_2_to_the_14(self, tmp_path):
+        # only gf_otfs and dr_ufmc build (m*n)^2 dense operators; the CP schemes' are sparse
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "experiment": "ber_sweep", "m": 128, "n": 128, "n_frames": 1, "schemes": ["otfs"],
+            "snr_grid_db": [20.0], "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(cfgfile)]) == 0
 
     def test_largest_accepted_window_decodes_the_loopback(self, tmp_path):
         # the largest accepted attenuation is -20 log10(2 * 512 * eps) = 252.9 dB; scan down to it

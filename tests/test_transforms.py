@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ddwave.transforms import (
     DimensionError,
     FrameGeometry,
-    add_cp,
     apply_twiddle,
     blockwise_dft,
     deinterleave,
@@ -18,7 +17,6 @@ from ddwave.transforms import (
     full_dft,
     interleave,
     oracle_matrix,
-    remove_cp,
     to_delay_doppler,
     to_frequency_doppler,
     twiddle_diag,
@@ -202,18 +200,9 @@ class TestFastVsOracle:
 
 
 class TestCyclicPrefix:
-    def test_add_cp_copies_tail(self):
-        s = np.array([0.0, 1.0, 2.0, 3.0])
-        assert np.array_equal(add_cp(s, 2), [2.0, 3.0, 0.0, 1.0, 2.0, 3.0])
-
     def test_zero_cp_matrix_is_identity(self):
         g = FrameGeometry(M=2, N=2)
         assert np.array_equal(oracle_matrix("A_cp", g, cp_len=0), np.eye(4))
-
-    def test_remove_inverts_add(self):
-        rng = np.random.default_rng(7)
-        s = random_complex(rng, 12)
-        assert np.array_equal(remove_cp(add_cp(s, 5), 5, 12), s)
 
     def test_dense_cp_identity(self):
         g = FrameGeometry(M=4, N=3)
