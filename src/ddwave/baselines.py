@@ -15,8 +15,9 @@ import numpy as np
 
 from . import channel as chan
 from .detect import StructuredMmse, banded_factor
-from .scfdma import ProbedModem, zak_demodulate, zak_modulate
-from .transforms import DimensionError, FrameGeometry, blockwise_dft
+from .scfdma import ProbedModem
+from .transforms import (DimensionError, FrameGeometry, _check_first_axis, blockwise_dft,
+                         zak_demodulate, zak_modulate)
 from .ufmc import FilterBankSpec, UfmcOperators, ufmc_analyze
 
 
@@ -62,8 +63,11 @@ class DrUfmcModem(ProbedModem):
             f_blocks.reshape((self.geom.N, self.geom.M) + d.shape[1:]))
 
     def demodulate(self, r) -> np.ndarray:
-        """Subband analysis of each block at its nominal boundaries, then the Zak inverse."""
-        r = np.asarray(r)
+        """Subband analysis of each block at its nominal boundaries, then the Zak inverse.
+
+        Samples beyond rx_len are dropped; shorter input is rejected.
+        """
+        r = _check_first_axis(np.asarray(r)[:self.rx_len], self.rx_len, "demodulate")
         m, n_blocks = self.geom.M, self.geom.N
         blocks = np.stack([r[n * m:n * m + self.bank.out_len] for n in range(n_blocks)], axis=1)
         f_blocks = ufmc_analyze(blocks, self.bank).swapaxes(0, 1)

@@ -31,8 +31,8 @@ from .config import ExperimentConfig, channel_config, psd_bands
 from .detect import qam_demap, qam_map
 from .gfotfs import GfOtfsModem
 from .metrics import doppler_leakage, oob_metric, psd_welch, wilson_interval
-from .scfdma import CpOtfsModem, zak_modulate
-from .transforms import FrameGeometry, oracle_matrix, to_delay_doppler, dft_matrix
+from .scfdma import CpOtfsModem
+from .transforms import FrameGeometry, oracle_matrix, to_delay_doppler, dft_matrix, zak_modulate
 from .ufmc import FilterBankSpec, synthesis_matrix, ufmc_analyze
 
 

@@ -22,7 +22,7 @@ import scipy.sparse.linalg
 from . import channel as chan
 from .detect import StructuredMmse, cyclic_band_factor
 from .scfdma import ProbedModem
-from .transforms import FrameGeometry, to_delay_doppler, to_frequency_doppler
+from .transforms import FrameGeometry, full_dft, to_delay_doppler, to_frequency_doppler
 from .ufmc import FilterBankSpec, UfmcOperators, ufmc_analyze
 
 # Half-width of the cyclic frequency-Doppler band the CG preconditioner keeps.
@@ -84,7 +84,7 @@ class GfOtfsModem(ProbedModem):
         def a_h(w):
             z = np.zeros((2 * n,) + w.shape[1:], dtype=complex)
             z[0::2] = w
-            u = h_h @ (np.fft.ifft(z, axis=0)[:self.rx_len] * np.sqrt(2 * n))
+            u = h_h @ full_dft(z, inverse=True)[:self.rx_len]
             return (self.tu.T @ u.conj()).conj()
 
         resp = ufmc_analyze(h @ self._coloured, self.bank)

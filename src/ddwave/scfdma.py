@@ -1,10 +1,8 @@
 """SC-FDMA implementation of the delay-Doppler modem, with CP and optional window.
 
-Two equivalent modulation paths exist: the direct Zak path
-s_t = (F_N^H kron I_M) d (per-delay inverse DFT across Doppler), and the
-SC-FDMA path s_t = F_MN^H Gamma d, which routes through the
-frequency-Doppler domain where the filtered modems hook in. Their equality
-is the factorization identity checked in the test suite. The
+The modem takes the SC-FDMA path s_t = F_MN^H Gamma d through the
+frequency-Doppler domain, where the filtered modems hook in; the direct Zak
+path it equals lives with the other maps in :mod:`ddwave.transforms`. The
 effective-channel probe that every modem shares, the dense oracle of the
 detectors, lives here as well.
 
@@ -34,20 +32,6 @@ from .transforms import (
     to_frequency_doppler,
 )
 from .ufmc import dolph_chebyshev_window
-
-
-def zak_modulate(d, geom: FrameGeometry) -> np.ndarray:
-    """Delay-Doppler to delay-time: inverse DFT over the Doppler axis per delay bin."""
-    d = _check_first_axis(d, geom.n_sc, "zak_modulate")
-    v = d.reshape((geom.N, geom.M) + d.shape[1:])
-    return (np.fft.ifft(v, axis=0) * np.sqrt(geom.N)).reshape(d.shape)
-
-
-def zak_demodulate(s_t, geom: FrameGeometry) -> np.ndarray:
-    """Inverse of :func:`zak_modulate`: forward DFT over the Doppler axis."""
-    s_t = _check_first_axis(s_t, geom.n_sc, "zak_demodulate")
-    v = s_t.reshape((geom.N, geom.M) + s_t.shape[1:])
-    return (np.fft.fft(v, axis=0) / np.sqrt(geom.N)).reshape(s_t.shape)
 
 
 class ProbedModem:
@@ -93,7 +77,6 @@ class CpOtfsModem(ProbedModem):
         self.window_values = None
         if window_db is not None:
             self.window_values = dolph_chebyshev_window(n, window_db)
-        self.tx_window = tx_window
         self.rx_len = n + cp_len
         ones = np.ones(n)
         w_rx = ones if window_db is None else self.window_values

@@ -1,22 +1,23 @@
-"""Frame geometry and the DFT / permutation / twiddle kernels shared by every modem.
+"""Frame geometry, the one unitary DFT, and the delay-Doppler maps built on it.
 
 ``FrameGeometry(M, N, bandwidth_hz)`` describes the grid only; each modem
 takes its own scheme parameters, so all schemes on one grid share one
-geometry. The grid has M delay bins and N Doppler bins. A data vector d of
-length M*N is ordered Doppler-block-major: d[n*M + m] holds the symbol at
-delay m, Doppler n. Three kernels connect that vector to the
-frequency-Doppler domain:
+geometry. A data vector d of length M*N is ordered Doppler-block-major:
+d[n*M + m] holds the symbol at delay m, Doppler n. Every map below is
+:func:`full_dft` along one axis of that N x M grid, with a diagonal or a
+permutation around it. ``Gamma`` (:func:`to_frequency_doppler`) has three steps:
 
-* a block-diagonal twiddle (diagonal phase ramp per Doppler block),
-* per-block M-point DFTs,
-* a stride interleaver that makes the N Doppler bins of each frequency
+* a block-diagonal twiddle Omega (a phase ramp per Doppler block),
+* per-block M-point DFTs (:func:`blockwise_dft`),
+* a stride interleaver Psi that makes the N Doppler bins of each frequency
   index contiguous.
 
-Composed, they give the unitary map ``Gamma`` such that the full MN-point DFT
-factors as F_MN = Psi (I_N kron F_M) Omega (F_N kron I_M). Fast paths here are
-O(MN log M); dense materializations live in :func:`oracle_matrix` and are only
-meant for small-instance verification. The CP modem's sparse prefix
-operators are pinned to the ``A_cp`` and ``B_cp`` oracles.
+Two equivalent modulation paths exist: the direct Zak path
+s_t = (F_N^H kron I_M) d (:func:`zak_modulate`), and the SC-FDMA path
+s_t = F_MN^H Gamma d through the frequency-Doppler domain, where the filtered
+modems hook in. Their equality is F_MN = Psi (I_N kron F_M) Omega (F_N kron I_M),
+checked in the test suite. Dense materializations live in :func:`oracle_matrix`,
+for small-instance verification only, including the CP oracles ``A_cp`` and ``B_cp``.
 """
 
 from __future__ import annotations
@@ -81,70 +82,61 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def twiddle_diag(geom: FrameGeometry) -> np.ndarray:
-    """Diagonal of the block twiddle: entry n*M + m equals exp(-2j pi m n / (M N))."""
-    m = np.arange(geom.M)
-    n = np.arange(geom.N)
-    return np.exp(-2j * np.pi * np.outer(n, m) / geom.n_sc).ravel()
+def full_dft(x, inverse: bool = False, axis: int = 0) -> np.ndarray:
+    """Unitary DFT (or inverse) along ``axis``, over its full length."""
+    x = np.asarray(x)
+    n = x.shape[axis]
+    if inverse:
+        return np.fft.ifft(x, axis=axis) * np.sqrt(n)
+    return np.fft.fft(x, axis=axis) / np.sqrt(n)
 
 
-def apply_twiddle(x, geom: FrameGeometry, conjugate: bool = False) -> np.ndarray:
-    """Multiply by the twiddle diagonal (or its conjugate). Works columnwise on matrices."""
-    x = _check_first_axis(x, geom.n_sc, "apply_twiddle")
-    w = twiddle_diag(geom)
-    if conjugate:
-        w = np.conj(w)
-    return x * w.reshape((geom.n_sc,) + (1,) * (x.ndim - 1))
-
-
-def interleave(x, geom: FrameGeometry) -> np.ndarray:
-    """Stride permutation y[m*N + n] = x[n*M + m].
-
-    Moves the N Doppler bins of frequency index m into N contiguous
-    positions. Works columnwise on matrices (leading axis is permuted).
-    """
-    x = _check_first_axis(x, geom.n_sc, "interleave")
-    rest = x.shape[1:]
-    return x.reshape((geom.N, geom.M) + rest).swapaxes(0, 1).reshape(x.shape)
-
-
-def deinterleave(y, geom: FrameGeometry) -> np.ndarray:
-    """Inverse of :func:`interleave`: x[n*M + m] = y[m*N + n]."""
-    y = _check_first_axis(y, geom.n_sc, "deinterleave")
-    rest = y.shape[1:]
-    return y.reshape((geom.M, geom.N) + rest).swapaxes(0, 1).reshape(y.shape)
+def _grid_dft(x, geom: FrameGeometry, axis: int, inverse: bool, what: str) -> np.ndarray:
+    # the leading axis viewed as the N x M (Doppler, delay) grid, transformed along one of them
+    x = _check_first_axis(x, geom.n_sc, what)
+    v = x.reshape((geom.N, geom.M) + x.shape[1:])
+    return full_dft(v, inverse, axis).reshape(x.shape)
 
 
 def blockwise_dft(x, geom: FrameGeometry, inverse: bool = False) -> np.ndarray:
-    """Apply the unitary M-point DFT (or inverse) to each of the N contiguous blocks."""
-    x = _check_first_axis(x, geom.n_sc, "blockwise_dft")
-    rest = x.shape[1:]
-    v = x.reshape((geom.N, geom.M) + rest)
-    if inverse:
-        out = np.fft.ifft(v, axis=1) * np.sqrt(geom.M)
-    else:
-        out = np.fft.fft(v, axis=1) / np.sqrt(geom.M)
-    return out.reshape((geom.n_sc,) + rest)
+    """(I_N kron F_M) x: the unitary M-point DFT (or inverse) of each of the N blocks."""
+    return _grid_dft(x, geom, 1, inverse, "blockwise_dft")
 
 
-def full_dft(x, inverse: bool = False) -> np.ndarray:
-    """Unitary DFT along the leading axis (full length)."""
-    x = np.asarray(x)
-    n = x.shape[0]
-    if inverse:
-        return np.fft.ifft(x, axis=0) * np.sqrt(n)
-    return np.fft.fft(x, axis=0) / np.sqrt(n)
+def zak_modulate(d, geom: FrameGeometry) -> np.ndarray:
+    """(F_N^H kron I_M) d: delay-Doppler to delay-time, an inverse DFT over Doppler per delay."""
+    return _grid_dft(d, geom, 0, True, "zak_modulate")
+
+
+def zak_demodulate(s_t, geom: FrameGeometry) -> np.ndarray:
+    """(F_N kron I_M) s_t, the inverse of :func:`zak_modulate`."""
+    return _grid_dft(s_t, geom, 0, False, "zak_demodulate")
+
+
+def _twiddle(geom: FrameGeometry, ndim: int) -> np.ndarray:
+    # Omega's diagonal, entry n*M + m = exp(-2j pi m n / (M N)), shaped to scale columns
+    m = np.arange(geom.M)
+    n = np.arange(geom.N)
+    w = np.exp(-2j * np.pi * np.outer(n, m) / geom.n_sc).ravel()
+    return w.reshape((geom.n_sc,) + (1,) * (ndim - 1))
 
 
 def to_frequency_doppler(d, geom: FrameGeometry) -> np.ndarray:
-    """Gamma d = interleave(blockwise_dft(twiddle * d)): delay-Doppler to frequency-Doppler."""
-    return interleave(blockwise_dft(apply_twiddle(d, geom), geom), geom)
+    """Gamma d = Psi (I_N kron F_M) Omega d: delay-Doppler to frequency-Doppler.
+
+    Psi is the stride permutation y[m*N + n] = x[n*M + m], a swap of the grid
+    axes. Works columnwise on matrices.
+    """
+    d = _check_first_axis(d, geom.n_sc, "to_frequency_doppler")
+    v = blockwise_dft(d * _twiddle(geom, d.ndim), geom)
+    return v.reshape((geom.N, geom.M) + d.shape[1:]).swapaxes(0, 1).reshape(d.shape)
 
 
 def to_delay_doppler(y, geom: FrameGeometry) -> np.ndarray:
-    """Gamma^H y: inverse of :func:`to_frequency_doppler`."""
-    return apply_twiddle(blockwise_dft(deinterleave(y, geom), geom, inverse=True),
-                         geom, conjugate=True)
+    """Gamma^H y = Omega^H (I_N kron F_M^H) Psi^T y: frequency-Doppler to delay-Doppler."""
+    y = _check_first_axis(y, geom.n_sc, "to_delay_doppler")
+    v = y.reshape((geom.M, geom.N) + y.shape[1:]).swapaxes(0, 1).reshape(y.shape)
+    return blockwise_dft(v, geom, inverse=True) * np.conj(_twiddle(geom, y.ndim))
 
 
 # ---------------------------------------------------------------------------

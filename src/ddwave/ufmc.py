@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import fft, next_fast_len
 
-from .transforms import DimensionError
+from .transforms import DimensionError, full_dft
 
 
 class SingularPredistortionError(ValueError):
@@ -122,8 +122,7 @@ def ufmc_analyze(r: np.ndarray, bank: FilterBankSpec) -> np.ndarray:
             f"analysis needs at least {bank.out_len} samples, got {r.shape[0]}")
     padded = np.zeros((2 * bank.n_sc,) + r.shape[1:], dtype=complex)
     padded[:bank.out_len] = r[:bank.out_len]
-    spectrum = np.fft.fft(padded, axis=0) / np.sqrt(2 * bank.n_sc)
-    return spectrum[0::2]
+    return full_dft(padded)[0::2]
 
 
 class UfmcOperators:

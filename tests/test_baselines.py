@@ -7,8 +7,14 @@ from scipy.signal.windows import chebwin
 from ddwave import channel as chan
 from ddwave.baselines import DrUfmcModem
 from ddwave.detect import MmseEqualizer
-from ddwave.scfdma import CpOtfsModem, zak_modulate
-from ddwave.transforms import DimensionError, FrameGeometry, full_dft, to_frequency_doppler
+from ddwave.scfdma import CpOtfsModem
+from ddwave.transforms import (
+    DimensionError,
+    FrameGeometry,
+    full_dft,
+    to_frequency_doppler,
+    zak_modulate,
+)
 
 
 def geom_8x4():

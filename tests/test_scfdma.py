@@ -7,12 +7,14 @@ from ddwave import channel as chan
 from ddwave.config import config_from_dict
 from ddwave.detect import qam_map
 from ddwave.experiments import build_modems
-from ddwave.scfdma import CpOtfsModem, zak_demodulate, zak_modulate
+from ddwave.scfdma import CpOtfsModem
 from ddwave.transforms import (
     DimensionError,
     FrameGeometry,
     oracle_matrix,
     to_frequency_doppler,
+    zak_demodulate,
+    zak_modulate,
 )
 
 
@@ -253,6 +255,18 @@ def test_shared_probe_caches_only_the_basis(scheme):
         direct = modem.demodulate(chan.apply_channel(modem.modulate(eye), ch,
                                                      out_len=modem.rx_len))
         assert np.array_equal(modem.effective_channel(ch), direct)
+
+
+@pytest.mark.parametrize("scheme", ["otfs", "gf_otfs", "rw_otfs", "dr_ufmc"])
+def test_demodulate_rejects_short_input_and_drops_the_tail(scheme):
+    cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
+                            "rw_cp_len": 8, "schemes": [scheme]})
+    modem = build_modems(cfg)[scheme]
+    for shape in ((modem.rx_len - 1,), (modem.rx_len - 1, 2)):
+        with pytest.raises(DimensionError):
+            modem.demodulate(np.zeros(shape))
+    r = random_complex(np.random.default_rng(9), (modem.rx_len + 3, 2))
+    assert np.array_equal(modem.demodulate(r), modem.demodulate(r[:modem.rx_len]))
 
 
 def test_fractional_doppler_dirichlet_spread():

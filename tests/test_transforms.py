@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from ddwave.transforms import (
     DimensionError,
     FrameGeometry,
-    apply_twiddle,
     blockwise_dft,
-    deinterleave,
     dft_matrix,
     full_dft,
-    interleave,
     oracle_matrix,
     to_delay_doppler,
     to_frequency_doppler,
-    twiddle_diag,
+    zak_demodulate,
+    zak_modulate,
 )
 from ddwave.ufmc import FilterBankSpec
 
@@ -64,62 +62,68 @@ class TestDftMatrix:
             dft_matrix(0)
 
 
+def twiddle(g):
+    return np.diag(oracle_matrix("Omega", g))
+
+
 class TestTwiddle:
     def test_first_block_all_ones(self):
         for m_dim, n_dim in ((2, 2), (5, 3), (8, 4)):
-            w = twiddle_diag(FrameGeometry(M=m_dim, N=n_dim))
+            w = twiddle(FrameGeometry(M=m_dim, N=n_dim))
             assert np.allclose(w[:m_dim], 1.0)
 
     def test_2x2_block_one(self):
-        w = twiddle_diag(FrameGeometry(M=2, N=2))
+        w = twiddle(FrameGeometry(M=2, N=2))
         assert np.allclose(w[2:], [1.0, -1.0j])
 
     def test_4x4_entry(self):
-        w = twiddle_diag(FrameGeometry(M=4, N=4))
+        w = twiddle(FrameGeometry(M=4, N=4))
         # block n=2, position m=2
         assert w[2 * 4 + 2] == pytest.approx(-1.0j)
 
     def test_unit_modulus(self):
-        w = twiddle_diag(FrameGeometry(M=8, N=4))
+        w = twiddle(FrameGeometry(M=8, N=4))
         assert np.allclose(np.abs(w), 1.0)
 
 
 class TestInterleave:
     def test_2x2(self):
-        g = FrameGeometry(M=2, N=2)
         x = np.arange(4.0)
-        assert np.array_equal(interleave(x, g), [0.0, 2.0, 1.0, 3.0])
+        assert np.array_equal(oracle_matrix("Psi", FrameGeometry(M=2, N=2)) @ x,
+                              [0.0, 2.0, 1.0, 3.0])
 
     def test_3x2(self):
-        g = FrameGeometry(M=3, N=2)
         x = np.arange(6.0)
-        assert np.array_equal(interleave(x, g), [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
+        assert np.array_equal(oracle_matrix("Psi", FrameGeometry(M=3, N=2)) @ x,
+                              [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
 
     def test_single_doppler_bin_is_identity(self):
-        g = FrameGeometry(M=5, N=1)
         x = np.arange(5.0)
-        assert np.array_equal(interleave(x, g), x)
+        assert np.array_equal(oracle_matrix("Psi", FrameGeometry(M=5, N=1)) @ x, x)
 
     def test_matches_dense_permutation(self):
+        # Psi is Gamma's last step, after the twiddle and the block DFTs
         for m_dim, n_dim in ((2, 2), (3, 2), (4, 3)):
             g = FrameGeometry(M=m_dim, N=n_dim)
             x = np.arange(m_dim * n_dim, dtype=float)
             psi = oracle_matrix("Psi", g)
-            assert np.array_equal(interleave(x, g), psi @ x)
+            assert np.array_equal(to_frequency_doppler(x, g),
+                                  psi @ blockwise_dft(twiddle(g) * x, g))
 
     @given(m_dim=st.integers(1, 9), n_dim=st.integers(1, 7), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_permutation_roundtrip(self, m_dim, n_dim, data):
         g = FrameGeometry(M=m_dim, N=n_dim)
+        psi = oracle_matrix("Psi", g)
         x = np.arange(m_dim * n_dim, dtype=float)
-        y = interleave(x, g)
+        y = psi @ x
         assert sorted(y.tolist()) == x.tolist()
-        assert np.array_equal(deinterleave(y, g), x)
+        assert np.array_equal(psi.T @ y, x)
 
     def test_length_mismatch(self):
         g = FrameGeometry(M=2, N=2)
         with pytest.raises(DimensionError):
-            interleave(np.zeros(5), g)
+            to_frequency_doppler(np.zeros(5), g)
 
 
 class TestBlockwiseDft:
@@ -176,14 +180,6 @@ class TestFastVsOracle:
         assert np.max(np.abs(to_frequency_doppler(d, g) - gamma @ d)) < 1e-10
         assert np.max(np.abs(to_delay_doppler(gamma @ d, g) - d)) < 1e-10
 
-    def test_twiddle_matches_omega(self):
-        g = FrameGeometry(M=8, N=4)
-        rng = np.random.default_rng(4)
-        d = random_complex(rng, 32)
-        omega = oracle_matrix("Omega", g)
-        assert np.max(np.abs(apply_twiddle(d, g) - omega @ d)) < 1e-12
-        assert np.max(np.abs(apply_twiddle(d, g, conjugate=True) - omega.conj().T @ d)) < 1e-12
-
     def test_matrix_arguments_columnwise(self):
         g = FrameGeometry(M=4, N=3)
         rng = np.random.default_rng(5)
@@ -197,6 +193,25 @@ class TestFastVsOracle:
         f = dft_matrix(24)
         assert np.max(np.abs(full_dft(x) - f @ x)) < 1e-12
         assert np.max(np.abs(full_dft(x, inverse=True) - f.conj().T @ x)) < 1e-12
+
+    @given(m_dim=st.integers(1, 9), n_dim=st.integers(1, 7), cols=st.sampled_from([None, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_every_map_matches_its_dense_operator(self, m_dim, n_dim, cols, seed):
+        g = FrameGeometry(M=m_dim, N=n_dim)
+        x = random_complex(np.random.default_rng(seed), g.n_sc if cols is None else (g.n_sc, cols))
+        gamma = oracle_matrix("Gamma", g)
+        f_n, eye_m = dft_matrix(n_dim), np.eye(m_dim)
+        blocks = oracle_matrix("I_N_kron_F_M", g)
+        assert np.max(np.abs(to_frequency_doppler(x, g) - gamma @ x)) < 1e-10
+        assert np.max(np.abs(to_delay_doppler(x, g) - gamma.conj().T @ x)) < 1e-10
+        assert np.max(np.abs(zak_modulate(x, g) - np.kron(f_n.conj().T, eye_m) @ x)) < 1e-12
+        assert np.max(np.abs(zak_demodulate(x, g) - np.kron(f_n, eye_m) @ x)) < 1e-12
+        assert np.max(np.abs(blockwise_dft(x, g) - blocks @ x)) < 1e-12
+        assert np.max(np.abs(blockwise_dft(x, g, inverse=True) - blocks.conj().T @ x)) < 1e-12
+        x2d = x.reshape(g.n_sc, -1)
+        k = x2d.shape[1]
+        assert np.max(np.abs(full_dft(x2d, axis=1) - x2d @ dft_matrix(k).T)) < 1e-12
 
 
 class TestCyclicPrefix:

@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Check that two checkouts of ddwave produce the same outputs.
+
+Usage: python3 tools/compare_outputs.py PARENT [CHANGE]
+
+PARENT and CHANGE are checkout roots; CHANGE defaults to the checkout this
+script lives in. Each config of a fixed seed-5 table runs in a fresh
+``python3 -m ddwave.cli run`` process with ``PYTHONPATH=<root>/src``, into a
+temporary directory outside both checkouts. The script compares the CSV
+names and bytes and each run's ``config_hash``. It then runs each root's own
+``tests/test_acceptance.py`` with ``-s`` and compares the
+``criterion N PASS|FAIL`` lines; the indented ``time of`` and ``detail of``
+lines are ignored. It prints each difference and a summary, and exits 0
+when everything matches, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+GRID_8X4 = {"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5}
+
+# (name, config, workers); every config runs at seed 5
+RUNS = [
+    ("loopback", {"experiment": "loopback", "n_frames": 20}, 1),
+    ("impulse_leakage_64x8", {"experiment": "impulse_leakage"}, 1),
+    ("impulse_leakage_8x4", {"experiment": "impulse_leakage", **GRID_8X4}, 1),
+    ("sidelobes", {"experiment": "sidelobes"}, 1),
+    ("psd_64x8", {"experiment": "psd", "n_frames": 40}, 1),
+    ("psd_8x32", {"experiment": "psd", "m": 8, "n": 32, "du_filter_len": 5, "n_frames": 40}, 1),
+    ("ber_64x8_w1", {"experiment": "ber_sweep", "n_frames": 24}, 1),
+    ("ber_64x8_w2", {"experiment": "ber_sweep", "n_frames": 24}, 2),
+    ("ber_8x4_w1", {"experiment": "ber_sweep", "n_frames": 200, **GRID_8X4}, 1),
+    ("ber_8x4_w2", {"experiment": "ber_sweep", "n_frames": 200, **GRID_8X4}, 2),
+    ("rw_otfs_tx_window", {"experiment": "ber_sweep", "schemes": ["rw_otfs"],
+                           "rw_tx_window": True, "n_frames": 24}, 1),
+    ("oracle_suite", {"experiment": "oracle_suite"}, 1),
+]
+# pytest's progress marks can precede a line printed by a test
+CRITERION = re.compile(r"criterion \d+ (PASS|FAIL).*$")
+
+
+def _env(root: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(root / "src")}
+
+
+def run_config(root: Path, name: str, config: dict, workers: int, tmp: Path) -> dict:
+    """CSV bytes by file name and the config_hash of one run, or the error it exited with."""
+    tmp.mkdir(exist_ok=True)
+    out = tmp / name
+    cfg_path = tmp / f"{name}.json"
+    cfg_path.write_text(json.dumps({**config, "seed": 5}))
+    proc = subprocess.run([sys.executable, "-m", "ddwave.cli", "run", str(cfg_path),
+                           "--out", str(out), "--workers", str(workers)],
+                          env=_env(root), cwd=tmp, capture_output=True, text=True)
+    if proc.returncode:
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"}
+    return {"csv": {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))},
+            "config_hash": json.loads((out / "report.json").read_text())["config_hash"]}
+
+
+def criterion_lines(root: Path) -> list[str]:
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+                           "tests/test_acceptance.py"],
+                          env=_env(root), cwd=root, capture_output=True, text=True)
+    return [m.group(0) for m in map(CRITERION.search, proc.stdout.splitlines()) if m]
+
+
+def compare_run(name: str, old: dict, new: dict) -> list[str]:
+    if "error" in old or "error" in new:
+        return [f"{name}: run failed: parent {old.get('error', 'ok')}; "
+                f"change {new.get('error', 'ok')}"]
+    diffs = []
+    if old["config_hash"] != new["config_hash"]:
+        diffs.append(f"{name}: config_hash {old['config_hash']} != {new['config_hash']}")
+    if sorted(old["csv"]) != sorted(new["csv"]):
+        diffs.append(f"{name}: CSV files {sorted(old['csv'])} != {sorted(new['csv'])}")
+    diffs += [f"{name}: {csv} differs" for csv in sorted(set(old["csv"]) & set(new["csv"]))
+              if old["csv"][csv] != new["csv"][csv]]
+    return diffs
+
+
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent = Path(argv[0]).resolve()
+    change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
+    diffs, n_csv = [], 0
+    with tempfile.TemporaryDirectory(prefix="ddwave-compare-") as tmp:
+        for name, config, workers in RUNS:
+            results = []
+            for i, root in enumerate((parent, change)):
+                results.append(run_config(root, name, config, workers, Path(tmp) / str(i)))
+            found = compare_run(name, *results)
+            n_csv += len(results[0].get("csv", ()))
+            print(f"{name}: {'differs' if found else 'identical'}", flush=True)
+            diffs += found
+    old_lines, new_lines = criterion_lines(parent), criterion_lines(change)
+    if not old_lines or len(old_lines) != len(new_lines):
+        diffs.append(f"criterion lines: {len(old_lines)} in parent, {len(new_lines)} in change")
+    for old, new in zip(old_lines, new_lines):
+        if old != new:
+            diffs.append(f"criterion line differs:\n  parent: {old}\n  change: {new}")
+    for diff in diffs:
+        print(diff)
+    print(f"summary: {len(RUNS)} runs, {n_csv} parent CSVs, {len(old_lines)} criterion lines; "
+          f"{len(diffs)} difference(s)")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
