@@ -6,11 +6,11 @@ filtering acts across the Doppler dimension as well as the frequency one. No
 CP is used; the filter ramp is the inter-frame guard.
 
 ``GfOtfsModem(geom, n_sc_rb, filter_len, atten_db)`` builds its bank with
-``FilterBankSpec.chebyshev`` over all M*N frequency-Doppler bins. Because the
-filter keeps inter-Doppler interference within a few neighbouring bins, the
-channel in the frequency-Doppler domain is nearly banded, cyclically, and its
-``detector`` solves matrix-free: conjugate gradients preconditioned by the
-band.
+``FilterBankSpec.chebyshev`` over all M*N frequency-Doppler bins, and receives
+with ``F rx``, ``rx`` the bank's sparse tail fold. Because the filter keeps
+inter-Doppler interference within a few neighbouring bins, the channel in the
+frequency-Doppler domain is nearly banded, cyclically, and its ``detector``
+solves matrix-free: conjugate gradients preconditioned by the band.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ import scipy.sparse.linalg
 from . import channel as chan
 from .detect import StructuredMmse, cyclic_band_factor
 from .scfdma import ProbedModem
-from .transforms import FrameGeometry, full_dft, to_delay_doppler, to_frequency_doppler
-from .ufmc import FilterBankSpec, UfmcOperators, ufmc_analyze
+from .transforms import (FrameGeometry, _check_first_axis, full_dft, to_delay_doppler,
+                         to_frequency_doppler)
+from .ufmc import FilterBankSpec, UfmcOperators, analysis_fold
 
 # Half-width of the cyclic frequency-Doppler band the CG preconditioner keeps.
 # At 64x8, TDL-C with Jakes Doppler, 8 frames and 0-40 dB: 12 (32 probe
@@ -39,7 +40,7 @@ CG_RTOL = 1e-14
 class GfOtfsModem(ProbedModem):
     """Subband-filtered transceiver with predistortion.
 
-    Its effective channel is Gamma^H R_u H T_u Gamma.
+    Its effective channel is Gamma^H F rx H T_u Gamma, where F rx = R_u.
     """
 
     def __init__(self, geom: FrameGeometry, n_sc_rb: int = 4, filter_len: int = 1,
@@ -48,6 +49,7 @@ class GfOtfsModem(ProbedModem):
         self.bank = FilterBankSpec.chebyshev(geom.n_sc, n_sc_rb, filter_len, atten_db)
         self.tu = UfmcOperators(self.bank).tu
         self.rx_len = self.bank.out_len
+        self.rx = analysis_fold(self.bank)
         n = geom.n_sc
         # colour q sums the columns q, q + c, ...: c is the least divisor of n
         # that keeps same-colour columns 2b + 1 apart cyclically (n if none)
@@ -61,33 +63,30 @@ class GfOtfsModem(ProbedModem):
         return self.tu @ to_frequency_doppler(d, self.geom)
 
     def demodulate(self, r) -> np.ndarray:
-        """Subband analysis followed by the inverse frequency-Doppler route."""
-        return to_delay_doppler(ufmc_analyze(r, self.bank), self.geom)
+        """Gamma^H F rx r, the analysis and the inverse route; rejects fewer than rx_len samples."""
+        r = _check_first_axis(np.asarray(r)[:self.rx_len], self.rx_len, "demodulate")
+        return to_delay_doppler(full_dft(self.rx @ r), self.geom)
 
     def detector(self, ch: chan.LtvChannelRealization) -> StructuredMmse:
-        """Structured MMSE on A = R_u H T_u by preconditioned conjugate gradients.
+        """Structured MMSE on A = F (rx H) T_u by preconditioned conjugate gradients.
 
         The effective channel is Gamma^H A Gamma. A is applied through T_u, the
-        sparse delay-time H and the analysis, never formed. The preconditioner
+        sparse product rx H and the DFT, never formed. The preconditioner
         is the cyclic band |i - j| <= b of A, recovered from ``n_colours``
         coloured probe columns (Curtis, Powell & Reid 1974). Its Gram, a
         cyclic band of 2b, is factored by :func:`ddwave.detect.cyclic_band_factor`.
         CG gives up after n iterations, its bound in exact arithmetic.
         """
         n, c = self.geom.n_sc, self.n_colours
-        h = chan.delay_time_matrix(ch, self.rx_len)
-        h_h = h.conj().T
+        rx_h = self.rx @ chan.delay_time_matrix(ch, self.rx_len)
 
         def a(v):
-            return ufmc_analyze(h @ (self.tu @ v), self.bank)
+            return full_dft(rx_h @ (self.tu @ v))
 
-        def a_h(w):
-            z = np.zeros((2 * n,) + w.shape[1:], dtype=complex)
-            z[0::2] = w
-            u = h_h @ full_dft(z, inverse=True)[:self.rx_len]
-            return (self.tu.T @ u.conj()).conj()
+        def a_h(w):  # T_u^H (rx H)^H F^H w, conjugated outside so no conjugate copy is formed
+            return (self.tu.T @ (rx_h.T @ full_dft(w, inverse=True).conj())).conj()
 
-        resp = ufmc_analyze(h @ self._coloured, self.bank)
+        resp = full_dft(rx_h @ self._coloured)
         # with one colour a column (c == n) the probe is the whole of A: keep it all
         offs = np.arange(-BAND_HALF_WIDTH, BAND_HALF_WIDTH + 1) % n if c < n else np.arange(n)
         cols = np.broadcast_to(np.arange(n), (offs.size, n))

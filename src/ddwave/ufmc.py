@@ -4,14 +4,16 @@ A bank groups n_sc subcarriers into n_rb subbands of n_sc_rb each. Synthesis
 transforms each subband to the time domain with the matching columns of the
 inverse DFT, convolves with a frequency-shifted copy of the prototype filter,
 and sums the subbands; the output is n_sc + filter_len - 1 samples long.
-Analysis zero-pads the received block to 2 n_sc, applies the normalized
-2 n_sc-point DFT and keeps the even bins. With filter_len = 1 the pair
-reduces to a plain (I)DFT modem up to a global 1/sqrt(2).
+Analysis, the even bins of the 2 n_sc-point DFT of the zero-padded block, is
+the n_sc-point DFT of the block with its tail folded onto its head, over
+sqrt(2) (Muquet et al. 2002): :func:`analysis_fold`. With filter_len = 1 the
+pair reduces to a plain (I)DFT modem up to a global 1/sqrt(2).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 from scipy.fft import fft, next_fast_len
 
 from .transforms import DimensionError, full_dft
@@ -77,7 +79,7 @@ class FilterBankSpec:
             raise DimensionError("prototype must be a nonempty 1-D real array")
         if prototype.size - 1 > n_sc:
             raise DimensionError(
-                f"filter_len={prototype.size} too long: analysis zero-pads to 2*n_sc")
+                f"filter_len={prototype.size} too long: analysis folds at most n_sc tail samples")
         self.n_sc = n_sc
         self.n_sc_rb = n_sc_rb
         self.n_rb = n_sc // n_sc_rb
@@ -110,19 +112,29 @@ def synthesis_matrix(bank: FilterBankSpec) -> np.ndarray:
     return np.fft.ifft(spec, axis=0)[:bank.out_len]
 
 
+def analysis_fold(bank: FilterBankSpec, n_blocks: int = 1) -> scipy.sparse.csr_array:
+    """Sparse fold, over sqrt(2), of ``n_blocks`` blocks of ``bank.out_len`` samples n_sc apart.
+
+    Sample j of block b, at b*n_sc + j, adds into row b*n_sc + (j mod n_sc); the
+    unitary DFT of a block's n_sc rows is its subband analysis."""
+    m, j = bank.n_sc, np.arange(bank.out_len)
+    start = m * np.arange(n_blocks)[:, None]
+    rows, cols = (start + j % m).ravel(), (start + j).ravel()
+    return scipy.sparse.csr_array((np.full(rows.size, np.sqrt(0.5)), (rows, cols)),
+                                  shape=(n_blocks * m, (n_blocks - 1) * m + bank.out_len))
+
+
 def ufmc_analyze(r: np.ndarray, bank: FilterBankSpec) -> np.ndarray:
-    """Zero-pad the first n_sc + filter_len - 1 samples to 2 n_sc, DFT, keep even bins.
+    """Fold the first n_sc + filter_len - 1 samples and take their unitary n_sc-point DFT.
 
     Trailing samples beyond the synthesis length (channel tail) are discarded.
-    Works columnwise on matrices.
+    Works columnwise on 1-D and 2-D input.
     """
     r = np.asarray(r)
     if r.shape[0] < bank.out_len:
         raise DimensionError(
             f"analysis needs at least {bank.out_len} samples, got {r.shape[0]}")
-    padded = np.zeros((2 * bank.n_sc,) + r.shape[1:], dtype=complex)
-    padded[:bank.out_len] = r[:bank.out_len]
-    return full_dft(padded)[0::2]
+    return full_dft(analysis_fold(bank) @ r[:bank.out_len])
 
 
 class UfmcOperators:

@@ -11,7 +11,9 @@ from ddwave.scfdma import CpOtfsModem
 from ddwave.transforms import (
     DimensionError,
     FrameGeometry,
+    blockwise_dft,
     full_dft,
+    oracle_matrix,
     to_frequency_doppler,
     zak_modulate,
 )
@@ -134,6 +136,27 @@ class TestDrUfmc:
         via_signal = dr.demodulate(chan.apply_channel(dr.modulate(d), ch,
                                                       out_len=dr.rx_len))
         assert np.max(np.abs(h @ d - via_signal)) < 1e-10
+
+    @pytest.mark.parametrize("m, n", [(8, 4), (16, 8), (64, 8)])
+    @pytest.mark.parametrize("filter_len", [1, 5, None])  # None: M + 1, the longest
+    def test_operators_match_the_per_block_oracles(self, m, n, filter_len):
+        g = FrameGeometry(M=m, N=n)
+        dr = DrUfmcModem(g, n_sc_rb=4, filter_len=filter_len or m + 1)
+        ru, tu = oracle_matrix("R_u", g, dr.bank), oracle_matrix("T_u", g, dr.bank)
+        blocks = [slice(b * m, b * m + dr.bank.out_len) for b in range(n)]
+        rng = np.random.default_rng(9)
+        r = rng.normal(size=(dr.rx_len, 2)) + 1j * rng.normal(size=(dr.rx_len, 2))
+        d = rng.normal(size=(g.n_sc, 2)) + 1j * rng.normal(size=(g.n_sc, 2))
+        # receive: each block's analysis at its nominal boundaries, then its inverse DFT
+        analysed = np.concatenate([ru @ r[blk] for blk in blocks])
+        expected = blockwise_dft(analysed, g, inverse=True)
+        assert np.max(np.abs(zak_modulate(dr.demodulate(r), g) - expected)) < 1e-12
+        # transmit: each block's DFT through the predistorted bank, tails overlap-added
+        f = blockwise_dft(zak_modulate(d, g), g)
+        x = np.zeros((dr.rx_len, 2), dtype=complex)
+        for b, blk in enumerate(blocks):
+            x[blk] += tu @ f[b * m:(b + 1) * m]
+        assert np.max(np.abs(dr.modulate(d) - x)) < 1e-12
 
     def test_block_subband_constraint(self):
         with pytest.raises(DimensionError):

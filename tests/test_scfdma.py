@@ -263,7 +263,7 @@ def test_demodulate_rejects_short_input_and_drops_the_tail(scheme):
                             "rw_cp_len": 8, "schemes": [scheme]})
     modem = build_modems(cfg)[scheme]
     for shape in ((modem.rx_len - 1,), (modem.rx_len - 1, 2)):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^demodulate"):
             modem.demodulate(np.zeros(shape))
     r = random_complex(np.random.default_rng(9), (modem.rx_len + 3, 2))
     assert np.array_equal(modem.demodulate(r), modem.demodulate(r[:modem.rx_len]))

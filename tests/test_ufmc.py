@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.signal.windows import chebwin
 
-from ddwave.transforms import DimensionError, FrameGeometry, oracle_matrix
+from ddwave.transforms import DimensionError, FrameGeometry, full_dft, oracle_matrix
 from ddwave.ufmc import (
     FilterBankSpec,
     SingularPredistortionError,
     UfmcOperators,
+    analysis_fold,
     design_chebyshev_prototype,
     dolph_chebyshev_window,
     synthesis_matrix,
@@ -169,6 +170,19 @@ class TestAnalysis:
         r = rng.normal(size=40) + 1j * rng.normal(size=40)
         dense = oracle_matrix("R_u", g, bank)
         assert np.max(np.abs(ufmc_analyze(r, bank) - dense @ r)) < 1e-10
+
+    @pytest.mark.parametrize("n_sc, n_sc_rb", [(32, 4), (53, 1)])
+    @pytest.mark.parametrize("filter_len", [1, 9, None])  # None: n_sc + 1, the longest
+    def test_fold_then_dft_is_the_dense_oracle(self, n_sc, n_sc_rb, filter_len):
+        bank = FilterBankSpec.chebyshev(n_sc, n_sc_rb, filter_len or n_sc + 1)
+        fold = analysis_fold(bank)
+        assert fold.shape == (n_sc, bank.out_len)
+        dense = oracle_matrix("R_u", FrameGeometry(M=n_sc, N=1), bank)
+        rng = np.random.default_rng(3)
+        r = rng.normal(size=(bank.out_len, 3)) + 1j * rng.normal(size=(bank.out_len, 3))
+        for x in (r[:, 0], r):
+            assert np.max(np.abs(full_dft(fold @ x) - dense @ x)) < 1e-12
+            assert np.max(np.abs(ufmc_analyze(x, bank) - dense @ x)) < 1e-12
 
     def test_short_input_rejected(self):
         bank = small_bank()

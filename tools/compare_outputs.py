@@ -7,7 +7,9 @@ PARENT and CHANGE are checkout roots; CHANGE defaults to the checkout this
 script lives in. Each config of a fixed seed-5 table runs in a fresh
 ``python3 -m ddwave.cli run`` process with ``PYTHONPATH=<root>/src``, into a
 temporary directory outside both checkouts. The script compares the CSV
-names and bytes and each run's ``config_hash``. It then runs each root's own
+names and bytes and each run's ``config_hash``; for a CSV whose bytes differ it
+prints how many rows differ and the largest absolute difference in each
+column that changed. It then runs each root's own
 ``tests/test_acceptance.py`` with ``-s`` and compares the
 ``criterion N PASS|FAIL`` lines; the indented ``time of`` and ``detail of``
 lines are ignored. It prints each difference and a summary, and exits 0
@@ -16,6 +18,8 @@ when everything matches, 1 otherwise.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import re
@@ -81,9 +85,38 @@ def compare_run(name: str, old: dict, new: dict) -> list[str]:
         diffs.append(f"{name}: config_hash {old['config_hash']} != {new['config_hash']}")
     if sorted(old["csv"]) != sorted(new["csv"]):
         diffs.append(f"{name}: CSV files {sorted(old['csv'])} != {sorted(new['csv'])}")
-    diffs += [f"{name}: {csv} differs" for csv in sorted(set(old["csv"]) & set(new["csv"]))
+    diffs += [f"{name}: {csv} differs: {size_difference(old['csv'][csv], new['csv'][csv])}"
+              for csv in sorted(set(old["csv"]) & set(new["csv"]))
               if old["csv"][csv] != new["csv"][csv]]
     return diffs
+
+
+def _float(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def size_difference(old: bytes, new: bytes) -> str:
+    """How many data rows differ, and the largest absolute difference in each numeric column."""
+    old_rows, new_rows = ([row for row in csv.reader(io.StringIO(text.decode()))
+                           if row and not row[0].startswith("#")] for text in (old, new))
+    if not old_rows or not new_rows or old_rows[0] != new_rows[0] or len(old_rows) != len(new_rows):
+        return f"header or row count changed ({len(old_rows)} -> {len(new_rows)} lines)"
+    header, pairs = old_rows[0], list(zip(old_rows[1:], new_rows[1:]))
+    changed = sum(a != b for a, b in pairs)
+    largest = []
+    for col, label in enumerate(header):
+        cells = [(_float(a[col]), _float(b[col])) for a, b in pairs if a[col] != b[col]]
+        if not cells:
+            continue
+        if any(x is None or y is None for x, y in cells):
+            largest.append(f"{label} (text)")
+        else:
+            largest.append(f"{label} {max(abs(x - y) for x, y in cells):.3g}")
+    return (f"{changed} of {len(pairs)} rows; largest |difference|: "
+            f"{', '.join(largest) or 'none (line endings or quoting)'}")
 
 
 def main(argv: list[str]) -> int:
