@@ -4,9 +4,10 @@
 filter bank over each length-M delay block and overlap-adds the filter
 tails, so filtering acts along the delay dimension only. Its bank is
 ``FilterBankSpec.chebyshev(M, n_sc_rb, filter_len, atten_db)``, the
-constructor gf_otfs uses on the full M*N bins. Its transmitter and receiver
-are two sparse block-time operators, built once, and its detector factors
-the banded Gram of the block-banded ``rx H tx``, with no probe. The
+constructor gf_otfs uses on the full M*N bins. It runs the shared chain of
+:class:`ddwave.scfdma.Modem` on the Zak route: its ``tx`` and ``rx`` are two
+sparse block-time operators, built once, and its detector factors the banded
+Gram of the block-banded ``rx H tx``, with no probe. The
 receiver-windowed baseline (``rw_otfs``) is :class:`ddwave.scfdma.CpOtfsModem`
 with a window.
 """
@@ -18,13 +19,12 @@ import scipy.sparse
 
 from . import channel as chan
 from .detect import StructuredMmse, banded_factor
-from .scfdma import ProbedModem
-from .transforms import (DimensionError, FrameGeometry, _check_first_axis, blockwise_dft,
-                         full_dft, zak_demodulate, zak_modulate)
+from .scfdma import Modem
+from .transforms import DimensionError, FrameGeometry, blockwise_dft, full_dft
 from .ufmc import FilterBankSpec, UfmcOperators, analysis_fold
 
 
-class DrUfmcModem(ProbedModem):
+class DrUfmcModem(Modem):
     """Per-delay-block subband filtering with overlap-add between blocks.
 
     Each of the N delay blocks of the Zak-domain signal is treated as one
@@ -62,15 +62,6 @@ class DrUfmcModem(ProbedModem):
         return self.tx @ blockwise_dft(f_blocks.reshape((self.geom.n_sc,) + f_blocks.shape[2:]),
                                        self.geom, inverse=True)
 
-    def modulate(self, d) -> np.ndarray:
-        """tx (F_N^H kron I_M) d: the Zak route, then each block's filtered synthesis."""
-        return self.tx @ zak_modulate(d, self.geom)
-
-    def demodulate(self, r) -> np.ndarray:
-        """(F_N kron I_M) rx r: each block folded at its nominal boundaries; rejects short input."""
-        r = _check_first_axis(np.asarray(r)[:self.rx_len], self.rx_len, "demodulate")
-        return zak_demodulate(self.rx @ r, self.geom)
-
     def detector(self, ch: chan.LtvChannelRealization) -> StructuredMmse:
         """Structured MMSE on the block-time map T = rx H tx, with a banded Cholesky of G = T^H T.
 
@@ -82,7 +73,7 @@ class DrUfmcModem(ProbedModem):
         above = (m + self.bank.filter_len - 2) // m
         below = (m + self.bank.filter_len - 2 + int(ch.tap_delays[-1])) // m
         c = min(above + below + 1, n_blk)
-        t_sparse = self.rx @ chan.delay_time_matrix(ch, self.rx_len) @ self.tx
+        t_sparse = self._rx_h(ch) @ self.tx
         t, g = t_sparse.toarray(), np.zeros((n, n), dtype=complex)
         for j in range(n_blk):  # strip j of G takes block columns j to j + c - 1 of T
             rows = slice(max(0, j - above) * m, (j + below + 1) * m)
@@ -91,5 +82,4 @@ class DrUfmcModem(ProbedModem):
         i, q = np.arange(c * m)[:, None], np.arange(n)
         band = np.where(q + i < n, g[(q + i) % n, q], 0)  # band[i, q] = G[q + i, q]
         return StructuredMmse(t_sparse.conj().T, banded_factor(band, np.arange(n)),
-                              lambda y: zak_modulate(y, self.geom),
-                              lambda x: zak_demodulate(x, self.geom))
+                              self._to_tx, self._from_rx)

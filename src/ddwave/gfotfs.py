@@ -6,7 +6,9 @@ filtering acts across the Doppler dimension as well as the frequency one. No
 CP is used; the filter ramp is the inter-frame guard.
 
 ``GfOtfsModem(geom, n_sc_rb, filter_len, atten_db)`` builds its bank with
-``FilterBankSpec.chebyshev`` over all M*N frequency-Doppler bins, and receives
+``FilterBankSpec.chebyshev`` over all M*N frequency-Doppler bins. It runs the
+shared chain of :class:`ddwave.scfdma.Modem` with Gamma in place of the Zak
+map: it transmits with ``tx`` = T_u, the predistorted synthesis, and receives
 with ``F rx``, ``rx`` the bank's sparse tail fold. Because the filter keeps
 inter-Doppler interference within a few neighbouring bins, the channel in the
 frequency-Doppler domain is nearly banded, cyclically, and its ``detector``
@@ -21,9 +23,8 @@ import scipy.sparse.linalg
 
 from . import channel as chan
 from .detect import StructuredMmse, cyclic_band_factor
-from .scfdma import ProbedModem
-from .transforms import (FrameGeometry, _check_first_axis, full_dft, to_delay_doppler,
-                         to_frequency_doppler)
+from .scfdma import Modem
+from .transforms import FrameGeometry, full_dft, to_delay_doppler, to_frequency_doppler
 from .ufmc import FilterBankSpec, UfmcOperators, analysis_fold
 
 # Half-width of the cyclic frequency-Doppler band the CG preconditioner keeps.
@@ -37,17 +38,18 @@ BAND_HALF_WIDTH = 12
 CG_RTOL = 1e-14
 
 
-class GfOtfsModem(ProbedModem):
+class GfOtfsModem(Modem):
     """Subband-filtered transceiver with predistortion.
 
-    Its effective channel is Gamma^H F rx H T_u Gamma, where F rx = R_u.
+    Its effective channel is Gamma^H F rx H T_u Gamma, where F rx = R_u and
+    ``tx`` = T_u: the chain's maps are Gamma and Gamma^H F.
     """
 
     def __init__(self, geom: FrameGeometry, n_sc_rb: int = 4, filter_len: int = 1,
                  atten_db: float = 60.0):
         self.geom = geom
         self.bank = FilterBankSpec.chebyshev(geom.n_sc, n_sc_rb, filter_len, atten_db)
-        self.tu = UfmcOperators(self.bank).tu
+        self.tx = UfmcOperators(self.bank).tu
         self.rx_len = self.bank.out_len
         self.rx = analysis_fold(self.bank)
         n = geom.n_sc
@@ -55,17 +57,14 @@ class GfOtfsModem(ProbedModem):
         # that keeps same-colour columns 2b + 1 apart cyclically (n if none)
         self.n_colours = next(c for c in range(min(2 * BAND_HALF_WIDTH + 1, n), n + 1)
                               if n % c == 0)
-        self._coloured = self.tu.reshape(self.rx_len, n // self.n_colours,
+        self._coloured = self.tx.reshape(self.rx_len, n // self.n_colours,
                                          self.n_colours).sum(axis=1)
 
-    def modulate(self, d) -> np.ndarray:
-        """Predistorted, normalized subband synthesis of Gamma d."""
-        return self.tu @ to_frequency_doppler(d, self.geom)
+    def _to_tx(self, d) -> np.ndarray:
+        return to_frequency_doppler(d, self.geom)
 
-    def demodulate(self, r) -> np.ndarray:
-        """Gamma^H F rx r, the analysis and the inverse route; rejects fewer than rx_len samples."""
-        r = _check_first_axis(np.asarray(r)[:self.rx_len], self.rx_len, "demodulate")
-        return to_delay_doppler(full_dft(self.rx @ r), self.geom)
+    def _from_rx(self, y) -> np.ndarray:
+        return to_delay_doppler(full_dft(y), self.geom)
 
     def detector(self, ch: chan.LtvChannelRealization) -> StructuredMmse:
         """Structured MMSE on A = F (rx H) T_u by preconditioned conjugate gradients.
@@ -78,13 +77,13 @@ class GfOtfsModem(ProbedModem):
         CG gives up after n iterations, its bound in exact arithmetic.
         """
         n, c = self.geom.n_sc, self.n_colours
-        rx_h = self.rx @ chan.delay_time_matrix(ch, self.rx_len)
+        rx_h = self._rx_h(ch)
 
         def a(v):
-            return full_dft(rx_h @ (self.tu @ v))
+            return full_dft(rx_h @ (self.tx @ v))
 
         def a_h(w):  # T_u^H (rx H)^H F^H w, conjugated outside so no conjugate copy is formed
-            return (self.tu.T @ (rx_h.T @ full_dft(w, inverse=True).conj())).conj()
+            return (self.tx.T @ (rx_h.T @ full_dft(w, inverse=True).conj())).conj()
 
         resp = full_dft(rx_h @ self._coloured)
         # with one colour a column (c == n) the probe is the whole of A: keep it all
@@ -109,8 +108,7 @@ class GfOtfsModem(ProbedModem):
                         f"in {n} iterations")
                 return x
             return solve
-        return StructuredMmse(_operator(n, a_h), factor,
-                              lambda y: to_frequency_doppler(y, self.geom),
+        return StructuredMmse(_operator(n, a_h), factor, self._to_tx,
                               lambda x: to_delay_doppler(x, self.geom))
 
 

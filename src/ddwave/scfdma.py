@@ -1,19 +1,20 @@
-"""SC-FDMA implementation of the delay-Doppler modem, with CP and optional window.
+"""The modem chain every scheme inherits, and the CP-OTFS modem on it.
 
-The modem takes the SC-FDMA path s_t = F_MN^H Gamma d through the
-frequency-Doppler domain, where the filtered modems hook in; the direct Zak
-path it equals lives with the other maps in :mod:`ddwave.transforms`. The
-effective-channel probe that every modem shares, the dense oracle of the
-detectors, lives here as well.
+:class:`Modem` writes the chain once: ``modulate`` is ``tx`` after a unitary
+map U and ``demodulate`` is U_rx after ``rx``, with ``tx`` and ``rx`` operators
+a subclass builds once. U and U_rx default to the Zak maps, the SC-FDMA route
+F_MN^H Gamma of a modem that filters nothing; gf_otfs, which replaces that
+route's F_MN^H with its filter bank, overrides them with Gamma and Gamma^H F.
+The effective-channel probe, the dense oracle of the detectors, lives on the
+base as well.
 
 ``CpOtfsModem(geom, cp_len, window_db=None, tx_window=False)`` serves both
 CP schemes: plain OTFS (``otfs``, no window) and receiver-windowed OTFS
 (``rw_otfs``), which multiplies the kept delay-time samples by a global
 Dolph-Chebyshev window with ``window_db`` dB sidelobe attenuation to tame
 Doppler-induced leakage, and with ``tx_window`` also the transmitted ones
-for sidelobe studies. Its prefix and windows are two sparse operators that
-``modulate``, ``demodulate`` and ``detector`` all multiply; the detector
-factors the banded Gram of ``rx H tx``, with no probe.
+for sidelobe studies. Its prefix and windows are its ``tx`` and ``rx``; the
+detector factors the banded Gram of ``rx H tx``, with no probe.
 """
 
 from __future__ import annotations
@@ -23,29 +24,48 @@ import scipy.sparse
 
 from . import channel as chan
 from .detect import StructuredMmse, cyclic_band_factor
-from .transforms import (
-    DimensionError,
-    FrameGeometry,
-    _check_first_axis,
-    full_dft,
-    to_delay_doppler,
-    to_frequency_doppler,
-)
+from .transforms import (DimensionError, FrameGeometry, _check_first_axis, zak_demodulate,
+                         zak_modulate)
 from .ufmc import dolph_chebyshev_window
 
 
-class ProbedModem:
-    """Effective-channel probe shared by every modem.
+class Modem:
+    """The modem chain: ``modulate(d) = tx U(d)``, ``demodulate(r) = U_rx(rx r[:rx_len])``.
 
-    A subclass provides ``geom``, ``rx_len``, ``modulate`` and ``demodulate``,
-    all linear and columnwise on matrices, and ``detector(ch)``, a structured
-    MMSE with ``solve(y, noise_var)``. The probe pushes the identity basis
-    through the chain; the transmitted basis does not depend on the channel,
-    so it is built on the first probe and kept. The dense probe and
-    :class:`ddwave.detect.MmseEqualizer` are the oracle of every detector.
+    A subclass sets ``geom``, ``rx_len``, ``tx`` (rx_len x M*N) and ``rx``
+    (M*N x rx_len), and provides ``detector(ch)``, a structured MMSE with
+    ``solve(y, noise_var)``. U (``_to_tx``) and U_rx (``_from_rx``) default
+    to the Zak maps. Everything is linear and columnwise on matrices. The
+    probe pushes the identity basis through the chain; the transmitted basis
+    does not depend on the channel, so it is built on the first probe and
+    kept. The dense probe and :class:`ddwave.detect.MmseEqualizer` are the
+    oracle of every detector.
     """
 
     _basis: np.ndarray | None = None
+
+    def _to_tx(self, d) -> np.ndarray:
+        return zak_modulate(d, self.geom)
+
+    def _from_rx(self, y) -> np.ndarray:
+        return zak_demodulate(y, self.geom)
+
+    def modulate(self, d) -> np.ndarray:
+        """tx U d: the delay-Doppler map, then the scheme's transmit operator."""
+        return self.tx @ self._to_tx(d)
+
+    def demodulate(self, r) -> np.ndarray:
+        """U_rx rx r: the receive operator, then the map back to delay-Doppler.
+
+        Samples beyond rx_len (the channel tail) are dropped; shorter input
+        is rejected. Works columnwise on matrices.
+        """
+        r = _check_first_axis(np.asarray(r)[:self.rx_len], self.rx_len, "demodulate")
+        return self._from_rx(self.rx @ r)
+
+    def _rx_h(self, ch: chan.LtvChannelRealization):
+        """rx H, the receive operator times the sparse delay-time matrix of the taps."""
+        return self.rx @ chan.delay_time_matrix(ch, self.rx_len)
 
     def effective_channel(self, ch: chan.LtvChannelRealization) -> np.ndarray:
         """End-to-end delay-Doppler map; column q is the response to symbol q."""
@@ -54,8 +74,8 @@ class ProbedModem:
         return self.demodulate(chan.apply_channel(self._basis, ch, out_len=self.rx_len))
 
 
-class CpOtfsModem(ProbedModem):
-    """CP-OTFS transceiver over the SC-FDMA route, optionally windowed.
+class CpOtfsModem(Modem):
+    """CP-OTFS transceiver over the Zak route, optionally windowed.
 
     With ``window_db`` set, a length-M*N Dolph-Chebyshev window of that
     sidelobe attenuation in dB, peak normalized to 1, multiplies the
@@ -86,34 +106,15 @@ class CpOtfsModem(ProbedModem):
         self.tx = scipy.sparse.csr_array((w_tx[col], (j, col)), shape=(self.rx_len, n))
         self.rx = scipy.sparse.csr_array((w_rx, (j[:n], j[cp_len:])), shape=(n, self.rx_len))
 
-    def _to_time(self, d) -> np.ndarray:
-        return full_dft(to_frequency_doppler(d, self.geom), inverse=True)
-
-    def _from_time(self, s_t) -> np.ndarray:
-        return to_delay_doppler(full_dft(s_t), self.geom)
-
-    def modulate(self, d) -> np.ndarray:
-        """tx F_MN^H Gamma d: the frequency-Doppler route, then the TX window if on and the CP."""
-        return self.tx @ self._to_time(d)
-
-    def demodulate(self, r) -> np.ndarray:
-        """Gamma^H F_MN rx r: CP removal and the RX window if any, then the inverse route.
-
-        Samples beyond rx_len (the channel tail) are dropped; shorter input
-        is rejected. Works columnwise on matrices.
-        """
-        r = _check_first_axis(np.asarray(r)[:self.rx_len], self.rx_len, "demodulate")
-        return self._from_time(self.rx @ r)
-
     def detector(self, ch: chan.LtvChannelRealization) -> StructuredMmse:
         """Structured MMSE on K = W_rx B_cp H A_cp W_tx, one banded Cholesky per noise variance.
 
-        The effective channel is Gamma^H F K F^H Gamma. K is the modem's two
-        operators around the sparse delay-time matrix H, with no probe: its
-        entries lie at (k, (k - tau_l) mod n), so K^H K is a cyclic band of
-        half-width tau_max.
+        The effective channel is zak_demodulate K zak_modulate. K is the
+        modem's two operators around the sparse delay-time matrix H, with no
+        probe: its entries lie at (k, (k - tau_l) mod n), so K^H K is a cyclic
+        band of half-width tau_max.
         """
-        k_mat = self.rx @ chan.delay_time_matrix(ch, self.rx_len) @ self.tx
+        k_mat = self._rx_h(ch) @ self.tx
         k_h = k_mat.conj().T
         return StructuredMmse(k_h, cyclic_band_factor(k_h @ k_mat),
-                              self._to_time, self._from_time)
+                              self._to_tx, self._from_rx)

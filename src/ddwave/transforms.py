@@ -14,10 +14,13 @@ permutation around it. ``Gamma`` (:func:`to_frequency_doppler`) has three steps:
 
 Two equivalent modulation paths exist: the direct Zak path
 s_t = (F_N^H kron I_M) d (:func:`zak_modulate`), and the SC-FDMA path
-s_t = F_MN^H Gamma d through the frequency-Doppler domain, where the filtered
-modems hook in. Their equality is F_MN = Psi (I_N kron F_M) Omega (F_N kron I_M),
-checked in the test suite. Dense materializations live in :func:`oracle_matrix`,
-for small-instance verification only, including the CP oracles ``A_cp`` and ``B_cp``.
+s_t = F_MN^H Gamma d through the frequency-Doppler domain. Their equality is
+F_MN = Psi (I_N kron F_M) Omega (F_N kron I_M), checked in the test suite. The
+modems that filter nothing in frequency-Doppler (otfs, rw_otfs and dr_ufmc,
+whose filters act per delay block) take the Zak path; gf_otfs takes Gamma and
+replaces the final F_MN^H with its filter bank. Dense materializations live in
+:func:`oracle_matrix`, for small-instance verification only, including the CP
+oracles ``A_cp`` and ``B_cp``.
 """
 
 from __future__ import annotations

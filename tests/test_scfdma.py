@@ -1,4 +1,6 @@
-"""SC-FDMA modem: path equivalence, loopback, CP algebra, effective channels."""
+"""The shared modem chain and the CP-OTFS modem on it: the Zak route against the
+SC-FDMA route, loopback, CP algebra, effective channels, and the chain's
+contract for all four schemes (columnwise, short input, the probe)."""
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from ddwave.scfdma import CpOtfsModem
 from ddwave.transforms import (
     DimensionError,
     FrameGeometry,
+    full_dft,
     oracle_matrix,
+    to_delay_doppler,
     to_frequency_doppler,
     zak_demodulate,
     zak_modulate,
@@ -86,13 +90,19 @@ class TestZakPath:
 class TestPathEquivalence:
     @pytest.mark.parametrize("m_dim,n_dim", [(8, 4), (64, 8)])
     def test_zak_equals_scfdma_route(self, m_dim, n_dim):
+        # the modem takes the Zak route; the paper's SC-FDMA route F_MN^H Gamma
+        # (and its inverse Gamma^H F_MN) must give the same frame
         g = FrameGeometry(M=m_dim, N=n_dim)
         rng = np.random.default_rng(4)
         modem = CpOtfsModem(g)
         for _ in range(20):
             d = random_symbols(rng, g.n_sc, 16)
             s_t = modem.modulate(d)  # no CP: the delay-time frame itself
-            assert np.max(np.abs(s_t - zak_modulate(d, g))) < 1e-12
+            scfdma = full_dft(to_frequency_doppler(d, g), inverse=True)
+            assert np.max(np.abs(s_t - scfdma)) < 1e-12
+            r = random_complex(rng, g.n_sc)
+            assert np.max(np.abs(modem.demodulate(r)
+                                 - to_delay_doppler(full_dft(r), g))) < 1e-12
 
     def test_output_energies(self):
         g = geom_8x4()
@@ -255,6 +265,23 @@ def test_shared_probe_caches_only_the_basis(scheme):
         direct = modem.demodulate(chan.apply_channel(modem.modulate(eye), ch,
                                                      out_len=modem.rx_len))
         assert np.array_equal(modem.effective_channel(ch), direct)
+
+
+@pytest.mark.parametrize("scheme", ["otfs", "gf_otfs", "rw_otfs", "dr_ufmc"])
+def test_the_chain_works_columnwise(scheme):
+    # the probe modulates the identity and the dense oracle demodulates its
+    # columns at once: a matrix must give what its columns give one by one
+    cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
+                            "rw_cp_len": 8, "rw_tx_window": True, "schemes": [scheme]})
+    modem = build_modems(cfg)[scheme]
+    rng = np.random.default_rng(10)
+    d = random_complex(rng, (modem.geom.n_sc, 3))
+    r = random_complex(rng, (modem.rx_len, 3))
+    x, y = modem.modulate(d), modem.demodulate(r)
+    assert x.shape == (modem.rx_len, 3) and y.shape == (modem.geom.n_sc, 3)
+    for q in range(3):
+        assert np.max(np.abs(x[:, q] - modem.modulate(d[:, q]))) <= 1e-12
+        assert np.max(np.abs(y[:, q] - modem.demodulate(r[:, q]))) <= 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["otfs", "gf_otfs", "rw_otfs", "dr_ufmc"])

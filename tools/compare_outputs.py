@@ -12,8 +12,10 @@ prints how many rows differ and the largest absolute difference in each
 column that changed. It then runs each root's own
 ``tests/test_acceptance.py`` with ``-s`` and compares the
 ``criterion N PASS|FAIL`` lines; the indented ``time of`` and ``detail of``
-lines are ignored. It prints each difference and a summary, and exits 0
-when everything matches, 1 otherwise.
+lines are ignored. It prints each difference, the two trees' ``src/`` line
+counts (as ``wc -l src/ddwave/*.py`` sums them) and a summary, and exits 0
+when everything matches, 1 otherwise; the line counts do not count as a
+difference.
 """
 
 from __future__ import annotations
@@ -74,6 +76,11 @@ def criterion_lines(root: Path) -> list[str]:
                            "tests/test_acceptance.py"],
                           env=_env(root), cwd=root, capture_output=True, text=True)
     return [m.group(0) for m in map(CRITERION.search, proc.stdout.splitlines()) if m]
+
+
+def src_lines(root: Path) -> int:
+    """Newlines in src/ddwave/*.py, the total ``wc -l`` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "ddwave").glob("*.py"))
 
 
 def compare_run(name: str, old: dict, new: dict) -> list[str]:
@@ -143,6 +150,7 @@ def main(argv: list[str]) -> int:
             diffs.append(f"criterion line differs:\n  parent: {old}\n  change: {new}")
     for diff in diffs:
         print(diff)
+    print(f"src lines: parent {src_lines(parent)}, change {src_lines(change)}")
     print(f"summary: {len(RUNS)} runs, {n_csv} parent CSVs, {len(old_lines)} criterion lines; "
           f"{len(diffs)} difference(s)")
     return 1 if diffs else 0
