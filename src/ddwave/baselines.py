@@ -15,12 +15,11 @@ with a window.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
 
 from . import channel as chan
 from .detect import StructuredMmse, banded_factor
 from .scfdma import Modem
-from .transforms import DimensionError, FrameGeometry, blockwise_dft, full_dft
+from .transforms import DimensionError, FrameGeometry, blockwise_dft
 from .ufmc import FilterBankSpec, UfmcOperators, analysis_fold
 
 
@@ -33,9 +32,10 @@ class DrUfmcModem(Modem):
     filter tails of consecutive blocks overlap. The receiver analyzes each
     block at its nominal boundaries, which leaves the inter-block
     interference in the effective channel for the detector to handle.
-    Both are sparse block-time operators: ``tx`` places each block's T_u F_M
-    M samples after the last, and ``rx`` is :func:`ddwave.ufmc.analysis_fold`
-    of the N blocks, whose block DFT cancels the Zak route's inverse one.
+    Both are sparse block-time operators over the N blocks, M samples apart:
+    ``tx`` is N copies of the bank's T_u F_M (:class:`ddwave.ufmc.UfmcOperators`),
+    and ``rx`` is :func:`ddwave.ufmc.analysis_fold` of the N blocks, whose
+    block DFT cancels the Zak route's inverse one.
     """
 
     def __init__(self, geom: FrameGeometry, n_sc_rb: int = 4, filter_len: int = 20,
@@ -43,14 +43,9 @@ class DrUfmcModem(Modem):
         self.geom = geom
         self.bank = FilterBankSpec.chebyshev(geom.M, n_sc_rb, filter_len, atten_db)
         self.rx_len = geom.n_sc + filter_len - 1
-        # the predistorted block modulator (the bank's gain ripple would put delay-domain
-        # ghosts on the raw demodulated grid) after the block DFT: T_u F_M = (F_M T_u^T)^T
-        block = full_dft(UfmcOperators(self.bank).tu, axis=1)
-        start = geom.M * np.arange(geom.N)[:, None, None]
-        rows, cols, vals = np.broadcast_arrays(start + np.arange(self.bank.out_len)[:, None],
-                                               start + np.arange(geom.M), block)
-        self.tx = scipy.sparse.csr_array((vals.ravel(), (rows.ravel(), cols.ravel())),
-                                         shape=(self.rx_len, geom.n_sc))
+        # the predistorted block modulator T_u F_M (the bank's gain ripple would put
+        # delay-domain ghosts on the raw demodulated grid), once per block
+        self.tx = UfmcOperators(self.bank, geom.N).tx
         self.rx = analysis_fold(self.bank, geom.N)
 
     def tx_from_block_spectra(self, f_blocks: np.ndarray) -> np.ndarray:
@@ -81,5 +76,4 @@ class DrUfmcModem(Modem):
             g[j * m:(j + c) * m, cols] = t[rows, j * m:(j + c) * m].conj().T @ t[rows, cols]
         i, q = np.arange(c * m)[:, None], np.arange(n)
         band = np.where(q + i < n, g[(q + i) % n, q], 0)  # band[i, q] = G[q + i, q]
-        return StructuredMmse(t_sparse.conj().T, banded_factor(band, np.arange(n)),
-                              self._to_tx, self._from_rx)
+        return self._mmse(t_sparse.conj().T, banded_factor(band, np.arange(n)))

@@ -6,13 +6,15 @@ filtering acts across the Doppler dimension as well as the frequency one. No
 CP is used; the filter ramp is the inter-frame guard.
 
 ``GfOtfsModem(geom, n_sc_rb, filter_len, atten_db)`` builds its bank with
-``FilterBankSpec.chebyshev`` over all M*N frequency-Doppler bins. It runs the
-shared chain of :class:`ddwave.scfdma.Modem` with Gamma in place of the Zak
-map: it transmits with ``tx`` = T_u, the predistorted synthesis, and receives
-with ``F rx``, ``rx`` the bank's sparse tail fold. Because the filter keeps
-inter-Doppler interference within a few neighbouring bins, the channel in the
-frequency-Doppler domain is nearly banded, cyclically, and its ``detector``
-solves matrix-free: conjugate gradients preconditioned by the band.
+``FilterBankSpec.chebyshev`` over all M*N frequency-Doppler bins. Its chain
+T_u Gamma is (T_u F_MN) zak_modulate, since Gamma = F_MN zak_modulate, so it
+runs the shared chain of :class:`ddwave.scfdma.Modem` on the Zak maps like
+every other scheme, between two sparse operators: ``tx`` = T_u F_MN, the
+bank's predistorted synthesis built in closed form, and ``rx``, its tail
+fold. Because the filter keeps inter-Doppler interference within a few
+neighbouring bins, the channel in the frequency-Doppler domain is nearly
+banded, cyclically, and its ``detector`` runs conjugate gradients on the
+sparse time-domain channel, preconditioned by that band.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import scipy.sparse.linalg
 from . import channel as chan
 from .detect import StructuredMmse, cyclic_band_factor
 from .scfdma import Modem
-from .transforms import FrameGeometry, full_dft, to_delay_doppler, to_frequency_doppler
+from .transforms import FrameGeometry, full_dft
 from .ufmc import FilterBankSpec, UfmcOperators, analysis_fold
 
 # Half-width of the cyclic frequency-Doppler band the CG preconditioner keeps.
@@ -41,50 +43,41 @@ CG_RTOL = 1e-14
 class GfOtfsModem(Modem):
     """Subband-filtered transceiver with predistortion.
 
-    Its effective channel is Gamma^H F rx H T_u Gamma, where F rx = R_u and
-    ``tx`` = T_u: the chain's maps are Gamma and Gamma^H F.
+    Its effective channel is Gamma^H F rx H T_u Gamma, where F rx = R_u. As
+    Gamma = F Z with Z = zak_modulate, that is Z^H K Z with K = rx H tx and
+    ``tx`` = T_u F, the bank's sparse modulator: the chain's maps are the Zak maps.
     """
 
     def __init__(self, geom: FrameGeometry, n_sc_rb: int = 4, filter_len: int = 1,
                  atten_db: float = 60.0):
         self.geom = geom
         self.bank = FilterBankSpec.chebyshev(geom.n_sc, n_sc_rb, filter_len, atten_db)
-        self.tx = UfmcOperators(self.bank).tu
+        self.tx = UfmcOperators(self.bank).tx
         self.rx_len = self.bank.out_len
         self.rx = analysis_fold(self.bank)
         n = geom.n_sc
-        # colour q sums the columns q, q + c, ...: c is the least divisor of n
+        # colour q sums the columns q, q + c, ... of T_u: c is the least divisor of n
         # that keeps same-colour columns 2b + 1 apart cyclically (n if none)
         self.n_colours = next(c for c in range(min(2 * BAND_HALF_WIDTH + 1, n), n + 1)
                               if n % c == 0)
-        self._coloured = self.tx.reshape(self.rx_len, n // self.n_colours,
-                                         self.n_colours).sum(axis=1)
-
-    def _to_tx(self, d) -> np.ndarray:
-        return to_frequency_doppler(d, self.geom)
-
-    def _from_rx(self, y) -> np.ndarray:
-        return to_delay_doppler(full_dft(y), self.geom)
+        colours = np.arange(n)[:, None] % self.n_colours == np.arange(self.n_colours)
+        self._coloured = self.tx @ full_dft(colours.astype(complex), inverse=True)
 
     def detector(self, ch: chan.LtvChannelRealization) -> StructuredMmse:
-        """Structured MMSE on A = F (rx H) T_u by preconditioned conjugate gradients.
+        """Structured MMSE on the sparse K = rx H tx by preconditioned conjugate gradients.
 
-        The effective channel is Gamma^H A Gamma. A is applied through T_u, the
-        sparse product rx H and the DFT, never formed. The preconditioner
-        is the cyclic band |i - j| <= b of A, recovered from ``n_colours``
-        coloured probe columns (Curtis, Powell & Reid 1974). Its Gram, a
-        cyclic band of 2b, is factored by :func:`ddwave.detect.cyclic_band_factor`.
-        CG gives up after n iterations, its bound in exact arithmetic.
+        The effective channel is Z^H K Z. Its frequency-Doppler form A = F K F^H
+        = F rx H T_u is nearly a cyclic band; the preconditioner is the band
+        |i - j| <= b of A, recovered from ``n_colours`` coloured probe columns
+        (Curtis, Powell & Reid 1974). Its Gram, a cyclic band of 2b, is factored
+        by :func:`ddwave.detect.cyclic_band_factor` and applied between F and F^H,
+        a unitary change of variables that leaves the Krylov iterates as they
+        would be on A. CG gives up after n iterations, its bound in exact arithmetic.
         """
         n, c = self.geom.n_sc, self.n_colours
         rx_h = self._rx_h(ch)
-
-        def a(v):
-            return full_dft(rx_h @ (self.tx @ v))
-
-        def a_h(w):  # T_u^H (rx H)^H F^H w, conjugated outside so no conjugate copy is formed
-            return (self.tx.T @ (rx_h.T @ full_dft(w, inverse=True).conj())).conj()
-
+        k_mat = rx_h @ self.tx
+        k_h = k_mat.conj().T
         resp = full_dft(rx_h @ self._coloured)
         # with one colour a column (c == n) the probe is the whole of A: keep it all
         offs = np.arange(-BAND_HALF_WIDTH, BAND_HALF_WIDTH + 1) % n if c < n else np.arange(n)
@@ -95,8 +88,9 @@ class GfOtfsModem(Modem):
         band_factor = cyclic_band_factor(a_band.conj().T @ a_band)
 
         def factor(var):
-            precond = _operator(n, band_factor(var))
-            gram = _operator(n, lambda v: a_h(a(v)) + var * v)
+            band_solve = band_factor(var)
+            precond = _operator(n, lambda v: full_dft(band_solve(full_dft(v)), inverse=True))
+            gram = _operator(n, lambda v: k_h @ (k_mat @ v) + var * v)
 
             def solve(rhs):
                 # Hestenes & Stiefel 1952, from the preconditioner's solution
@@ -108,8 +102,7 @@ class GfOtfsModem(Modem):
                         f"in {n} iterations")
                 return x
             return solve
-        return StructuredMmse(_operator(n, a_h), factor, self._to_tx,
-                              lambda x: to_delay_doppler(x, self.geom))
+        return self._mmse(k_h, factor)
 
 
 def _operator(n: int, matvec) -> scipy.sparse.linalg.LinearOperator:

@@ -1,12 +1,11 @@
 """The modem chain every scheme inherits, and the CP-OTFS modem on it.
 
-:class:`Modem` writes the chain once: ``modulate`` is ``tx`` after a unitary
-map U and ``demodulate`` is U_rx after ``rx``, with ``tx`` and ``rx`` operators
-a subclass builds once. U and U_rx default to the Zak maps, the SC-FDMA route
-F_MN^H Gamma of a modem that filters nothing; gf_otfs, which replaces that
-route's F_MN^H with its filter bank, overrides them with Gamma and Gamma^H F.
-The effective-channel probe, the dense oracle of the detectors, lives on the
-base as well.
+:class:`Modem` writes the chain once: ``modulate`` is ``tx`` after
+:func:`zak_modulate` and ``demodulate`` is :func:`zak_demodulate` after ``rx``,
+so every scheme is two sparse operators, built once, around the Zak maps
+(the SC-FDMA route F_MN^H Gamma of a modem that filters nothing; gf_otfs's
+T_u Gamma is (T_u F_MN) zak_modulate). The structured MMSE every detector
+returns and the effective-channel probe, its dense oracle, live there too.
 
 ``CpOtfsModem(geom, cp_len, window_db=None, tx_window=False)`` serves both
 CP schemes: plain OTFS (``otfs``, no window) and receiver-windowed OTFS
@@ -30,42 +29,40 @@ from .ufmc import dolph_chebyshev_window
 
 
 class Modem:
-    """The modem chain: ``modulate(d) = tx U(d)``, ``demodulate(r) = U_rx(rx r[:rx_len])``.
+    """The modem chain: ``modulate(d) = tx Z d``, ``demodulate(r) = Z^H rx r[:rx_len]``.
 
-    A subclass sets ``geom``, ``rx_len``, ``tx`` (rx_len x M*N) and ``rx``
-    (M*N x rx_len), and provides ``detector(ch)``, a structured MMSE with
-    ``solve(y, noise_var)``. U (``_to_tx``) and U_rx (``_from_rx``) default
-    to the Zak maps. Everything is linear and columnwise on matrices. The
-    probe pushes the identity basis through the chain; the transmitted basis
-    does not depend on the channel, so it is built on the first probe and
-    kept. The dense probe and :class:`ddwave.detect.MmseEqualizer` are the
-    oracle of every detector.
+    Z is :func:`zak_modulate`. A subclass sets ``geom``, ``rx_len``, ``tx``
+    (rx_len x M*N) and ``rx`` (M*N x rx_len), and provides ``detector(ch)``,
+    the ``_mmse`` of K = rx H tx. Everything is linear and columnwise on
+    matrices. The probe pushes the identity basis through the chain; the
+    transmitted basis does not depend on the channel, so it is built on the
+    first probe and kept. The dense probe and
+    :class:`ddwave.detect.MmseEqualizer` are the oracle of every detector.
     """
 
     _basis: np.ndarray | None = None
 
-    def _to_tx(self, d) -> np.ndarray:
-        return zak_modulate(d, self.geom)
-
-    def _from_rx(self, y) -> np.ndarray:
-        return zak_demodulate(y, self.geom)
-
     def modulate(self, d) -> np.ndarray:
-        """tx U d: the delay-Doppler map, then the scheme's transmit operator."""
-        return self.tx @ self._to_tx(d)
+        """tx Z d: the Zak map to delay-time, then the scheme's transmit operator."""
+        return self.tx @ zak_modulate(d, self.geom)
 
     def demodulate(self, r) -> np.ndarray:
-        """U_rx rx r: the receive operator, then the map back to delay-Doppler.
+        """Z^H rx r: the receive operator, then the Zak map back to delay-Doppler.
 
         Samples beyond rx_len (the channel tail) are dropped; shorter input
         is rejected. Works columnwise on matrices.
         """
         r = _check_first_axis(np.asarray(r)[:self.rx_len], self.rx_len, "demodulate")
-        return self._from_rx(self.rx @ r)
+        return zak_demodulate(self.rx @ r, self.geom)
 
     def _rx_h(self, ch: chan.LtvChannelRealization):
         """rx H, the receive operator times the sparse delay-time matrix of the taps."""
         return self.rx @ chan.delay_time_matrix(ch, self.rx_len)
+
+    def _mmse(self, k_h, factor) -> StructuredMmse:
+        """The structured MMSE of Z^H K Z, from K^H and ``factor`` of K^H K."""
+        return StructuredMmse(k_h, factor, lambda y: zak_modulate(y, self.geom),
+                              lambda x: zak_demodulate(x, self.geom))
 
     def effective_channel(self, ch: chan.LtvChannelRealization) -> np.ndarray:
         """End-to-end delay-Doppler map; column q is the response to symbol q."""
@@ -116,5 +113,4 @@ class CpOtfsModem(Modem):
         """
         k_mat = self._rx_h(ch) @ self.tx
         k_h = k_mat.conj().T
-        return StructuredMmse(k_h, cyclic_band_factor(k_h @ k_mat),
-                              self._to_tx, self._from_rx)
+        return self._mmse(k_h, cyclic_band_factor(k_h @ k_mat))

@@ -15,10 +15,10 @@ permutation around it. ``Gamma`` (:func:`to_frequency_doppler`) has three steps:
 Two equivalent modulation paths exist: the direct Zak path
 s_t = (F_N^H kron I_M) d (:func:`zak_modulate`), and the SC-FDMA path
 s_t = F_MN^H Gamma d through the frequency-Doppler domain. Their equality is
-F_MN = Psi (I_N kron F_M) Omega (F_N kron I_M), checked in the test suite. The
-modems that filter nothing in frequency-Doppler (otfs, rw_otfs and dr_ufmc,
-whose filters act per delay block) take the Zak path; gf_otfs takes Gamma and
-replaces the final F_MN^H with its filter bank. Dense materializations live in
+F_MN = Psi (I_N kron F_M) Omega (F_N kron I_M), checked in the test suite. Every
+modem takes the Zak path: gf_otfs, which replaces the final F_MN^H with its
+filter bank T_u, transmits T_u Gamma d = (T_u F_MN) zak_modulate(d). Gamma is
+left to the spectral studies and the tests. Dense materializations live in
 :func:`oracle_matrix`, for small-instance verification only, including the CP
 oracles ``A_cp`` and ``B_cp``.
 """

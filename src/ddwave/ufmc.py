@@ -4,6 +4,8 @@ A bank groups n_sc subcarriers into n_rb subbands of n_sc_rb each. Synthesis
 transforms each subband to the time domain with the matching columns of the
 inverse DFT, convolves with a frequency-shifted copy of the prototype filter,
 and sums the subbands; the output is n_sc + filter_len - 1 samples long.
+:class:`UfmcOperators` builds it, predistorted and power-normalized and after
+a unitary DFT, in closed form as a sparse operator with n_sc_rb entries a row.
 Analysis, the even bins of the 2 n_sc-point DFT of the zero-padded block, is
 the n_sc-point DFT of the block with its tail folded onto its head, over
 sqrt(2) (Muquet et al. 2002): :func:`analysis_fold`. With filter_len = 1 the
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse
-from scipy.fft import fft, next_fast_len
+from scipy.fft import fft
 
 from .transforms import DimensionError, full_dft
 
@@ -86,9 +88,6 @@ class FilterBankSpec:
         self.prototype = prototype
         self.filter_len = prototype.size
         self.alpha = (np.arange(self.n_rb) + 0.5) * n_sc_rb - 0.5
-        k = np.arange(self.filter_len)
-        self.shifted_filters = prototype[None, :] * np.exp(
-            2j * np.pi * np.outer(self.alpha, k) / n_sc)
 
     @classmethod
     def chebyshev(cls, n_sc: int, n_sc_rb: int, filter_len: int,
@@ -99,17 +98,6 @@ class FilterBankSpec:
     @property
     def out_len(self) -> int:
         return self.n_sc + self.filter_len - 1
-
-
-def synthesis_matrix(bank: FilterBankSpec) -> np.ndarray:
-    """Dense unnormalized modulator: column q is the synthesized response of bin q."""
-    idx = np.arange(bank.n_sc)
-    # Columns of the conjugated normalized DFT = per-bin time-domain basis.
-    basis = np.exp(2j * np.pi * np.outer(idx, idx) / bank.n_sc) / np.sqrt(bank.n_sc)
-    n_fft = next_fast_len(bank.out_len)
-    spec = np.fft.fft(basis, n=n_fft, axis=0)
-    spec *= np.fft.fft(bank.shifted_filters, n=n_fft, axis=1).T[:, idx // bank.n_sc_rb]
-    return np.fft.ifft(spec, axis=0)[:bank.out_len]
 
 
 def analysis_fold(bank: FilterBankSpec, n_blocks: int = 1) -> scipy.sparse.csr_array:
@@ -138,18 +126,37 @@ def ufmc_analyze(r: np.ndarray, bank: FilterBankSpec) -> np.ndarray:
 
 
 class UfmcOperators:
-    """The predistorted, power-normalized modulator of one bank.
+    """The predistorted, power-normalized modulator of one bank, built sparse.
 
-    With ``t0 = synthesis_matrix(bank)`` the raw modulator and ``ref`` its
-    all-ones response, ``tu = (t0 / synth_norm_gain) @ diag(predistortion)``
-    is the modem used for transmission: the gain is the RMS of ``ref`` and
-    the predistortion flattens the analysed ``ref``. Only ``tu`` is kept.
+    Bin q = i*rb + r of the raw synthesis T_0 (n = n_sc, rb = n_sc_rb, p the
+    prototype, L its length) is an inverse-DFT column times a window that
+    depends on r alone, with c_r = alpha_i - q = (rb - 1)/2 - r:
+
+        T_0[t, q] = w_r[t] exp(2j pi q t / n) / sqrt(n),
+        w_r[t] = sum_{k=max(0, t-n+1)}^{min(t, L-1)} p[k] exp(2j pi c_r k / n).
+
+    So ``ref = T_0 1`` is nonzero only at t = 0 mod n/rb, ``synth_norm_gain`` g
+    is its RMS, and ``predistortion``, mean|s| / s of its analysis s, repeats
+    with period rb. T_u = T_0 diag(predistortion) / g after the unitary DFT F
+    has rb entries a row, at s = t mod n/rb:
+
+        (T_u F)[t, s] = 1/(g rb) sum_r w_r[t] predistortion[r] exp(2j pi r (t - s) / n).
+
+    ``tx`` is ``n_blocks`` copies of T_u F, n_sc apart, as :func:`analysis_fold`.
     """
 
-    def __init__(self, bank: FilterBankSpec):
+    def __init__(self, bank: FilterBankSpec, n_blocks: int = 1):
         self.bank = bank
-        t0 = synthesis_matrix(bank)
-        ref = t0 @ np.ones(bank.n_sc)
+        n, rb, flen = bank.n_sc, bank.n_sc_rb, bank.filter_len
+        m, t, j = n // rb, np.arange(bank.out_len), np.arange(rb)[:, None]
+        h = bank.prototype * np.exp(2j * np.pi * ((rb - 1) / 2 - j) * np.arange(flen) / n)
+        cum = np.hstack([np.zeros((rb, 1)), np.cumsum(h, axis=1)])
+        w = cum[:, np.minimum(t, flen - 1) + 1] - cum[:, np.maximum(0, t - n + 1)]
+
+        def sums(a):  # sum_r a[r, t] exp(2j pi r (t - s) / n) at s = t mod m + j m, row j
+            return np.sqrt(rb) * full_dft(a, inverse=True)[(t // m - j) % rb, t]
+
+        ref = np.where(t % m == 0, np.sqrt(n) / rb * sums(w)[0], 0)
         s_f0 = ufmc_analyze(ref, bank)
         mags = np.abs(s_f0)
         if np.any(mags < 1e-300):  # also an all-zero ref, i.e. a zero gain
@@ -158,4 +165,8 @@ class UfmcOperators:
         if not np.all(np.isfinite(self.predistortion)):
             raise SingularPredistortionError("non-finite predistortion entries")
         self.synth_norm_gain = float(np.sqrt(np.mean(np.abs(ref) ** 2)))
-        self.tu = (t0 / self.synth_norm_gain) * self.predistortion[None, :]
+        vals = sums(w * self.predistortion[:rb, None]) / (self.synth_norm_gain * rb)
+        start = n * np.arange(n_blocks)[:, None, None]
+        rows, cols, vals = np.broadcast_arrays(start + t, start + t % m + j * m, vals)
+        self.tx = scipy.sparse.csr_array((vals.ravel(), (rows.ravel(), cols.ravel())),
+                                         shape=((n_blocks - 1) * n + bank.out_len, n_blocks * n))

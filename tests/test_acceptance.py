@@ -30,8 +30,8 @@ from ddwave.experiments import run_experiment
 from ddwave.gfotfs import GfOtfsModem
 from ddwave.metrics import wilson_interval
 from ddwave.scfdma import CpOtfsModem
-from ddwave.transforms import FrameGeometry, dft_matrix, oracle_matrix, zak_modulate
-from ddwave.ufmc import FilterBankSpec, UfmcOperators, synthesis_matrix, ufmc_analyze
+from ddwave.transforms import FrameGeometry, dft_matrix, full_dft, oracle_matrix, zak_modulate
+from ddwave.ufmc import FilterBankSpec, UfmcOperators, ufmc_analyze
 
 SCHEMES = ("otfs", "gf_otfs", "rw_otfs", "dr_ufmc")
 
@@ -158,8 +158,7 @@ def test_criterion_6_fast_paths_equal_dense_oracle():
     errs["effective_channel"] = np.max(np.abs(otfs.effective_channel(ch) - h_dd_dense))
 
     gm = GfOtfsModem(g, n_sc_rb=4, filter_len=9)  # the same Chebyshev bank as `bank`
-    errs["subband_synthesis"] = np.max(np.abs(
-        synthesis_matrix(bank) - oracle_matrix("T_0", g, bank)))
+    errs["subband_synthesis"] = np.max(np.abs(UfmcOperators(bank).tx - t_u @ f_full))
     rr = rng.normal(size=40) + 1j * rng.normal(size=40)
     errs["subband_analysis"] = np.max(np.abs(ufmc_analyze(rr, bank) - r_u @ rr))
     errs["gf_modulate"] = np.max(np.abs(gm.modulate(d) - t_u @ gamma @ d))
@@ -183,9 +182,9 @@ def test_criterion_7_predistortion_improvement():
     t0 = time.time()
     ops = UfmcOperators(FilterBankSpec.chebyshev(512, 4, 129, atten_db=60.0))
     ones = np.ones(512)
-    t_n = synthesis_matrix(ops.bank) / ops.synth_norm_gain
+    t_n = oracle_matrix("T_0", FrameGeometry(M=512, N=1), ops.bank) / ops.synth_norm_gain
     r_norm = ufmc_analyze(t_n @ ones, ops.bank)
-    r_pre = ufmc_analyze(ops.tu @ ones, ops.bank)
+    r_pre = ufmc_analyze(ops.tx @ full_dft(ones, inverse=True), ops.bank)
     spread_norm = float(np.max(np.abs(r_norm)) / np.min(np.abs(r_norm)))
     spread_pre = float(np.max(np.abs(r_pre)) / np.min(np.abs(r_pre)))
     elapsed = time.time() - t0

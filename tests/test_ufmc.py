@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.signal.windows import chebwin
 
-from ddwave.transforms import DimensionError, FrameGeometry, full_dft, oracle_matrix
+from ddwave.config import config_from_dict
+from ddwave.experiments import build_modems
+from ddwave.transforms import DimensionError, FrameGeometry, dft_matrix, full_dft, oracle_matrix
 from ddwave.ufmc import (
     FilterBankSpec,
     SingularPredistortionError,
@@ -14,7 +17,6 @@ from ddwave.ufmc import (
     analysis_fold,
     design_chebyshev_prototype,
     dolph_chebyshev_window,
-    synthesis_matrix,
     ufmc_analyze,
 )
 
@@ -29,6 +31,15 @@ def small_bank(filter_len=9):
 
 def table_bank():
     return FilterBankSpec.chebyshev(512, 4, 129, atten_db=60.0)
+
+
+def oracle_t0(bank):
+    return oracle_matrix("T_0", FrameGeometry(M=bank.n_sc, N=1), bank)
+
+
+def transmitted(ops, s_f):
+    """T_u s_f through the builder's sparse T_u F."""
+    return ops.tx @ full_dft(s_f, inverse=True)
 
 
 class TestDolphChebyshevWindow:
@@ -111,7 +122,7 @@ class TestFilterBankSpec:
 class TestSynthesis:
     def test_zero_in_zero_out(self):
         bank = small_bank()
-        out = synthesis_matrix(bank) @ np.zeros(32, dtype=complex)
+        out = UfmcOperators(bank).tx @ np.zeros(32, dtype=complex)
         assert out.shape == (40,)
         assert np.all(out == 0)
 
@@ -120,15 +131,32 @@ class TestSynthesis:
         bank = small_bank()
         rng = np.random.default_rng(0)
         s_f = rng.normal(size=32) + 1j * rng.normal(size=32)
-        dense = oracle_matrix("T_0", g, bank)
-        assert np.max(np.abs(synthesis_matrix(bank) @ s_f - dense @ s_f)) < 1e-10
-        assert np.max(np.abs(synthesis_matrix(bank) - dense)) < 1e-10
+        ops = UfmcOperators(bank)
+        dense = oracle_matrix("T_0", g, bank) * ops.predistortion / ops.synth_norm_gain
+        assert np.max(np.abs(transmitted(ops, s_f) - dense @ s_f)) < 1e-10
+        assert np.max(np.abs(full_dft(ops.tx.toarray(), inverse=True, axis=1) - dense)) < 1e-10
+
+    @pytest.mark.parametrize("n_sc, n_sc_rb, filter_len",
+                             [(32, 4, 9), (32, 1, 1), (32, 4, 33), (53, 1, 1), (8, 4, 9)])
+    def test_closed_form_is_the_oracle_after_the_dft(self, n_sc, n_sc_rb, filter_len):
+        bank = FilterBankSpec.chebyshev(n_sc, n_sc_rb, filter_len)
+        tx = UfmcOperators(bank).tx
+        dense = oracle_matrix("T_u", FrameGeometry(M=n_sc, N=1), bank) @ dft_matrix(n_sc)
+        assert np.max(np.abs(tx.toarray() - dense)) <= 1e-12
+        assert np.diff(tx.indptr).max() <= n_sc_rb
+
+    def test_every_modem_is_two_sparse_arrays(self):
+        # gf_otfs's tx is one block of the builder's T_u F, dr_ufmc's is N of them
+        cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5})
+        for name, modem in build_modems(cfg).items():
+            assert isinstance(modem.tx, scipy.sparse.sparray), name
+            assert isinstance(modem.rx, scipy.sparse.sparray), name
 
     def test_single_subband_containment(self):
         bank = table_bank()
         s_f = np.zeros(512, dtype=complex)
         s_f[200:204] = 1.0  # subband 50
-        out = synthesis_matrix(bank) @ s_f
+        out = transmitted(UfmcOperators(bank), s_f)
         spec = np.abs(np.fft.fft(out, 8 * 512)) ** 2
         bins = np.arange(8 * 512) / 8.0
         inband = (bins >= 195) & (bins <= 209)
@@ -143,7 +171,7 @@ class TestSynthesis:
                 bank = FilterBankSpec.chebyshev(512, 4, 129, atten_db=atten)
                 s_f = np.zeros(512, dtype=complex)
                 s_f[200:204] = 1.0
-                out = synthesis_matrix(bank) @ s_f
+                out = transmitted(UfmcOperators(bank), s_f)
                 spec = np.abs(np.fft.fft(out, 8 * 512)) ** 2
                 bins = np.arange(8 * 512) / 8.0
                 outband = (bins < 180) | (bins > 224)
@@ -201,7 +229,9 @@ class TestOfdmReduction:
     def test_unit_filter_roundtrip(self):
         g = small_geom()
         bank = small_bank(filter_len=1)
-        t0 = synthesis_matrix(bank)
+        ops = UfmcOperators(bank)  # T_0 = g (T_u F) F^H diag(1/predistortion)
+        t0 = full_dft(ops.tx.toarray(), inverse=True, axis=1) * ops.synth_norm_gain \
+            / ops.predistortion
         ru = oracle_matrix("R_u", g, bank)
         assert np.max(np.abs(ru @ t0 - np.eye(32) / np.sqrt(2))) < 1e-12
 
@@ -215,7 +245,7 @@ class TestOfdmReduction:
 class TestNormalization:
     def test_unit_mean_power_after_normalization(self):
         bank = table_bank()
-        t0 = synthesis_matrix(bank)
+        t0 = oracle_t0(bank)
         gain = UfmcOperators(bank).synth_norm_gain
         ref = (t0 / gain) @ np.ones(512)
         assert np.mean(np.abs(ref) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -224,9 +254,8 @@ class TestNormalization:
         g = small_geom()
         bank_a = FilterBankSpec(g.n_sc, 4, design_chebyshev_prototype(9, 60.0))
         bank_b = FilterBankSpec(g.n_sc, 4, 3.7 * design_chebyshev_prototype(9, 60.0))
-        t0_a, t0_b = synthesis_matrix(bank_a), synthesis_matrix(bank_b)
-        tn_a = t0_a / UfmcOperators(bank_a).synth_norm_gain
-        tn_b = t0_b / UfmcOperators(bank_b).synth_norm_gain
+        tn_a = UfmcOperators(bank_a).tx.toarray()
+        tn_b = UfmcOperators(bank_b).tx.toarray()
         assert np.max(np.abs(tn_a - tn_b)) < 1e-12
 
     def test_gain_fast_equals_oracle(self):
@@ -248,9 +277,9 @@ class TestPredistortion:
         # spread ratio of the through-modem all-ones response must shrink
         bank = table_bank()
         ops = UfmcOperators(bank)
-        t_n = synthesis_matrix(bank) / ops.synth_norm_gain
+        t_n = oracle_t0(bank) / ops.synth_norm_gain
         r_plain = ufmc_analyze(t_n @ np.ones(512), bank)
-        r_pre = ufmc_analyze(ops.tu @ np.ones(512), bank)
+        r_pre = ufmc_analyze(transmitted(ops, np.ones(512)), bank)
         spread_plain = np.max(np.abs(r_plain)) / np.min(np.abs(r_plain))
         spread_pre = np.max(np.abs(r_pre)) / np.min(np.abs(r_pre))
         assert spread_pre < spread_plain
@@ -258,15 +287,15 @@ class TestPredistortion:
     def test_recomputed_predistortion_closer_to_one(self):
         bank = table_bank()
         ops = UfmcOperators(bank)
-        s_again = ufmc_analyze(ops.tu @ np.ones(512), bank)
+        s_again = ufmc_analyze(transmitted(ops, np.ones(512)), bank)
         p_again = np.mean(np.abs(s_again)) / s_again
         assert np.max(np.abs(p_again - 1.0)) < np.max(np.abs(ops.predistortion - 1.0))
 
     def test_matches_dense_oracle(self):
         g = small_geom()
         bank = small_bank()
-        ops = UfmcOperators(bank)
-        assert np.max(np.abs(ops.tu - oracle_matrix("T_u", g, bank))) < 1e-10
+        t_u = full_dft(UfmcOperators(bank).tx.toarray(), inverse=True, axis=1)
+        assert np.max(np.abs(t_u - oracle_matrix("T_u", g, bank))) < 1e-10
 
     def test_degenerate_filter_raises(self):
         # a prototype with a null exactly on a kept bin has no predistortion
