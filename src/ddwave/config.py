@@ -24,9 +24,14 @@ import numpy as np
 
 from .channel import DOPPLER_MODELS, PROFILES, ChannelConfig, quantized_profile
 from .metrics import band_has_welch_bin
+from .ufmc import FilterBankSpec, SingularPredistortionError, UfmcOperators
 
 EXPERIMENTS = ("loopback", "impulse_leakage", "sidelobes", "psd", "ber_sweep", "oracle_suite")
 SCHEMES = ("otfs", "gf_otfs", "rw_otfs", "dr_ufmc")
+
+
+# The largest |predistortion| a filtered scheme's bank may need.
+MAX_PREDISTORTION = 10.0
 
 
 class ConfigError(ValueError):
@@ -299,6 +304,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
         value = getattr(cfg, key)
         _expect(0 < value <= 1000,
                 f"{key}: Dolph-Chebyshev attenuation {value!r} dB outside (0, 1000]")
+    # Wide subbands put their edge bins far down the prototype's response, and the
+    # predistortion that flattens them grows without bound: 1.04 to 1.51 on the
+    # default-shaped banks, 12.3 at (16 bins, n_sc_rb 8, length 9), 589 at (16, 16, 9).
+    banks = {"gf_otfs": (cfg.n_sc, cfg.gf_filter_len, cfg.gf_atten_db),
+             "dr_ufmc": (cfg.m, cfg.du_filter_len, cfg.du_atten_db)}
+    for name in filtered:
+        bank = FilterBankSpec.chebyshev(banks[name][0], cfg.n_sc_rb, *banks[name][1:])
+        try:
+            gain = float(np.max(np.abs(UfmcOperators(bank).predistortion)))
+        except SingularPredistortionError:
+            gain = math.inf
+        _expect(gain <= MAX_PREDISTORTION,
+                f"n_sc_rb: {cfg.n_sc_rb}-bin subbands need a {name} predistortion gain of "
+                f"{gain:.3g}, above {MAX_PREDISTORTION:g} (20 dB)")
     if "rw_otfs" in cfg.schemes:
         # up to -20 log10(2*m*n*eps) dB every sample of rw_otfs's window is positive
         # (checked in 0.5 dB steps for lengths 2 to 300 and 11 more up to 2^14)

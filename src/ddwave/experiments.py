@@ -4,7 +4,9 @@ Every random draw derives from (seed, purpose, frame index) through a
 SeedSequence spawn key, so results are bit-identical across runs and across
 worker counts. For a fixed frame index all schemes see the same payload
 bits, the same channel realization, and the same unit noise vector (common
-random numbers); per-SNR noise is the unit vector scaled by sigma.
+random numbers); per-SNR noise is the unit vector scaled by sigma. The
+spectral studies lay a scheme's frames out as the columns of one matrix and
+modulate it in one call, bit for bit the frames one at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import multiprocessing
 import os
 import platform
+import resource
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -93,6 +96,7 @@ class ExperimentReport:
     summary: dict
     csv_paths: dict
     wall_clock_s: float
+    peak_rss_mb: float  # the process's peak RSS so far, or its largest pool worker's
     environment: dict
     version: str = __version__
 
@@ -119,26 +123,32 @@ def centered_band_mask(n_bins: int, fraction: float) -> np.ndarray:
 _P_BLOCK_BITS = 3
 
 
-def _active_band_tx(modems: dict, cfg: ExperimentConfig, frame_idx: int,
-                    mask: np.ndarray, mask_block: np.ndarray) -> dict:
-    """One frame per scheme with random symbols on the active bins only."""
+def _active_band_frames(modems: dict, cfg: ExperimentConfig, mask: np.ndarray,
+                        mask_block: np.ndarray):
+    """Yield (name, tx) per scheme: frame fi in column fi, random symbols on the active bins.
+
+    Frame fi's symbols come from spawn key (_P_BITS, fi), dr_ufmc's per-block
+    ones from (_P_BLOCK_BITS, fi); each scheme's frames are modulated in one call.
+    """
     bits_per_sym = int(np.log2(cfg.qam_order))
-    rng = rng_for(cfg.seed, _P_BITS, frame_idx)
-    symbols = qam_map(rng.integers(0, 2, size=int(mask.sum()) * bits_per_sym), cfg.qam_order)
-    out = {}
+
+    def payload(purpose: int, n_sym: int) -> np.ndarray:  # (n_sym, n_frames)
+        bits = [rng_for(cfg.seed, purpose, fi).integers(0, 2, size=n_sym * bits_per_sym)
+                for fi in range(cfg.n_frames)]
+        return qam_map(np.concatenate(bits), cfg.qam_order).reshape(cfg.n_frames, n_sym).T
+
+    s_f = None
     for name, modem in modems.items():
         if name == "dr_ufmc":
-            rng_b = rng_for(cfg.seed, _P_BLOCK_BITS, frame_idx)
-            n_blk = cfg.n * int(mask_block.sum())
-            blk_symbols = qam_map(rng_b.integers(0, 2, size=n_blk * bits_per_sym), cfg.qam_order)
-            f_blocks = np.zeros((cfg.n, cfg.m), dtype=complex)
-            f_blocks[:, mask_block] = blk_symbols.reshape(cfg.n, -1)
-            out[name] = modem.tx_from_block_spectra(f_blocks)
+            k = int(mask_block.sum())  # active bins a block
+            f_blocks = np.zeros((cfg.n, cfg.m, cfg.n_frames), dtype=complex)
+            f_blocks[:, mask_block] = payload(_P_BLOCK_BITS, cfg.n * k).reshape(cfg.n, k, -1)
+            yield name, modem.tx_from_block_spectra(f_blocks)
         else:
-            s_f = np.zeros(cfg.n_sc, dtype=complex)
-            s_f[mask] = symbols
-            out[name] = modem.modulate(to_delay_doppler(s_f, modem.geom))
-    return out
+            if s_f is None:
+                s_f = np.zeros((cfg.n_sc, cfg.n_frames), dtype=complex)
+                s_f[mask] = payload(_P_BITS, int(mask.sum()))
+            yield name, modem.modulate(to_delay_doppler(s_f, modem.geom))
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +212,12 @@ def run_sidelobes(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
     modems = build_modems(cfg)
     mask = np.arange(cfg.n_sc) < cfg.n_sc // 2
     mask_block = np.arange(cfg.m) < cfg.m // 2
-    os_factor = cfg.sidelobe_oversample
-    acc = {name: np.zeros(os_factor * cfg.n_sc) for name in modems}
-    for fi in range(cfg.n_frames):
-        tx = _active_band_tx(modems, cfg, fi, mask, mask_block)
-        for name, x in tx.items():
-            spec = np.abs(np.fft.fft(x, n=os_factor * cfg.n_sc)) ** 2
-            acc[name] += spec
+    n_fft = cfg.sidelobe_oversample * cfg.n_sc
+    bin_axis = np.arange(n_fft) / cfg.sidelobe_oversample
     summary, paths = {}, {}
-    bin_axis = np.arange(os_factor * cfg.n_sc) / os_factor
-    for name, spec in acc.items():
+    for name, tx in _active_band_frames(modems, cfg, mask, mask_block):
+        spec = sum(np.abs(np.fft.fft(x, n=n_fft)) ** 2 for x in tx.T)  # in frame order
+        del tx  # this scheme's frames are freed before the next scheme's are built
         mag_db = 10.0 * np.log10(np.maximum(spec / spec.max(), 1e-30))
         _check_finite(f"{name} sidelobe spectrum", mag_db)
         path = out_dir / f"sidelobes_{name}.csv"
@@ -234,17 +240,14 @@ def run_psd(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
     modems = build_modems(cfg)
     mask = centered_band_mask(cfg.n_sc, cfg.occupied_fraction)
     mask_block = centered_band_mask(cfg.m, cfg.occupied_fraction)
-    streams = {name: [] for name in modems}
-    for fi in range(cfg.n_frames):
-        tx = _active_band_tx(modems, cfg, fi, mask, mask_block)
-        for name, x in tx.items():
-            streams[name].append(x)
     occ_band, off_band = psd_bands(cfg)
     summary, paths = {}, {}
-    for name, parts in streams.items():
-        x = np.concatenate(parts)
-        x = x / np.sqrt(np.mean(np.abs(x) ** 2))
+    for name, tx in _active_band_frames(modems, cfg, mask, mask_block):
+        x = tx.ravel(order="F")  # the frames back to back
+        del tx  # one scheme's stream at a time, as in run_sidelobes
+        x /= np.sqrt(np.mean(np.abs(x) ** 2))
         est = psd_welch(x, cfg.bandwidth_hz, segment_len=cfg.psd_segment_len)
+        del x
         _check_finite(f"{name} psd", est.psd_db)
         path = out_dir / f"psd_{name}.csv"
         write_csv(path, "ddwave.psd.v1", ["freq_hz", "psd_db"],
@@ -461,6 +464,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
         summary=summary,
         csv_paths=paths,
         wall_clock_s=time.time() - t_start,
+        peak_rss_mb=max(resource.getrusage(who).ru_maxrss
+                        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024.0,
         environment=environment,
     )
     (out_dir / "report.json").write_text(report.to_json())

@@ -142,6 +142,8 @@ class TestConfigParsing:
         ({"schemes": ["dr_ufmc"], "m": 8, "n": 4, "du_filter_len": 20}, "du_filter_len"),
         ({"schemes": ["dr_ufmc"], "m": 6, "n": 2, "n_sc_rb": 4}, "does not divide m = 6"),
         ({"schemes": ["gf_otfs"], "m": 6, "n": 3, "n_sc_rb": 4}, "does not divide m\\*n = 18"),
+        ({"schemes": ["dr_ufmc"], "m": 16, "n": 4, "n_sc_rb": 16, "du_filter_len": 9},
+         "n_sc_rb: 16-bin subbands need a dr_ufmc predistortion gain of 589"),
     ])
     def test_grid_fit_checked_for_its_reader(self, raw, field):
         with pytest.raises(ConfigError, match=field):
@@ -200,6 +202,7 @@ class TestExperiments:
         assert data["seed"] == cfg.seed
         assert data["config"]["gf_filter_len"] == 9
         assert "wall_clock_s" in data
+        assert data["peak_rss_mb"] > 0
 
     def test_impulse_leakage_runs(self, tmp_path):
         cfg = self.small_common(
@@ -620,6 +623,8 @@ class TestCli:
         ({"n": 75140865}, "m * n"),
         ({"snr_grid_db": [180.0]}, "snr_grid_db"),
         ({"m": 64, "n": 128}, "m * n"),
+        # gf_otfs's 16-bin bank in subbands of 8 needs a predistortion gain of 12.3
+        ({"n": 2, "n_sc_rb": 8}, "n_sc_rb: 8-bin subbands need a gf_otfs predistortion gain"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"
@@ -738,13 +743,14 @@ class TestCli:
     def test_nan_in_a_spectral_transmit_exits_three(self, tmp_path, capsys, monkeypatch,
                                                     experiment, what):
         import ddwave.experiments as exp_mod
-        real_tx = exp_mod._active_band_tx
+        real_frames = exp_mod._active_band_frames
 
-        def nan_tx(*args):
-            tx = real_tx(*args)
-            tx["gf_otfs"][0] = np.nan
-            return tx
-        monkeypatch.setattr(exp_mod, "_active_band_tx", nan_tx)
+        def nan_frames(*args):
+            for name, tx in real_frames(*args):
+                if name == "gf_otfs":
+                    tx[0] = np.nan  # the first sample of every frame
+                yield name, tx
+        monkeypatch.setattr(exp_mod, "_active_band_frames", nan_frames)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
             "experiment": experiment, "m": 8, "n": 4, "n_frames": 4, "psd_segment_len": 64,

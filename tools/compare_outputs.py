@@ -12,9 +12,11 @@ prints how many rows differ and the largest absolute difference in each
 column that changed. It then runs each root's own
 ``tests/test_acceptance.py`` with ``-s`` and compares the
 ``criterion N PASS|FAIL`` lines; the indented ``time of`` and ``detail of``
-lines are ignored. It prints each difference, the two trees' ``src/`` line
-counts (as ``wc -l src/ddwave/*.py`` sums them) and a summary, and exits 0
-when everything matches, 1 otherwise; the line counts do not count as a
+lines are ignored. Each run's line also gives both trees' ``wall_clock_s``
+and ``peak_rss_mb`` from its ``report.json`` ("-" where a report has none).
+It prints each difference, the two trees' ``src/`` line counts (as ``wc -l
+src/ddwave/*.py`` sums them) and a summary, and exits 0 when everything
+matches, 1 otherwise; neither the costs nor the line counts count as a
 difference.
 """
 
@@ -67,8 +69,19 @@ def run_config(root: Path, name: str, config: dict, workers: int, tmp: Path) -> 
                           env=_env(root), cwd=tmp, capture_output=True, text=True)
     if proc.returncode:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"}
+    report = json.loads((out / "report.json").read_text())
     return {"csv": {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))},
-            "config_hash": json.loads((out / "report.json").read_text())["config_hash"]}
+            "config_hash": report["config_hash"],
+            "cost": {key: report.get(key) for key in ("wall_clock_s", "peak_rss_mb")}}
+
+
+def cost_line(results: list[dict]) -> str:
+    """Each tree's wall_clock_s and peak_rss_mb, parent first."""
+    def cost(result, key):
+        value = result.get("cost", {}).get(key)
+        return "-" if value is None else f"{value:.3g}"
+    return "; ".join(f"{key} {cost(results[0], key)} -> {cost(results[1], key)}"
+                     for key in ("wall_clock_s", "peak_rss_mb"))
 
 
 def criterion_lines(root: Path) -> list[str]:
@@ -140,7 +153,8 @@ def main(argv: list[str]) -> int:
                 results.append(run_config(root, name, config, workers, Path(tmp) / str(i)))
             found = compare_run(name, *results)
             n_csv += len(results[0].get("csv", ()))
-            print(f"{name}: {'differs' if found else 'identical'}", flush=True)
+            print(f"{name}: {'differs' if found else 'identical'} ({cost_line(results)})",
+                  flush=True)
             diffs += found
     old_lines, new_lines = criterion_lines(parent), criterion_lines(change)
     if not old_lines or len(old_lines) != len(new_lines):
