@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import DOPPLER_MODELS, PROFILES, ChannelConfig, quantized_profile
 from .metrics import band_has_welch_bin
-from .ufmc import FilterBankSpec, SingularPredistortionError, UfmcOperators
+from .ufmc import FilterBankSpec, SingularPredistortionError, predistortion
 
 EXPERIMENTS = ("loopback", "impulse_leakage", "sidelobes", "psd", "ber_sweep", "oracle_suite")
 SCHEMES = ("otfs", "gf_otfs", "rw_otfs", "dr_ufmc")
@@ -286,10 +286,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
             ("snr_grid_db", max(cfg.snr_grid_db), -300, snr_max)):
         _expect(lo <= value <= hi, f"{key}: {value!r} outside [{lo}, {hi}]")
     filtered = [s for s in cfg.schemes if s in ("gf_otfs", "dr_ufmc")]
-    # a one-frame four-scheme sweep at 64 x 64 peaked at 0.63 GB (1.06 GB with a dense T_u)
+    # a one-frame four-scheme sweep at 64 x 64 peaked at 0.11 GB (0.63 GB with a dense Gram)
     _expect(not filtered or cfg.n_sc <= 2 ** 12,
             f"m * n: {cfg.n_sc} outside [1, {2 ** 12}] with {', '.join(filtered)}, the filtered "
-            f"schemes, not measured past it (dr_ufmc's detector grows as (m*n)^2)")
+            "schemes, not measured past it")
     if "gf_otfs" in cfg.schemes:
         _expect(cfg.n_sc % cfg.n_sc_rb == 0,
                 f"n_sc_rb: {cfg.n_sc_rb} does not divide m*n = {cfg.n_sc} (gf_otfs subbands)")
@@ -312,7 +312,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for name in filtered:
         bank = FilterBankSpec.chebyshev(banks[name][0], cfg.n_sc_rb, *banks[name][1:])
         try:
-            gain = float(np.max(np.abs(UfmcOperators(bank).predistortion)))
+            gain = float(np.max(np.abs(predistortion(bank))))
         except SingularPredistortionError:
             gain = math.inf
         _expect(gain <= MAX_PREDISTORTION,

@@ -1,8 +1,9 @@
 """Symbol detection: regularized linear (MMSE) equalization and Gray-coded QAM.
 
 A modem's ``detector(ch)`` is a :class:`StructuredMmse` with
-``solve(y, noise_var)`` that factors by :func:`banded_factor`;
-:class:`MmseEqualizer` on the dense probed effective channel is their oracle.
+``solve(y, noise_var)`` that factors by :func:`band_factor` in a
+:func:`residue_order`; :class:`MmseEqualizer` on the dense probed effective
+channel is their oracle.
 """
 
 from __future__ import annotations
@@ -84,15 +85,15 @@ class StructuredMmse:
     """Linear MMSE for an effective channel U T U^H, with U unitary and T structured.
 
     As U^H H^H H U = T^H T, the solve is d = U (T^H T + var I)^-1 T^H U^H y and
-    never forms H. ``t_h`` applies T^H with ``@`` (a matrix or a linear
-    operator), ``to_t`` applies U^H, ``from_t`` applies U, and ``factor(var)``
-    factors T^H T + var I and returns its solver. The contract: at
+    never forms H. ``to_t`` applies U^H, ``from_t`` applies U, and
+    ``factor(var)`` returns the map (T^H T + var I)^-1 T^H, or its push-through
+    twin T^H (T T^H + var I)^-1, with its factorization done. The contract: at
     ``noise_var == 0`` a singular T raises :class:`RegularizationRequiredError`,
     and at a positive ``noise_var`` an all-zero T gives exact zeros.
     """
 
-    def __init__(self, t_h, factor, to_t, from_t):
-        self.t_h, self.factor, self.to_t, self.from_t = t_h, factor, to_t, from_t
+    def __init__(self, factor, to_t, from_t):
+        self.factor, self.to_t, self.from_t = factor, to_t, from_t
 
     def solve(self, y: np.ndarray, noise_var: float) -> np.ndarray:
         if noise_var < 0:
@@ -103,14 +104,15 @@ class StructuredMmse:
             if noise_var == 0.0:
                 raise RegularizationRequiredError("a singular channel needs noise_var > 0") from exc
             raise
-        return self.from_t(solver(self.t_h @ self.to_t(y)))
+        return self.from_t(solver(self.to_t(y)))
 
 
 class MmseEqualizer(StructuredMmse):
     """Dense linear MMSE detector for a fixed effective channel (T = H, U = I).
 
     It is the oracle that every modem's structured detector is tested
-    against; no experiment runs it.
+    against; no experiment runs it. It keeps the primal form
+    (H^H H + var I)^-1 H^H y, the structured detectors the dual one.
 
     Caches the Gram matrix so that solves at several noise levels reuse the
     expensive product; ``gram`` holds its upper triangle only (zherk), the
@@ -122,38 +124,47 @@ class MmseEqualizer(StructuredMmse):
         if h_eff.ndim != 2 or h_eff.shape[0] != h_eff.shape[1]:
             raise ValueError(f"effective channel must be square, got {h_eff.shape}")
         self.gram = scipy.linalg.blas.zherk(1.0, h_eff, trans=2, lower=0)
+        h_h = h_eff.conj().T
 
         def factor(var):
             a = self.gram if var == 0.0 else self.gram + var * np.eye(h_eff.shape[0])
             c = scipy.linalg.cho_factor(a, check_finite=False)
-            return lambda rhs: scipy.linalg.cho_solve(c, rhs, check_finite=False)
-        super().__init__(h_eff.conj().T, factor, lambda y: y, lambda x: x)
+            return lambda rhs: scipy.linalg.cho_solve(c, h_h @ rhs, check_finite=False)
+        super().__init__(factor, lambda y: y, lambda x: x)
 
 
-def cyclic_band_factor(gram):
-    """:func:`banded_factor` of a sparse Hermitian Gram that is a cyclic band.
+def residue_order(n: int, p: int) -> np.ndarray:
+    """0..n-1 by residue mod p: the residues in the reflected order 0, p-1, 1, p-2, ...
 
-    In the reflected order 0, n-1, 1, n-2, ... a cyclic band of half-width b is a
-    plain band of 2b; the band is as high as the Gram's entries need, one row if
-    it has none."""
-    n = gram.shape[0]
-    order = np.empty(n, dtype=int)
-    order[0::2], order[1::2] = np.arange((n + 1) // 2), n - 1 - np.arange(n // 2)
-    g, pos = gram.tocoo(), np.argsort(order)
+    and each class r, r + p, ... in turn; p divides n. A Gram whose entries lie
+    within cyclic distance b of each other mod p is a band of at most
+    (2b + 1) n/p - 1 rows in this order: p = n turns a cyclic band of half-width
+    b into a plain band of 2b, and p = 1 is the natural order.
+    """
+    r = np.empty(p, dtype=int)
+    r[0::2], r[1::2] = np.arange((p + 1) // 2), p - 1 - np.arange(p // 2)
+    return (r[:, None] + p * np.arange(n // p)).ravel()
+
+
+def band_factor(gram, order: np.ndarray):
+    """``factor(var)``: one banded Cholesky of G + var I, for a sparse Hermitian G in ``order``.
+
+    The band holds G's lower triangle in that order, band[i, q] = G[order[q + i],
+    order[q]], and is as high as its entries need, one row if it has none;
+    ``factor(var)`` returns the solver of G + var I.
+    """
+    n, pos = gram.shape[0], np.argsort(order)
+    g = gram.tocoo()
     r, q = pos[g.row], pos[g.col]
     low = r >= q
-    band = np.zeros((int((r - q)[low].max(initial=0)) + 1, n), dtype=complex)
+    # in LAPACK's column-major layout, so that no factorization transposes a copy
+    band = np.zeros((int((r - q)[low].max(initial=0)) + 1, n), dtype=complex, order="F")
     band[(r - q)[low], q[low]] = g.data[low]
-    return banded_factor(band, order)
-
-
-def banded_factor(band: np.ndarray, order: np.ndarray):
-    """``factor(var)``: one banded Cholesky of G + var I, band[i, q] = G[order[q + i], order[q]]."""
-    pos = np.argsort(order)
 
     def factor(var):
-        cb = scipy.linalg.cholesky_banded(np.vstack([band[:1] + var, band[1:]]), lower=True,
-                                          check_finite=False)
+        ab = band.copy(order="F")
+        ab[0] += var
+        cb = scipy.linalg.cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
         return lambda v: scipy.linalg.cho_solve_banded((cb, True), v[order],
                                                        check_finite=False)[pos]
     return factor

@@ -4,16 +4,18 @@
 :func:`zak_modulate` and ``demodulate`` is :func:`zak_demodulate` after ``rx``,
 so every scheme is two sparse operators, built once, around the Zak maps
 (the SC-FDMA route F_MN^H Gamma of a modem that filters nothing; gf_otfs's
-T_u Gamma is (T_u F_MN) zak_modulate). The structured MMSE every detector
-returns and the effective-channel probe, its dense oracle, live there too.
+T_u Gamma is (T_u F_MN) zak_modulate). The one detector, a banded Cholesky
+of K K^H in the scheme's residue order, and the effective-channel probe, its
+dense oracle, live there too.
 
 ``CpOtfsModem(geom, cp_len, window_db=None, tx_window=False)`` serves both
 CP schemes: plain OTFS (``otfs``, no window) and receiver-windowed OTFS
 (``rw_otfs``), which multiplies the kept delay-time samples by a global
 Dolph-Chebyshev window with ``window_db`` dB sidelobe attenuation to tame
 Doppler-induced leakage, and with ``tx_window`` also the transmitted ones
-for sidelobe studies. Its prefix and windows are its ``tx`` and ``rx``; the
-detector factors the banded Gram of ``rx H tx``, with no probe.
+for sidelobe studies. Its prefix and windows are its ``tx`` and ``rx``. K
+has its entries at (k, (k - tau_l) mod n), so K K^H is a cyclic band of
+half-width tau_max, a band of 2 tau_max in the reflected order (p = n).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from . import channel as chan
-from .detect import StructuredMmse, cyclic_band_factor
+from .detect import StructuredMmse, band_factor, residue_order
 from .transforms import (DimensionError, FrameGeometry, _check_first_axis, zak_demodulate,
                          zak_modulate)
 from .ufmc import dolph_chebyshev_window
@@ -32,8 +34,9 @@ class Modem:
     """The modem chain: ``modulate(d) = tx Z d``, ``demodulate(r) = Z^H rx r[:rx_len]``.
 
     Z is :func:`zak_modulate`. A subclass sets ``geom``, ``rx_len``, ``tx``
-    (rx_len x M*N) and ``rx`` (M*N x rx_len), and provides ``detector(ch)``,
-    the ``_mmse`` of K = rx H tx. Everything is linear and columnwise on
+    (rx_len x M*N), ``rx`` (M*N x rx_len) and ``order``, the
+    :func:`ddwave.detect.residue_order` in which its K K^H is a band, K = rx H tx;
+    ``detector(ch)`` is written here once. Everything is linear and columnwise on
     matrices. The probe pushes the identity basis through the chain; the
     transmitted basis does not depend on the channel, so it is built on the
     first probe and kept. The dense probe and
@@ -55,13 +58,22 @@ class Modem:
         r = _check_first_axis(np.asarray(r)[:self.rx_len], self.rx_len, "demodulate")
         return zak_demodulate(self.rx @ r, self.geom)
 
-    def _rx_h(self, ch: chan.LtvChannelRealization):
-        """rx H, the receive operator times the sparse delay-time matrix of the taps."""
-        return self.rx @ chan.delay_time_matrix(ch, self.rx_len)
+    def detector(self, ch: chan.LtvChannelRealization) -> StructuredMmse:
+        """Structured MMSE of Z^H K Z, K = rx H tx, in the dual form Z^H K^H (K K^H + var I)^-1 Z y.
 
-    def _mmse(self, k_h, factor) -> StructuredMmse:
-        """The structured MMSE of Z^H K Z, from K^H and ``factor`` of K^H K."""
-        return StructuredMmse(k_h, factor, lambda y: zak_modulate(y, self.geom),
+        By the push-through identity that is the primal (K^H K + var I)^-1 K^H.
+        K is the modem's two operators around the sparse delay-time matrix H,
+        with no probe, and K K^H is a band in ``order``, which
+        :func:`ddwave.detect.band_factor` factors once per noise variance.
+        """
+        k_mat = self.rx @ chan.delay_time_matrix(ch, self.rx_len) @ self.tx
+        k_h = k_mat.conj().T
+        band_solver = band_factor(k_mat @ k_h, self.order)
+
+        def factor(var):
+            solve = band_solver(var)
+            return lambda v: k_h @ solve(v)
+        return StructuredMmse(factor, lambda y: zak_modulate(y, self.geom),
                               lambda x: zak_demodulate(x, self.geom))
 
     def effective_channel(self, ch: chan.LtvChannelRealization) -> np.ndarray:
@@ -102,15 +114,4 @@ class CpOtfsModem(Modem):
         col = (j - cp_len) % n
         self.tx = scipy.sparse.csr_array((w_tx[col], (j, col)), shape=(self.rx_len, n))
         self.rx = scipy.sparse.csr_array((w_rx, (j[:n], j[cp_len:])), shape=(n, self.rx_len))
-
-    def detector(self, ch: chan.LtvChannelRealization) -> StructuredMmse:
-        """Structured MMSE on K = W_rx B_cp H A_cp W_tx, one banded Cholesky per noise variance.
-
-        The effective channel is zak_demodulate K zak_modulate. K is the
-        modem's two operators around the sparse delay-time matrix H, with no
-        probe: its entries lie at (k, (k - tau_l) mod n), so K^H K is a cyclic
-        band of half-width tau_max.
-        """
-        k_mat = self._rx_h(ch) @ self.tx
-        k_h = k_mat.conj().T
-        return self._mmse(k_h, cyclic_band_factor(k_h @ k_mat))
+        self.order = residue_order(n, n)

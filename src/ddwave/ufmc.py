@@ -125,6 +125,25 @@ def ufmc_analyze(r: np.ndarray, bank: FilterBankSpec) -> np.ndarray:
     return full_dft(analysis_fold(bank) @ r[:bank.out_len])
 
 
+def predistortion(bank: FilterBankSpec) -> np.ndarray:
+    """The rb = n_sc_rb gains mean|s| / s that flatten the bank's through response s.
+
+    Bin q takes gain q mod rb. With no channel, analysis after synthesis is
+    diagonal: the fold of a windowed periodic signal keeps the window's sum, so
+    bin i*rb + r comes back times s_r = sum_k p[k] exp(2j pi c_r k / n) / sqrt(2),
+    c_r = (rb - 1)/2 - r, whose common 1/sqrt(2) the ratio cancels. O(rb L).
+    """
+    c = (bank.n_sc_rb - 1) / 2 - np.arange(bank.n_sc_rb)[:, None]
+    s = np.exp(2j * np.pi * c * np.arange(bank.filter_len) / bank.n_sc) @ bank.prototype
+    mags = np.abs(s)
+    if np.any(mags < 1e-300):
+        raise SingularPredistortionError("through-modem response has a zero bin")
+    gains = np.mean(mags) / s
+    if not np.all(np.isfinite(gains)):
+        raise SingularPredistortionError("non-finite predistortion entries")
+    return gains
+
+
 class UfmcOperators:
     """The predistorted, power-normalized modulator of one bank, built sparse.
 
@@ -136,9 +155,9 @@ class UfmcOperators:
         w_r[t] = sum_{k=max(0, t-n+1)}^{min(t, L-1)} p[k] exp(2j pi c_r k / n).
 
     So ``ref = T_0 1`` is nonzero only at t = 0 mod n/rb, ``synth_norm_gain`` g
-    is its RMS, and ``predistortion``, mean|s| / s of its analysis s, repeats
-    with period rb. T_u = T_0 diag(predistortion) / g after the unitary DFT F
-    has rb entries a row, at s = t mod n/rb:
+    is its RMS, and ``predistortion``, mean|s| / s of its analysis s, is
+    :func:`predistortion` repeated with period rb. T_u = T_0 diag(predistortion) / g
+    after the unitary DFT F has rb entries a row, at s = t mod n/rb:
 
         (T_u F)[t, s] = 1/(g rb) sum_r w_r[t] predistortion[r] exp(2j pi r (t - s) / n).
 
@@ -156,16 +175,11 @@ class UfmcOperators:
         def sums(a):  # sum_r a[r, t] exp(2j pi r (t - s) / n) at s = t mod m + j m, row j
             return np.sqrt(rb) * full_dft(a, inverse=True)[(t // m - j) % rb, t]
 
+        gains = predistortion(bank)  # a zero bin also means an all-zero ref, a zero gain
+        self.predistortion = np.tile(gains, bank.n_rb)
         ref = np.where(t % m == 0, np.sqrt(n) / rb * sums(w)[0], 0)
-        s_f0 = ufmc_analyze(ref, bank)
-        mags = np.abs(s_f0)
-        if np.any(mags < 1e-300):  # also an all-zero ref, i.e. a zero gain
-            raise SingularPredistortionError("through-modem response has a zero bin")
-        self.predistortion = np.mean(mags) / s_f0
-        if not np.all(np.isfinite(self.predistortion)):
-            raise SingularPredistortionError("non-finite predistortion entries")
         self.synth_norm_gain = float(np.sqrt(np.mean(np.abs(ref) ** 2)))
-        vals = sums(w * self.predistortion[:rb, None]) / (self.synth_norm_gain * rb)
+        vals = sums(w * gains[:, None]) / (self.synth_norm_gain * rb)
         start = n * np.arange(n_blocks)[:, None, None]
         rows, cols, vals = np.broadcast_arrays(start + t, start + t % m + j * m, vals)
         self.tx = scipy.sparse.csr_array((vals.ravel(), (rows.ravel(), cols.ravel())),

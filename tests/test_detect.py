@@ -13,6 +13,7 @@ from ddwave.detect import (
     StructuredMmse,
     qam_demap,
     qam_map,
+    residue_order,
 )
 from ddwave.experiments import _one_blas_thread, build_modems, run_ber_sweep
 
@@ -157,29 +158,32 @@ def one_blas_thread():
         yield
 
 
+# the configs every structured detector is checked on
+_CASES = [
+    pytest.param({}, id="tdl_c-jakes"),
+    pytest.param({"channel": {"doppler_model": "single_shift_per_tap"}},
+                 id="tdl_c-single-shift"),
+    pytest.param({"channel": {"profile": "single_path", "fractional_doppler_override": 0.5}},
+                 id="single-path-override"),
+    # the channel memory (5 samples) is longer than the CP
+    pytest.param({"schemes": ["otfs"], "cp_len": 0}, id="otfs-cp0"),
+    pytest.param({"schemes": ["otfs"], "cp_len": 1}, id="otfs-cp1"),
+    pytest.param({"schemes": ["rw_otfs"], "rw_tx_window": True}, id="rw_otfs-tx-window"),
+    pytest.param({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5}, id="8x4"),
+    # a 6-sample channel memory carries a transmit block two receive blocks down
+    pytest.param({"m": 8, "n": 8, "gf_filter_len": 9, "du_filter_len": 5,
+                  "channel": {"delay_spread_s": 5e-7}}, id="8x8-two-blocks-below"),
+    # four times the default 500 km/h spreads inter-Doppler interference wider
+    pytest.param({"channel": {"speed_mps": 4 * 500.0 / 3.6}}, id="high-doppler"),
+    # subbands of one bin: gf_otfs's residue order is the CP schemes' reflected one
+    pytest.param({"m": 53, "n": 1, "n_sc_rb": 1}, id="53x1-one-colour-a-column"),
+]
+
+
 class TestStructuredMmse:
     """Every scheme solves structured; the dense probe is their oracle."""
 
-    @pytest.mark.parametrize("override", [
-        pytest.param({}, id="tdl_c-jakes"),
-        pytest.param({"channel": {"doppler_model": "single_shift_per_tap"}},
-                     id="tdl_c-single-shift"),
-        pytest.param({"channel": {"profile": "single_path", "fractional_doppler_override": 0.5}},
-                     id="single-path-override"),
-        # the channel memory (5 samples) is longer than the CP
-        pytest.param({"schemes": ["otfs"], "cp_len": 0}, id="otfs-cp0"),
-        pytest.param({"schemes": ["otfs"], "cp_len": 1}, id="otfs-cp1"),
-        pytest.param({"schemes": ["rw_otfs"], "rw_tx_window": True}, id="rw_otfs-tx-window"),
-        pytest.param({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5}, id="8x4"),
-        # a 6-sample channel memory carries a transmit block two receive blocks down
-        pytest.param({"m": 8, "n": 8, "gf_filter_len": 9, "du_filter_len": 5,
-                      "channel": {"delay_spread_s": 5e-7}}, id="8x8-two-blocks-below"),
-        # four times the default 500 km/h spreads inter-Doppler interference wider
-        pytest.param({"channel": {"speed_mps": 4 * 500.0 / 3.6}}, id="high-doppler"),
-        # 53 has no divisor to colour gf_otfs's probe by: it keeps all of A, whose
-        # Gram is dense
-        pytest.param({"m": 53, "n": 1, "n_sc_rb": 1}, id="53x1-one-colour-a-column"),
-    ])
+    @pytest.mark.parametrize("override", _CASES)
     def test_matches_the_dense_oracle(self, override, one_blas_thread):
         cfg = config_from_dict({"experiment": "ber_sweep", "schemes": _STRUCTURED} | override)
         modems = build_modems(cfg)
@@ -202,8 +206,8 @@ class TestStructuredMmse:
                     assert err <= 1e-10, (name, seed, snr_db, err)
 
     def test_the_ber_sweep_never_probes_them(self, tmp_path, monkeypatch):
-        # no detector pushes probe columns through the channel: gf_otfs's 32 preconditioner
-        # colours meet only the sparse rx H, so every apply_channel input is one frame
+        # no detector pushes probe columns through the channel: each forms the sparse
+        # rx H tx, so every apply_channel input is one frame
         from ddwave.baselines import DrUfmcModem
         from ddwave.gfotfs import GfOtfsModem
         from ddwave.scfdma import CpOtfsModem
@@ -241,20 +245,53 @@ class TestStructuredMmse:
         assert d_hat.shape == y.shape
         assert not np.any(d_hat)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_conjugate_gradients_capped_below_convergence_raise(self, monkeypatch):
-        # a non-finite input is no convergence failure: it comes back non-finite, for exit 3
-        import scipy.sparse.linalg
+    @pytest.mark.parametrize("override", _CASES)
+    def test_k_k_h_is_a_band_in_the_modem_order(self, override):
+        # the heights that make one banded Cholesky exact: 2 tau_max for the CP schemes,
+        # (2 tau_max + 1) n_sc_rb - 1 for gf_otfs, and DrUfmcModem's closed form
+        cfg = config_from_dict({"experiment": "ber_sweep", "schemes": _STRUCTURED} | override)
+        modems = build_modems(cfg)
+        geom = next(iter(modems.values())).geom
+        stride = geom.M // cfg.n_sc_rb
+        for seed in (3, 4):
+            ch = chan.generate_channel(channel_config(cfg), max(m.rx_len for m in modems.values())
+                                       + 8, seed=seed, delta_nu_hz=geom.delta_nu_hz)
+            tau = int(ch.tap_delays[-1])
+            bound = {"otfs": 2 * tau, "rw_otfs": 2 * tau,
+                     "gf_otfs": (2 * tau + 1) * cfg.n_sc_rb - 1,
+                     "dr_ufmc": min(geom.n_sc - 1, geom.M + tau + stride
+                                    * ((geom.M + cfg.du_filter_len - 2) // stride))}
+            for name, modem in modems.items():
+                k_mat = modem.rx @ chan.delay_time_matrix(ch, modem.rx_len) @ modem.tx
+                g, pos = (k_mat @ k_mat.conj().T).tocoo(), np.argsort(modem.order)
+                height = int(np.max(np.abs(pos[g.row] - pos[g.col]), initial=0))
+                assert height <= bound[name], (name, seed, height, bound[name])
+
+    def test_nan_in_gives_nan_out(self):
+        # gf_otfs's direct solve raises no LinAlgError on a non-finite input: it comes
+        # back non-finite, for exit 3
         cfg = config_from_dict({"experiment": "ber_sweep", "schemes": ["gf_otfs"]})
         modem = build_modems(cfg)["gf_otfs"]
         ch = chan.generate_channel(channel_config(cfg), modem.rx_len + 8, seed=3,
                                    delta_nu_hz=modem.geom.delta_nu_hz)
         y = modem.demodulate(chan.complex_noise(np.random.default_rng(8), modem.rx_len))
         detector = modem.detector(ch)
-        detector.solve(y, 1e-4)  # converges within the default cap
-        real_cg = scipy.sparse.linalg.cg
-        monkeypatch.setattr(scipy.sparse.linalg, "cg",
-                            lambda *args, **kwargs: real_cg(*args, **kwargs | {"maxiter": 1}))
-        with pytest.raises(np.linalg.LinAlgError, match="conjugate gradients"):
-            detector.solve(y, 1e-4)
+        assert np.all(np.isfinite(detector.solve(y, 1e-4)))
         assert np.all(np.isnan(detector.solve(np.full_like(y, np.nan), 1e-4)))
+
+
+@pytest.mark.parametrize("n, p", [(1, 1), (7, 7), (8, 8), (12, 3), (12, 4), (512, 128),
+                                  (512, 1)])
+def test_residue_order_is_a_permutation_by_class(n, p):
+    order = residue_order(n, p)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    # each residue class r, r + p, ... in turn
+    classes = order.reshape(p, n // p)
+    assert np.array_equal(classes, classes[:, :1] + p * np.arange(n // p))
+
+
+def test_residue_order_reflects_the_residues():
+    assert residue_order(6, 6).tolist() == [0, 5, 1, 4, 2, 3]
+    assert residue_order(7, 7).tolist() == [0, 6, 1, 5, 2, 4, 3]
+    assert residue_order(8, 4).tolist() == [0, 4, 3, 7, 1, 5, 2, 6]
+    assert np.array_equal(residue_order(12, 1), np.arange(12))

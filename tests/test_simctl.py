@@ -715,7 +715,7 @@ class TestCli:
         assert "rw_otfs detector failed: frame 0, 12.5 dB" in capsys.readouterr().err
 
     def test_gf_otfs_at_1024_bins_converges(self, tmp_path):
-        # 16 x 64 frames need up to 140 conjugate-gradient iterations at 40 dB
+        # 16 x 64 frames at 40 dB, with gf_otfs's band of 35 rows in its residue order
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
             "m": 16, "n": 64, "gf_filter_len": 9, "snr_grid_db": [40.0], "n_frames": 2,
@@ -834,3 +834,13 @@ def test_any_json_value_gives_a_config_or_a_config_error(raw):
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)
+
+
+def test_gf_otfs_solves_at_126_db_on_a_short_filter_grid(tmp_path):
+    # 16 x 64 with 9-tap filters, 0.4 dB under the snr_grid_db bound: one banded
+    # Cholesky a frame and SNR, with no iteration that could stop short
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "m": 16, "n": 64, "gf_filter_len": 9, "du_filter_len": 9, "n_frames": 8,
+        "snr_grid_db": [126.0], "output_dir": str(tmp_path / "out")}))
+    assert cli_main(["run", str(cfgfile)]) == 0

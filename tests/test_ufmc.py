@@ -17,6 +17,7 @@ from ddwave.ufmc import (
     analysis_fold,
     design_chebyshev_prototype,
     dolph_chebyshev_window,
+    predistortion,
     ufmc_analyze,
 )
 
@@ -296,6 +297,16 @@ class TestPredistortion:
         bank = small_bank()
         t_u = full_dft(UfmcOperators(bank).tx.toarray(), inverse=True, axis=1)
         assert np.max(np.abs(t_u - oracle_matrix("T_u", g, bank))) < 1e-10
+
+    @pytest.mark.parametrize("n_sc, n_sc_rb, filter_len", [(512, 4, 129), (32, 4, 9), (16, 8, 9),
+                                                          (16, 16, 9), (8, 4, 1)])
+    def test_closed_form_is_the_analysed_through_response(self, n_sc, n_sc_rb, filter_len):
+        # mean|s| / s of R_u T_0 1, the dense through response, repeats the rb gains
+        bank = FilterBankSpec.chebyshev(n_sc, n_sc_rb, filter_len)
+        s = oracle_matrix("R_u", FrameGeometry(M=n_sc, N=1), bank) @ oracle_t0(bank).sum(axis=1)
+        gains = np.tile(predistortion(bank), bank.n_rb)
+        assert np.max(np.abs(gains * s / np.mean(np.abs(s)) - 1)) < 1e-11
+        assert np.array_equal(UfmcOperators(bank).predistortion, gains)
 
     def test_degenerate_filter_raises(self):
         # a prototype with a null exactly on a kept bin has no predistortion
