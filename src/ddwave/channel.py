@@ -9,6 +9,7 @@ detectors multiply the same matrix.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,17 +145,11 @@ def generate_channel(config: ChannelConfig, span_samples: int, seed,
         freqs = config.nu_max_hz * np.cos(theta_s)
         if config.fractional_doppler_override is not None:
             freqs = np.broadcast_to(shifts[:, None], theta_s.shape)
-        arg = 2.0 * np.pi * freqs[:, :, None] * i[None, None, :] * dt + phi_s[:, :, None]
-        gains = amps[:, None] * np.exp(1j * arg).sum(axis=1) / np.sqrt(JAKES_N_SINUSOIDS)
+        sinusoids = (np.exp(1j * (2.0 * np.pi * freqs[:, s, None] * i * dt + phi_s[:, s, None]))
+                     for s in range(JAKES_N_SINUSOIDS))  # each (n_taps, span), in index order
+        gains = amps[:, None] * functools.reduce(np.add, sinusoids) / np.sqrt(JAKES_N_SINUSOIDS)
 
     return LtvChannelRealization(tap_delays=delays, gains=gains)
-
-
-def identity_channel(span_samples: int) -> LtvChannelRealization:
-    """Single zero-delay unit tap: apply_channel is the identity (plus tail)."""
-    return LtvChannelRealization(
-        tap_delays=np.array([0]),
-        gains=np.ones((1, span_samples), dtype=complex))
 
 
 def apply_channel(x: np.ndarray, ch: LtvChannelRealization,

@@ -1,7 +1,7 @@
 """Command line interface: run experiments, verify the dense oracle, list schemes.
 
 Exit codes: 0 success, 1 oracle check failure, 2 configuration error,
-3 numerical failure (non-finite values detected), 4 a BER worker process died.
+3 numerical failure (non-finite values detected), 4 a worker process died.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="override the output directory")
     p_run.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the BER sweep, at most n_frames (default 1)")
+                       help="worker processes for ber_sweep and loopback, at most n_frames "
+                            "(default 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_oracle = sub.add_parser("oracle", help="run the small-instance dense-matrix checks")

@@ -4,7 +4,9 @@ Every random draw derives from (seed, purpose, frame index) through a
 SeedSequence spawn key, so results are bit-identical across runs and across
 worker counts. For a fixed frame index all schemes see the same payload
 bits, the same channel realization, and the same unit noise vector (common
-random numbers); per-SNR noise is the unit vector scaled by sigma. The
+random numbers); per-SNR noise is the unit vector scaled by sigma. The BER
+sweep and the loopback run one frame loop, ``_frame_errors``; the loopback
+is its frames at +inf dB (noise variance 0) on a still single path. The
 spectral studies lay a scheme's frames out as the columns of one matrix and
 modulate it in one call, bit for bit the frames one at a time.
 """
@@ -16,6 +18,7 @@ import ctypes
 import dataclasses
 import functools
 import json
+import math
 import multiprocessing
 import os
 import platform
@@ -155,31 +158,6 @@ def _active_band_frames(modems: dict, cfg: ExperimentConfig, mask: np.ndarray,
 # Experiments
 # ---------------------------------------------------------------------------
 
-def run_loopback(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
-    modems = build_modems(cfg)
-    k = int(np.log2(cfg.qam_order))
-    ident = chan.identity_channel(max(m.rx_len for m in modems.values()))
-    detectors = {name: m.detector(ident) for name, m in modems.items()}
-    summary, paths = {}, {}
-    for name, modem in modems.items():
-        rows = []
-        total_err = 0
-        for fi in range(cfg.n_frames):
-            bits = rng_for(cfg.seed, _P_BITS, fi).integers(0, 2, size=cfg.n_sc * k)
-            d = qam_map(bits, cfg.qam_order)
-            r = chan.apply_channel(modem.modulate(d), ident, out_len=modem.rx_len)
-            d_hat = detectors[name].solve(modem.demodulate(r), 0.0)
-            _check_finite(f"{name} loopback detect", d_hat)
-            n_err = int(np.sum(qam_demap(d_hat, cfg.qam_order) != bits))
-            total_err += n_err
-            rows.append([fi, bits.size, n_err, n_err / bits.size])
-        path = out_dir / f"loopback_{name}.csv"
-        write_csv(path, "ddwave.loopback.v1", ["frame", "n_bits", "n_errors", "ber"], rows)
-        summary[name] = {"total_errors": total_err}
-        paths[name] = str(path)
-    return summary, paths
-
-
 def run_impulse_leakage(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
     modems = build_modems(cfg)
     ch_cfg = channel_config(cfg)
@@ -262,9 +240,11 @@ def run_psd(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
     return summary, paths
 
 
-# ---- BER sweep ------------------------------------------------------------
+# ---- BER sweep and loopback: one frame loop --------------------------------
 
-# The Gram product and h^H y run in numpy's bundled OpenBLAS, the Cholesky in scipy's.
+# The sweep's BLAS/LAPACK work is the banded Cholesky and its solves, in scipy's bundled
+# OpenBLAS; numpy's runs only the QAM maps' small products. Both are pinned. The dense
+# Gram's zherk belongs to the oracle MmseEqualizer alone.
 _OPENBLAS = ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
              (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
 
@@ -273,10 +253,11 @@ _OPENBLAS = ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
 def _one_blas_thread(record: dict):
     """Pin both OpenBLAS copies to one thread, which fork workers inherit, and restore them.
 
-    One thread is faster for the sweep's 512-point products even alone, and a
-    thread per core in each worker oversubscribes the cores. An explicit
-    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, or a missing library or symbol,
-    pins nothing. ``record`` gets each library's file and threads, and why not pinned.
+    Left at its default, scipy's copy keeps a second core busy for no gain
+    even at one worker, and a thread per core in each worker oversubscribes
+    the cores. An explicit OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, or a
+    missing library or symbol, pins nothing. ``record`` gets each library's
+    file and threads, and why not pinned.
     """
     libs, why = {}, [f"explicit env {k}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
                      if os.environ.get(k)]
@@ -342,43 +323,62 @@ def _ber_frame(frame_idx: int):
     return errors
 
 
-def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
-                  blas: dict | None = None) -> tuple[dict, dict]:
-    """Monte Carlo BER of every scheme; ``blas`` receives the BLAS thread record."""
-    k = int(np.log2(cfg.qam_order))
-    bits_per_frame = cfg.n_sc * k
-    totals = {name: np.zeros(len(cfg.snr_grid_db), dtype=np.int64) for name in cfg.schemes}
+def _frame_errors(cfg: ExperimentConfig, ch_cfg: chan.ChannelConfig, workers: int,
+                  blas: dict | None) -> dict:
+    """Run ``_ber_frame`` on every frame: {scheme: bit errors, n_frames x SNR points}.
 
-    # Built here, before any pool exists, so that a bad scheme parameter
-    # raises in the caller; forked workers inherit the modems. A worker that
-    # raises or dies ends the loop, and the frames not yet started are cancelled.
-    _WORKER.update(cfg=cfg, modems=build_modems(cfg), ch_cfg=channel_config(cfg))
+    ``blas`` receives the BLAS thread record. The modems are built here,
+    before any pool exists, so that a bad scheme parameter raises in the
+    caller; forked workers inherit them. A worker that raises or dies ends
+    the loop, and the frames not yet started are cancelled.
+    """
+    _WORKER.update(cfg=cfg, modems=build_modems(cfg), ch_cfg=ch_cfg)
     pool = None
     with _one_blas_thread({} if blas is None else blas):
         try:
             if workers > 1:
                 pool = ProcessPoolExecutor(min(workers, cfg.n_frames),
                                            mp_context=multiprocessing.get_context("fork"))
-            for errors in (pool.map if pool else map)(_ber_frame, range(cfg.n_frames)):
-                for name, per_snr in errors.items():
-                    totals[name] += per_snr
+            frames = list((pool.map if pool else map)(_ber_frame, range(cfg.n_frames)))
         finally:
             if pool:
                 pool.shutdown(cancel_futures=True)
             _WORKER.clear()
+    return {name: np.array([errors[name] for errors in frames]) for name in cfg.schemes}
 
-    n_bits = cfg.n_frames * bits_per_frame
+
+def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
+                  blas: dict | None = None) -> tuple[dict, dict]:
+    """Monte Carlo BER of every scheme; ``blas`` receives the BLAS thread record."""
+    errors = _frame_errors(cfg, channel_config(cfg), workers, blas)
+    n_bits = cfg.n_frames * cfg.n_sc * int(np.log2(cfg.qam_order))
     summary, paths = {}, {}
     for name in cfg.schemes:
         rows = []
-        for si, snr_db in enumerate(cfg.snr_grid_db):
-            n_err = int(totals[name][si])
+        for snr_db, n_err in zip(cfg.snr_grid_db, errors[name].sum(axis=0).tolist()):
             lo, hi = wilson_interval(n_err, n_bits)
             rows.append([snr_db, n_err / n_bits, n_bits, n_err, lo, hi])
         path = out_dir / f"ber_{name}.csv"
         write_csv(path, "ddwave.ber.v1",
                   ["snr_db", "ber", "n_bits", "n_errors", "ci95_lo", "ci95_hi"], rows)
         summary[name] = {"ber": [r[1] for r in rows], "snr_db": list(cfg.snr_grid_db)}
+        paths[name] = str(path)
+    return summary, paths
+
+
+def run_loopback(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
+                 blas: dict | None = None) -> tuple[dict, dict]:
+    """The BER sweep's frames at +inf dB on a still single path: one error count a frame."""
+    still = chan.ChannelConfig(profile="single_path", speed_mps=0.0, bandwidth_hz=cfg.bandwidth_hz)
+    errors = _frame_errors(dataclasses.replace(cfg, snr_grid_db=(math.inf,)), still, workers, blas)
+    n_bits = cfg.n_sc * int(np.log2(cfg.qam_order))
+    summary, paths = {}, {}
+    for name, per_frame in errors.items():
+        rows = [[fi, n_bits, n_err, n_err / n_bits]
+                for fi, n_err in enumerate(per_frame[:, 0].tolist())]
+        path = out_dir / f"loopback_{name}.csv"
+        write_csv(path, "ddwave.loopback.v1", ["frame", "n_bits", "n_errors", "ber"], rows)
+        summary[name] = {"total_errors": int(per_frame.sum())}
         paths[name] = str(path)
     return summary, paths
 
@@ -441,18 +441,19 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     t_start = time.time()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pooled = cfg.experiment == "ber_sweep" and workers > 1
+    pooled = cfg.experiment in ("loopback", "ber_sweep") and workers > 1
     environment = {"python": platform.python_version(), "numpy": np.__version__,
                    "scipy": scipy.__version__, "blas": {},
                    "workers": min(workers, cfg.n_frames) if pooled else workers,
                    "pool_start_method": "fork" if pooled else None,
                    "cores": len(os.sched_getaffinity(0))}
+    frame_loop = {"workers": workers, "blas": environment["blas"]}
     runners = {
-        "loopback": run_loopback,
+        "loopback": functools.partial(run_loopback, **frame_loop),
         "impulse_leakage": run_impulse_leakage,
         "sidelobes": run_sidelobes,
         "psd": run_psd,
-        "ber_sweep": functools.partial(run_ber_sweep, workers=workers, blas=environment["blas"]),
+        "ber_sweep": functools.partial(run_ber_sweep, **frame_loop),
         "oracle_suite": run_oracle_suite,
     }
     summary, paths = runners[cfg.experiment](cfg, out_dir)

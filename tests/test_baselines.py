@@ -18,6 +18,8 @@ from ddwave.transforms import (
     zak_modulate,
 )
 
+from test_channel import still_channel
+
 
 def geom_8x4():
     return FrameGeometry(M=8, N=4)
@@ -67,7 +69,7 @@ class TestRwOtfs:
 
     def test_mmse_recovers_windowed_frame(self):
         rw = CpOtfsModem(geom_8x4(), 8, window_db=60.0)
-        ident = chan.identity_channel(rw.rx_len + 4)
+        ident = still_channel(rw.rx_len + 4)
         h = rw.effective_channel(ident)
         rng = np.random.default_rng(3)
         d = random_complex(rng, 32)
@@ -111,7 +113,7 @@ class TestDrUfmc:
     def test_overlap_add_interferes_but_mmse_recovers(self):
         g = geom_8x4()
         dr = DrUfmcModem(g, n_sc_rb=4, filter_len=5)
-        ident = chan.identity_channel(dr.rx_len + 4)
+        ident = still_channel(dr.rx_len + 4)
         rng = np.random.default_rng(7)
         d = random_complex(rng, 32)
         d_tilde = dr.demodulate(chan.apply_channel(dr.modulate(d), ident,

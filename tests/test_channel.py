@@ -10,8 +10,12 @@ from ddwave.channel import (
     complex_noise,
     delay_time_matrix,
     generate_channel,
-    identity_channel,
 )
+
+
+def still_channel(span: int) -> LtvChannelRealization:
+    """The loopback's channel: a single path that does not move, one zero-delay tap of gain 1."""
+    return generate_channel(ChannelConfig(profile="single_path", speed_mps=0.0), span, seed=0)
 
 
 class TestConfig:
@@ -98,7 +102,7 @@ class TestGeneration:
 
 class TestApply:
     def test_identity(self):
-        ch = identity_channel(32)
+        ch = still_channel(32)
         x = np.arange(8.0) + 1j
         y = apply_channel(x, ch)
         assert np.array_equal(y, x)
@@ -173,7 +177,9 @@ class TestApply:
 
 class TestDelayTimeMatrix:
     def test_identity_channel(self):
-        assert np.array_equal(delay_time_matrix(identity_channel(16), 10).toarray(), np.eye(10))
+        ch = still_channel(16)
+        assert np.array_equal(ch.gains, np.ones((1, 16)))
+        assert np.array_equal(delay_time_matrix(ch, 10).toarray(), np.eye(10))
 
     def test_static_is_banded_toeplitz(self):
         ch = LtvChannelRealization(

@@ -7,6 +7,8 @@ from ddwave import channel as chan
 from ddwave.gfotfs import GfOtfsModem
 from ddwave.transforms import FrameGeometry, oracle_matrix
 
+from test_channel import still_channel
+
 
 def small_modem(filter_len=9):
     return GfOtfsModem(FrameGeometry(M=8, N=4), n_sc_rb=4, filter_len=filter_len)
@@ -106,14 +108,14 @@ class TestDemodulator:
 class TestEffectiveChannel:
     def test_unit_tap_channel_gives_through_modem_matrix(self):
         gm = small_modem()
-        ident = chan.identity_channel(gm.rx_len + 4)
+        ident = still_channel(gm.rx_len + 4)
         h = gm.effective_channel(ident)
         through = gm.demodulate(gm.modulate(np.eye(32, dtype=complex)))
         assert np.max(np.abs(h - through)) < 1e-12
 
     def test_channel_scaling_linearity(self):
         gm = small_modem()
-        base = chan.identity_channel(gm.rx_len + 4)
+        base = still_channel(gm.rx_len + 4)
         scaled = chan.LtvChannelRealization(
             tap_delays=base.tap_delays, gains=2.5j * base.gains)
         assert np.max(np.abs(gm.effective_channel(scaled)

@@ -21,6 +21,8 @@ from ddwave.transforms import (
     zak_modulate,
 )
 
+from test_channel import still_channel
+
 
 def geom_8x4():
     return FrameGeometry(M=8, N=4)
@@ -193,7 +195,7 @@ class TestDemodulator:
 class TestEffectiveChannel:
     def test_identity_and_scalar(self):
         modem = CpOtfsModem(geom_8x4())
-        ident = chan.identity_channel(modem.rx_len)
+        ident = still_channel(modem.rx_len)
         h_dd = modem.effective_channel(ident)
         assert np.max(np.abs(h_dd - np.eye(32))) < 1e-12
         scalar = chan.LtvChannelRealization(

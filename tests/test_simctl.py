@@ -367,11 +367,21 @@ except Exception as exc:
         run_ber_sweep(cfg, tmp_path, workers=8)
         assert sizes == [2]
 
-    def test_report_records_the_processes_that_ran(self, tmp_path):
-        cfg = config_from_dict(_SMALL_SWEEP | {"n_frames": 2, "schemes": ["otfs"],
-                                               "output_dir": str(tmp_path / "out")})
-        env = run_experiment(cfg, workers=8).environment
-        assert (env["workers"], env["pool_start_method"]) == (2, "fork")
+    @pytest.mark.parametrize("experiment", ["ber_sweep", "loopback"])
+    def test_report_records_the_processes_that_ran(self, tmp_path, experiment):
+        # both link-level studies run the one frame loop, pooled and pinned alike
+        csvs = {}
+        for workers in (1, 2, 8):
+            out = tmp_path / str(workers)
+            cfg = config_from_dict(_SMALL_SWEEP | {"experiment": experiment, "n_frames": 2,
+                                                   "schemes": ["otfs"], "output_dir": str(out)})
+            env = run_experiment(cfg, workers=workers).environment
+            assert (env["workers"], env["pool_start_method"]) == (
+                (1, None) if workers == 1 else (2, "fork"))
+            assert "scipy" in env["blas"]
+            csvs[workers] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        assert len(csvs[1]) == 1
+        assert csvs[1] == csvs[2] == csvs[8]
 
     def test_scheme_error_raises_before_any_pool(self, tmp_path, monkeypatch):
         # a pool initializer that raises makes the pool respawn workers
@@ -636,7 +646,8 @@ class TestCli:
         assert field in capsys.readouterr().err
 
     def test_cp_schemes_run_at_m_times_n_2_to_the_14(self, tmp_path):
-        # only gf_otfs and dr_ufmc build (m*n)^2 dense operators; the CP schemes' are sparse
+        # the 2^12 cap binds only with gf_otfs or dr_ufmc: dr_ufmc's detector band grows to
+        # about 2m rows by m*n columns, while the CP schemes' stays 2 tau_max rows
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
             "experiment": "ber_sweep", "m": 128, "n": 128, "n_frames": 1, "schemes": ["otfs"],
@@ -701,18 +712,23 @@ class TestCli:
         assert cli_main(["run", str(cfgfile)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_a_failed_ber_solve_exits_three(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("experiment,snr", [("ber_sweep", "12.5"), ("loopback", "inf")],
+                             ids=["ber_sweep", "loopback"])
+    def test_a_failed_ber_solve_exits_three(self, tmp_path, capsys, monkeypatch, experiment,
+                                            snr):
+        # the loopback is the sweep's frame loop at +inf dB
         from ddwave.detect import StructuredMmse
 
         def failed_solve(self, d_tilde, noise_var):
             raise np.linalg.LinAlgError("leading minor not positive definite")
         monkeypatch.setattr(StructuredMmse, "solve", failed_solve)
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps(_SMALL_SWEEP | {"schemes": ["rw_otfs"],
+        cfgfile.write_text(json.dumps(_SMALL_SWEEP | {"experiment": experiment,
+                                                      "schemes": ["rw_otfs"],
                                                       "snr_grid_db": [12.5],
                                                       "output_dir": str(tmp_path / "out")}))
         assert cli_main(["run", str(cfgfile)]) == 3
-        assert "rw_otfs detector failed: frame 0, 12.5 dB" in capsys.readouterr().err
+        assert f"rw_otfs detector failed: frame 0, {snr} dB" in capsys.readouterr().err
 
     def test_gf_otfs_at_1024_bins_converges(self, tmp_path):
         # 16 x 64 frames at 40 dB, with gf_otfs's band of 35 rows in its residue order
