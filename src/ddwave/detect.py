@@ -1,8 +1,8 @@
 """Symbol detection: regularized linear (MMSE) equalization and Gray-coded QAM.
 
 A modem's ``detector(ch)`` is a :class:`StructuredMmse` with
-``solve(y, noise_var)`` that factors by :func:`band_factor` in a
-:func:`residue_order`; :class:`MmseEqualizer` on the dense probed effective
+``solve(y, noise_var)`` that factors by :func:`band_factor` a Gram already
+in a :func:`residue_order`; :class:`MmseEqualizer` on the dense probed effective
 channel is their oracle.
 """
 
@@ -146,25 +146,24 @@ def residue_order(n: int, p: int) -> np.ndarray:
     return (r[:, None] + p * np.arange(n // p)).ravel()
 
 
-def band_factor(gram, order: np.ndarray):
-    """``factor(var)``: one banded Cholesky of G + var I, for a sparse Hermitian G in ``order``.
+def band_factor(gram):
+    """``factor(var)``: one banded Cholesky of G + var I, for a sparse Hermitian band G.
 
-    The band holds G's lower triangle in that order, band[i, q] = G[order[q + i],
-    order[q]], and is as high as its entries need, one row if it has none;
-    ``factor(var)`` returns the solver of G + var I.
+    The band holds G's lower triangle, band[i, q] = G[q + i, q], and is as high
+    as its entries need, one row if it has none; ``factor(var)`` returns the
+    solver of G + var I. A caller puts G's rows and columns in the order that
+    makes it a band, its :func:`residue_order`, before the call.
     """
-    n, pos = gram.shape[0], np.argsort(order)
     g = gram.tocoo()
-    r, q = pos[g.row], pos[g.col]
-    low = r >= q
+    low = g.row >= g.col
+    r, q = g.row[low], g.col[low]
     # in LAPACK's column-major layout, so that no factorization transposes a copy
-    band = np.zeros((int((r - q)[low].max(initial=0)) + 1, n), dtype=complex, order="F")
-    band[(r - q)[low], q[low]] = g.data[low]
+    band = np.zeros((int((r - q).max(initial=0)) + 1, gram.shape[0]), dtype=complex, order="F")
+    band[r - q, q] = g.data[low]
 
     def factor(var):
         ab = band.copy(order="F")
         ab[0] += var
         cb = scipy.linalg.cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
-        return lambda v: scipy.linalg.cho_solve_banded((cb, True), v[order],
-                                                       check_finite=False)[pos]
+        return lambda v: scipy.linalg.cho_solve_banded((cb, True), v, check_finite=False)
     return factor

@@ -7,8 +7,9 @@ bits, the same channel realization, and the same unit noise vector (common
 random numbers); per-SNR noise is the unit vector scaled by sigma. The BER
 sweep and the loopback run one frame loop, ``_frame_errors``; the loopback
 is its frames at +inf dB (noise variance 0) on a still single path. The
-spectral studies lay a scheme's frames out as the columns of one matrix and
-modulate it in one call, bit for bit the frames one at a time.
+spectral studies hold one scheme's stream at a time: its frames are the
+columns of one matrix, modulated into it a chunk of frames a call, bit for
+bit the frames one at a time.
 """
 
 from __future__ import annotations
@@ -124,6 +125,7 @@ def centered_band_mask(n_bins: int, fraction: float) -> np.ndarray:
 
 
 _P_BLOCK_BITS = 3
+SPECTRAL_CHUNK = 64  # frames a transmit call: bounds the chain's copies, not n_frames
 
 
 def _active_band_frames(modems: dict, cfg: ExperimentConfig, mask: np.ndarray,
@@ -131,27 +133,46 @@ def _active_band_frames(modems: dict, cfg: ExperimentConfig, mask: np.ndarray,
     """Yield (name, tx) per scheme: frame fi in column fi, random symbols on the active bins.
 
     Frame fi's symbols come from spawn key (_P_BITS, fi), dr_ufmc's per-block
-    ones from (_P_BLOCK_BITS, fi); each scheme's frames are modulated in one call.
+    ones from (_P_BLOCK_BITS, fi). ``tx`` is one Fortran-ordered
+    (rx_len, n_frames) array, so the frames back to back are its ravel in F
+    order, a view; each scheme's frames are modulated ``SPECTRAL_CHUNK`` at a
+    time straight into it, which every map's columnwise work makes bit for bit
+    the frames one at a time. The generator keeps no reference to a yielded
+    ``tx``: a consumer that drops it frees it before the next scheme's.
     """
     bits_per_sym = int(np.log2(cfg.qam_order))
+    chunks = [(lo, min(lo + SPECTRAL_CHUNK, cfg.n_frames))
+              for lo in range(0, cfg.n_frames, SPECTRAL_CHUNK)]
 
-    def payload(purpose: int, n_sym: int) -> np.ndarray:  # (n_sym, n_frames)
+    def payload(purpose: int, n_sym: int, lo: int, hi: int) -> np.ndarray:  # (n_sym, hi - lo)
         bits = [rng_for(cfg.seed, purpose, fi).integers(0, 2, size=n_sym * bits_per_sym)
-                for fi in range(cfg.n_frames)]
-        return qam_map(np.concatenate(bits), cfg.qam_order).reshape(cfg.n_frames, n_sym).T
+                for fi in range(lo, hi)]
+        return qam_map(np.concatenate(bits), cfg.qam_order).reshape(hi - lo, n_sym).T
 
-    s_f = None
-    for name, modem in modems.items():
+    # the symbols that the schemes other than dr_ufmc share, drawn once, a chunk at a time
+    symbols = np.empty((int(mask.sum()), cfg.n_frames), dtype=complex)
+    for lo, hi in chunks if any(name != "dr_ufmc" for name in modems) else ():
+        symbols[:, lo:hi] = payload(_P_BITS, len(symbols), lo, hi)
+
+    def chunk(name: str, modem, lo: int, hi: int) -> np.ndarray:
         if name == "dr_ufmc":
             k = int(mask_block.sum())  # active bins a block
-            f_blocks = np.zeros((cfg.n, cfg.m, cfg.n_frames), dtype=complex)
-            f_blocks[:, mask_block] = payload(_P_BLOCK_BITS, cfg.n * k).reshape(cfg.n, k, -1)
-            yield name, modem.tx_from_block_spectra(f_blocks)
-        else:
-            if s_f is None:
-                s_f = np.zeros((cfg.n_sc, cfg.n_frames), dtype=complex)
-                s_f[mask] = payload(_P_BITS, int(mask.sum()))
-            yield name, modem.modulate(to_delay_doppler(s_f, modem.geom))
+            f_blocks = np.zeros((cfg.n, cfg.m, hi - lo), dtype=complex)
+            symbols_b = payload(_P_BLOCK_BITS, cfg.n * k, lo, hi)  # (n * k, hi - lo)
+            f_blocks[:, mask_block] = symbols_b.reshape(cfg.n, k, -1)
+            return modem.tx_from_block_spectra(f_blocks)
+        s_f = np.zeros((cfg.n_sc, hi - lo), dtype=complex)
+        s_f[mask] = symbols[:, lo:hi]
+        return modem.modulate(to_delay_doppler(s_f, modem.geom))
+
+    def stream(name: str, modem) -> np.ndarray:
+        tx = np.empty((modem.rx_len, cfg.n_frames), dtype=complex, order="F")
+        for lo, hi in chunks:
+            tx[:, lo:hi] = chunk(name, modem, lo, hi)
+        return tx
+
+    for name, modem in modems.items():
+        yield name, stream(name, modem)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +242,7 @@ def run_psd(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
     occ_band, off_band = psd_bands(cfg)
     summary, paths = {}, {}
     for name, tx in _active_band_frames(modems, cfg, mask, mask_block):
-        x = tx.ravel(order="F")  # the frames back to back
+        x = tx.ravel(order="F")  # the frames back to back, a view
         del tx  # one scheme's stream at a time, as in run_sidelobes
         x /= np.sqrt(np.mean(np.abs(x) ** 2))
         est = psd_welch(x, cfg.bandwidth_hz, segment_len=cfg.psd_segment_len)
@@ -301,13 +322,15 @@ def _ber_frame(frame_idx: int):
     d = qam_map(bits, cfg.qam_order)
     ch = chan.generate_channel(ch_cfg, max_rx, seed=seedseq_for(cfg.seed, _P_CHANNEL, frame_idx),
                                delta_nu_hz=geom.delta_nu_hz)
-    eta = chan.complex_noise(rng_for(cfg.seed, _P_NOISE, frame_idx), max_rx)
+    # a grid of +inf dB only (the loopback) adds no noise: none is drawn or demodulated
+    noisy = any(math.isfinite(snr_db) for snr_db in cfg.snr_grid_db)
+    eta = chan.complex_noise(rng_for(cfg.seed, _P_NOISE, frame_idx), max_rx) if noisy else None
 
     errors = {}
     for name, modem in modems.items():
         x = modem.modulate(d)
         y0 = modem.demodulate(chan.apply_channel(x, ch, out_len=modem.rx_len))
-        y_eta = modem.demodulate(eta[:modem.rx_len])
+        y_eta = modem.demodulate(eta[:modem.rx_len]) if noisy else 0.0
         detector = modem.detector(ch)
         per_snr = np.zeros(len(cfg.snr_grid_db), dtype=np.int64)
         for si, snr_db in enumerate(cfg.snr_grid_db):

@@ -10,7 +10,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import fft
 
 DB_FLOOR = -200.0
-WELCH_BLOCK = 128  # segments per FFT call: bounds the complex transient to 2 MB at 1024
+# segments per FFT call, bounding the complex transient to 2 MB at 1024; numpy's pairwise
+# sum adds at most this many in one unrolled loop and halves longer runs
+PAIRWISE_BLOCK = 128
 
 
 def _to_db(p: np.ndarray) -> np.ndarray:
@@ -34,14 +36,30 @@ class PsdEstimate:
         return float(_to_db(np.mean(self.psd[sel])))
 
 
+def _power_sum(segments: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """Sum of the windowed segments' |S|^2, split where numpy's pairwise sum splits."""
+    n = len(segments)
+    if n > PAIRWISE_BLOCK:
+        half = n // 2
+        half -= half % 8
+        return _power_sum(segments[:half], win) + _power_sum(segments[half:], win)
+    spec = fft(segments * win, axis=-1)
+    # C-order (segment_len, n), laid out as scipy's, so that the row sums round alike
+    return np.ascontiguousarray((spec.real ** 2 + spec.imag ** 2).T).sum(axis=-1)
+
+
 def psd_welch(x: np.ndarray, fs_hz: float, segment_len: int = 1024) -> PsdEstimate:
     """Welch averaged periodogram of a complex baseband signal, two-sided and centered.
 
     Hann window, 50 % overlap, density scaling: the PSD integrates to the
     mean signal power. The lowest (unpaired) frequency bin is dropped so the
     axis is symmetric about zero. Welch (1967) in the steps and order of
-    scipy's ``welch`` (pinned to it in the tests), transforming the segments
-    a block at a time so the complex spectrogram is never held whole.
+    scipy's ``welch`` (pinned to it in the tests). It keeps a running
+    ``segment_len``-vector sum of the segments' |S|^2, transformed a block at
+    a time, and divides it by the segment count at the end; neither the
+    complex spectrogram nor the (segment_len, n_seg) power matrix is ever
+    held. The blocks' sums are added as numpy's pairwise mean of that matrix
+    adds its columns, so the estimate is bit for bit the matrix's mean.
     """
     x = np.asarray(x)
     if x.ndim != 1:
@@ -53,13 +71,8 @@ def psd_welch(x: np.ndarray, fs_hz: float, segment_len: int = 1024) -> PsdEstima
     win = win * (1 / np.sqrt(sum(win ** 2) / (1 / fs_hz)))
     hop = segment_len - round(segment_len / 2)
     segments = sliding_window_view(x, segment_len)[::hop]
-    # |S|^2 laid out as scipy's, C-order (segment_len, n_seg), so the mean rounds alike
-    power = np.empty((segment_len, len(segments)))
-    for start in range(0, power.shape[1], WELCH_BLOCK):
-        spec = fft(segments[start:start + WELCH_BLOCK] * win, axis=-1).T
-        power[:, start:start + spec.shape[1]] = spec.real ** 2 + spec.imag ** 2
     freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1 / fs_hz))
-    pxx = np.fft.fftshift(power.mean(axis=-1))
+    pxx = np.fft.fftshift(_power_sum(segments, win) / len(segments))
     if segment_len % 2 == 0:
         freqs, pxx = freqs[1:], pxx[1:]
     return PsdEstimate(freq_hz=freqs, psd=pxx)

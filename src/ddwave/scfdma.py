@@ -5,8 +5,8 @@
 so every scheme is two sparse operators, built once, around the Zak maps
 (the SC-FDMA route F_MN^H Gamma of a modem that filters nothing; gf_otfs's
 T_u Gamma is (T_u F_MN) zak_modulate). The one detector, a banded Cholesky
-of K K^H in the scheme's residue order, and the effective-channel probe, its
-dense oracle, live there too.
+of K K^H = (rx H) (tx tx^H) (rx H)^H in the scheme's residue order, and the
+effective-channel probe, its dense oracle, live there too.
 
 ``CpOtfsModem(geom, cp_len, window_db=None, tx_window=False)`` serves both
 CP schemes: plain OTFS (``otfs``, no window) and receiver-windowed OTFS
@@ -44,6 +44,7 @@ class Modem:
     """
 
     _basis: np.ndarray | None = None
+    _gram_ops: tuple | None = None  # rx in ``order``, tx tx^H and tx^H, for the detector
 
     def modulate(self, d) -> np.ndarray:
         """tx Z d: the Zak map to delay-time, then the scheme's transmit operator."""
@@ -62,17 +63,22 @@ class Modem:
         """Structured MMSE of Z^H K Z, K = rx H tx, in the dual form Z^H K^H (K K^H + var I)^-1 Z y.
 
         By the push-through identity that is the primal (K^H K + var I)^-1 K^H.
-        K is the modem's two operators around the sparse delay-time matrix H,
-        with no probe, and K K^H is a band in ``order``, which
-        :func:`ddwave.detect.band_factor` factors once per noise variance.
+        H is the sparse delay-time matrix, with no probe. K K^H is formed as
+        A P A^H, with A = rx H, its rows in ``order``, and P = tx tx^H, built
+        once per modem; K itself is never formed, and K^H applies as tx^H A^H.
+        K K^H is a band in ``order``, which :func:`ddwave.detect.band_factor`
+        factors once per noise variance.
         """
-        k_mat = self.rx @ chan.delay_time_matrix(ch, self.rx_len) @ self.tx
-        k_h = k_mat.conj().T
-        band_solver = band_factor(k_mat @ k_h, self.order)
+        if self._gram_ops is None:
+            self._gram_ops = self.rx[self.order], self.tx @ self.tx.conj().T, self.tx.conj().T
+        rx_in_order, tx_gram, tx_h = self._gram_ops
+        a = rx_in_order @ chan.delay_time_matrix(ch, self.rx_len)
+        a_h = a.conj().T
+        band_solver = band_factor(a @ tx_gram @ a_h)
 
         def factor(var):
             solve = band_solver(var)
-            return lambda v: k_h @ solve(v)
+            return lambda v: tx_h @ (a_h @ solve(v[self.order]))
         return StructuredMmse(factor, lambda y: zak_modulate(y, self.geom),
                               lambda x: zak_demodulate(x, self.geom))
 

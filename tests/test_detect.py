@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from ddwave.detect import (
     MmseEqualizer,
     RegularizationRequiredError,
     StructuredMmse,
+    band_factor,
     qam_demap,
     qam_map,
     residue_order,
@@ -295,3 +297,18 @@ def test_residue_order_reflects_the_residues():
     assert residue_order(7, 7).tolist() == [0, 6, 1, 5, 2, 4, 3]
     assert residue_order(8, 4).tolist() == [0, 4, 3, 7, 1, 5, 2, 6]
     assert np.array_equal(residue_order(12, 1), np.arange(12))
+
+
+@pytest.mark.parametrize("height", [0, 1, 5])
+def test_band_factor_solves_the_band_it_is_given(height):
+    # a Gram already in its band order, diagonally dominant: band_factor permutes nothing
+    rng = np.random.default_rng(height)
+    dense = np.diag(np.full(30, 3.0 * height + 1.0)).astype(complex)
+    for i in range(1, height + 1):
+        off = rng.uniform(-1, 1, size=30 - i) + 1j * rng.uniform(-1, 1, size=30 - i)
+        dense += np.diag(off, -i) + np.diag(off.conj(), i)
+    v = rng.normal(size=30) + 1j * rng.normal(size=30)
+    for var in (0.0, 0.3):
+        expected = np.linalg.solve(dense + var * np.eye(30), v)
+        solve = band_factor(scipy.sparse.csr_array(dense))(var)
+        np.testing.assert_allclose(solve(v), expected, rtol=0, atol=1e-12)

@@ -4,7 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ddwave.metrics import (
     band_has_welch_bin,
@@ -89,6 +91,30 @@ class TestPsdWelchEqualsScipy:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 2047 * 1024 * 16
+
+    @pytest.mark.parametrize("segment_len, n", [
+        (64, 64), (64, 8_225), (65, 10_000), (16, 2_000), (8, 100_003), (1024, 300_000)])
+    def test_running_sum_is_the_power_matrix_mean_bit_for_bit(self, segment_len, n):
+        # 1 to 24,999 segments, across numpy's pairwise leaves of 128 and its 8192 buffer
+        rng = np.random.default_rng(segment_len)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment_len + 1)[:-1])
+        win = win * (1 / np.sqrt(sum(win ** 2)))
+        hop = segment_len - round(segment_len / 2)
+        spec = scipy.fft.fft(sliding_window_view(x, segment_len)[::hop] * win, axis=-1)
+        power = np.ascontiguousarray((spec.real ** 2 + spec.imag ** 2).T)  # scipy's layout
+        drop = int(segment_len % 2 == 0)
+        dense = np.fft.fftshift(power.mean(axis=-1))[drop:]
+        assert np.array_equal(psd_welch(x, 1.0, segment_len=segment_len).psd, dense)
+
+    def test_power_matrix_never_whole(self):
+        # 2047 segments of 1024: the real (segment_len, n_seg) power matrix would be 16.8 MB
+        x = np.ones(1 << 20, dtype=complex)
+        tracemalloc.start()
+        psd_welch(x, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2047 * 1024 * 8 / 2
 
 
 class TestOobMetric:

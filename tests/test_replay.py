@@ -16,7 +16,10 @@ from ddwave.experiments import run_experiment
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.mark.parametrize("workload,frames", [("ber_snr3_w1", 2), ("spectral_psd", 64)])
+# the last case spans three of the spectral studies' 64-frame transmit chunks
+# (experiments.SPECTRAL_CHUNK), the third of them short
+@pytest.mark.parametrize("workload,frames", [("ber_snr3_w1", 2), ("spectral_psd", 64),
+                                             ("spectral_psd", 150)])
 def test_replay_matches_run_experiment(tmp_path, monkeypatch, workload, frames):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)

@@ -284,7 +284,7 @@ def test_the_chain_works_columnwise(scheme):
     for q in range(3):
         assert np.max(np.abs(x[:, q] - modem.modulate(d[:, q]))) <= 1e-12
         assert np.max(np.abs(y[:, q] - modem.demodulate(r[:, q]))) <= 1e-12
-        # the spectral studies modulate all their frames in one call, and the
+        # the spectral studies modulate SPECTRAL_CHUNK frames a call, and the
         # benchmark's frame-by-frame replay must reproduce them bit for bit
         assert np.array_equal(x[:, q], modem.modulate(d[:, q]))
         assert np.array_equal(to_delay_doppler(d, modem.geom)[:, q],

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -28,11 +29,15 @@ from ddwave.config import (
     parse_config,
 )
 from ddwave.experiments import (
+    SPECTRAL_CHUNK,
     NumericalFailure,
+    _active_band_frames,
     build_modems,
     centered_band_mask,
     run_ber_sweep,
     run_experiment,
+    run_psd,
+    run_sidelobes,
 )
 
 
@@ -280,6 +285,44 @@ class TestExperiments:
         cfg = self.small_common(tmp_path, experiment="oracle_suite")
         rep = run_experiment(cfg)
         assert rep.summary["n_failed"] == 0
+
+    @pytest.mark.parametrize("study", [run_psd, run_sidelobes])
+    def test_spectral_memory_grows_by_one_stream_a_frame(self, tmp_path, study):
+        # each study holds one scheme's (rx_len, n_frames) stream and the shared payload
+        # symbols: under 2.5 streams a frame, where a copy per map would add about five
+        peaks = []
+        for n_frames in (2000, 4000):
+            cfg = self.small_common(tmp_path, experiment="psd", n_frames=n_frames,
+                                    psd_segment_len=64)
+            tracemalloc.start()
+            try:
+                study(cfg, tmp_path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        stream_bytes = max(m.rx_len for m in build_modems(cfg).values()) * 16
+        assert (peaks[1] - peaks[0]) / 2000 < 2.5 * stream_bytes, peaks
+
+    def test_spectral_frames_are_one_f_ordered_stream(self, tmp_path):
+        # 150 frames: two full transmit chunks and a short one, each frame its column, so
+        # that the frames back to back are a view (tests/test_replay.py pins the values)
+        cfg = self.small_common(tmp_path, experiment="psd", n_frames=150)
+        assert cfg.n_frames % SPECTRAL_CHUNK and cfg.n_frames > 2 * SPECTRAL_CHUNK
+        modems = build_modems(cfg)
+        mask = centered_band_mask(cfg.n_sc, cfg.occupied_fraction)
+        mask_block = centered_band_mask(cfg.m, cfg.occupied_fraction)
+        for name, tx in _active_band_frames(modems, cfg, mask, mask_block):
+            assert tx.shape == (modems[name].rx_len, cfg.n_frames) and tx.flags.f_contiguous
+            assert np.shares_memory(tx.ravel(order="F"), tx)
+
+    def test_loopback_draws_no_noise(self, tmp_path, monkeypatch):
+        import ddwave.experiments as exp_mod
+
+        def no_noise(*args):
+            raise AssertionError("noise drawn at +inf dB")
+        monkeypatch.setattr(exp_mod.chan, "complex_noise", no_noise)
+        cfg = self.small_common(tmp_path, experiment="loopback", n_frames=2)
+        assert all(v["total_errors"] == 0 for v in run_experiment(cfg).summary.values())
 
 
 _DYING_FRAME = """

@@ -49,6 +49,8 @@ RUNS = [
     ("rw_otfs_tx_window", {"experiment": "ber_sweep", "schemes": ["rw_otfs"],
                            "rw_tx_window": True, "n_frames": 24}, 1),
     ("oracle_suite", {"experiment": "oracle_suite"}, 1),
+    # past two of experiments.SPECTRAL_CHUNK's 64-frame transmit chunks, and not a multiple
+    ("psd_64x8_150_frames", {"experiment": "psd", "n_frames": 150}, 1),
 ]
 # pytest's progress marks can precede a line printed by a test
 CRITERION = re.compile(r"criterion \d+ (PASS|FAIL).*$")
