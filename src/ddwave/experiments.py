@@ -33,12 +33,10 @@ import scipy
 
 from . import __version__
 from . import channel as chan
-from .baselines import DrUfmcModem
 from .config import ExperimentConfig, channel_config, psd_bands
 from .detect import qam_demap, qam_map
-from .gfotfs import GfOtfsModem
 from .metrics import doppler_leakage, oob_metric, psd_welch, wilson_interval
-from .scfdma import CpOtfsModem
+from .scfdma import CpOtfsModem, FilteredModem
 from .transforms import FrameGeometry, oracle_matrix, to_delay_doppler, dft_matrix, zak_modulate
 from .ufmc import FilterBankSpec, UfmcOperators, ufmc_analyze
 
@@ -64,10 +62,11 @@ def build_modems(cfg: ExperimentConfig) -> dict:
     geom = FrameGeometry(M=cfg.m, N=cfg.n, bandwidth_hz=cfg.bandwidth_hz)
     builders = {
         "otfs": lambda: CpOtfsModem(geom, cfg.cp_len),
-        "gf_otfs": lambda: GfOtfsModem(geom, cfg.n_sc_rb, cfg.gf_filter_len, cfg.gf_atten_db),
+        "gf_otfs": lambda: FilteredModem(geom, 1, cfg.n_sc_rb, cfg.gf_filter_len, cfg.gf_atten_db),
         "rw_otfs": lambda: CpOtfsModem(geom, cfg.rw_cp_len, cfg.rw_window_param,
                                        tx_window=cfg.rw_tx_window),
-        "dr_ufmc": lambda: DrUfmcModem(geom, cfg.n_sc_rb, cfg.du_filter_len, cfg.du_atten_db),
+        "dr_ufmc": lambda: FilteredModem(geom, cfg.n, cfg.n_sc_rb, cfg.du_filter_len,
+                                         cfg.du_atten_db),
     }
     return {name: builders[name]() for name in cfg.schemes}
 
@@ -206,6 +205,23 @@ def run_impulse_leakage(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dic
     return summary, paths
 
 
+def _frame_power_sum(tx: np.ndarray, n_fft: int) -> np.ndarray:
+    """The sum over tx's columns of |n_fft-point FFT|^2, a block of columns an FFT.
+
+    A block holds as many samples as ``SPECTRAL_CHUNK`` frames of tx, so the
+    oversampled FFT adds no more memory than a transmit chunk. The FFT of an
+    F-ordered block is F-ordered, so the reduction over its columns adds one
+    frame after another, with the running sum in first: bit for bit
+    ``sum(abs(fft(x, n_fft)) ** 2 for x in tx.T)``.
+    """
+    acc, step = 0.0, max(1, SPECTRAL_CHUNK * tx.shape[0] // n_fft)
+    for lo in range(0, tx.shape[1], step):
+        p = np.abs(np.fft.fft(tx[:, lo:lo + step], n=n_fft, axis=0)) ** 2
+        p[:, 0] += acc
+        acc = np.add.reduce(p, axis=1)
+    return acc
+
+
 def run_sidelobes(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
     """Half the subbands active (low half of the bin axis), averaged spectra."""
     modems = build_modems(cfg)
@@ -215,7 +231,7 @@ def run_sidelobes(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
     bin_axis = np.arange(n_fft) / cfg.sidelobe_oversample
     summary, paths = {}, {}
     for name, tx in _active_band_frames(modems, cfg, mask, mask_block):
-        spec = sum(np.abs(np.fft.fft(x, n=n_fft)) ** 2 for x in tx.T)  # in frame order
+        spec = _frame_power_sum(tx, n_fft)
         del tx  # this scheme's frames are freed before the next scheme's are built
         mag_db = 10.0 * np.log10(np.maximum(spec / spec.max(), 1e-30))
         _check_finite(f"{name} sidelobe spectrum", mag_db)

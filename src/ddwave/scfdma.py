@@ -1,4 +1,4 @@
-"""The modem chain every scheme inherits, and the CP-OTFS modem on it.
+"""The modem chain every scheme inherits, and the two modems on it.
 
 :class:`Modem` writes the chain once: ``modulate`` is ``tx`` after
 :func:`zak_modulate` and ``demodulate`` is :func:`zak_demodulate` after ``rx``,
@@ -16,6 +16,12 @@ Doppler-induced leakage, and with ``tx_window`` also the transmitted ones
 for sidelobe studies. Its prefix and windows are its ``tx`` and ``rx``. K
 has its entries at (k, (k - tau_l) mod n), so K K^H is a cyclic band of
 half-width tau_max, a band of 2 tau_max in the reflected order (p = n).
+
+``FilteredModem(geom, n_blocks, n_sc_rb, filter_len, atten_db)`` serves both
+subband-filtered schemes, one UFMC filter bank at two spans: globally filtered
+OTFS (``gf_otfs``, one bank over all M*N frequency-Doppler bins) and
+per-delay-block UFMC (``dr_ufmc``, one bank over each of the N length-M delay
+blocks). No CP is used; the filter ramp is the guard.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ import scipy.sparse
 
 from . import channel as chan
 from .detect import StructuredMmse, band_factor, residue_order
-from .transforms import (DimensionError, FrameGeometry, _check_first_axis, zak_demodulate,
-                         zak_modulate)
-from .ufmc import dolph_chebyshev_window
+from .transforms import (DimensionError, FrameGeometry, _check_first_axis, full_dft,
+                         zak_demodulate, zak_modulate)
+from .ufmc import FilterBankSpec, UfmcOperators, analysis_fold, dolph_chebyshev_window
 
 
 class Modem:
@@ -121,3 +127,56 @@ class CpOtfsModem(Modem):
         self.tx = scipy.sparse.csr_array((w_tx[col], (j, col)), shape=(self.rx_len, n))
         self.rx = scipy.sparse.csr_array((w_rx, (j[:n], j[cp_len:])), shape=(n, self.rx_len))
         self.order = residue_order(n, n)
+
+
+class FilteredModem(Modem):
+    """``n_blocks`` blocks of n_sc / n_blocks bins, each through one predistorted subband bank.
+
+    The bank is ``FilterBankSpec.chebyshev(n_sc / n_blocks, n_sc_rb, filter_len,
+    atten_db)``. ``tx`` is ``n_blocks`` copies of its T_u F, n_sc / n_blocks
+    apart, whose filter tails overlap-add (:class:`ddwave.ufmc.UfmcOperators`;
+    the predistortion keeps the bank's gain ripple off the raw demodulated
+    grid), and ``rx`` is :func:`ddwave.ufmc.analysis_fold` of every block at
+    its nominal boundaries, so rx_len = n_sc + L - 1, L = filter_len, at any
+    ``n_blocks``. Whatever the overlap leaves between blocks is the detector's.
+
+    gf_otfs, one block: as Gamma = F_MN Z, Z = zak_modulate, its T_u Gamma is
+    (T_u F_MN) Z, a bank across frequency-Doppler bins that the interleaver
+    made adjacent, so it filters along Doppler as well as frequency.
+    (T_u F)[t, s] is nonzero only at s = t mod n/n_sc_rb, the fold keeps
+    t mod n/n_sc_rb and H shifts by tau_l, so K K^H is a band of at most
+    (2 tau_max + 1) n_sc_rb - 1 rows in the residue order p = n/n_sc_rb.
+
+    dr_ufmc, N blocks: the bank filters each delay block, along delay only. In
+    the natural order K K^H is a band of at most
+    min(n - 1, M + tau_max + P floor((M + L - 2) / P)) rows, P = M / n_sc_rb:
+    148 at 64x8 with L 20 and tau_max 4, where it is attained. Column s of
+    block b is T_u F_M's, nonzero only at t = s mod P with t <= M + L - 2; H
+    delays it by up to tau_max, to bM + t + tau, and the fold keeps each sample
+    on its own row or, in the tail of the block before, M rows up. So the rows
+    one column reaches lie between (b - 1) M + (s mod P) and
+    bM + t_max + tau_max, and two rows of K K^H meet only through a shared column.
+    """
+
+    def __init__(self, geom: FrameGeometry, n_blocks: int, n_sc_rb: int = 4,
+                 filter_len: int = 1, atten_db: float = 60.0):
+        if n_blocks < 1 or geom.n_sc % n_blocks:
+            raise DimensionError(f"n_blocks must divide M*N = {geom.n_sc}, got {n_blocks}")
+        self.geom = geom
+        self.n_blocks = n_blocks
+        self.bank = FilterBankSpec.chebyshev(geom.n_sc // n_blocks, n_sc_rb, filter_len, atten_db)
+        self.tx = UfmcOperators(self.bank, n_blocks).tx
+        self.rx = analysis_fold(self.bank, n_blocks)
+        self.rx_len = self.rx.shape[1]
+        # at N blocks the natural order: 148 rows at 64x8, against 161 for the residues
+        # mod P within each block
+        self.order = residue_order(geom.n_sc, self.bank.n_rb if n_blocks == 1 else 1)
+
+    def tx_from_block_spectra(self, f_blocks) -> np.ndarray:
+        """tx after each block's inverse DFT: bins (n_blocks, n_sc / n_blocks[, cols]) to frames."""
+        f_blocks = np.asarray(f_blocks)
+        shape = (self.n_blocks, self.bank.n_sc)
+        if f_blocks.shape[:2] != shape:
+            raise DimensionError(f"expected leading shape {shape}, got {f_blocks.shape[:2]}")
+        s_t = full_dft(f_blocks, inverse=True, axis=1)
+        return self.tx @ s_t.reshape((self.geom.n_sc,) + f_blocks.shape[2:])

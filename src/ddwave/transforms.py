@@ -5,7 +5,7 @@ takes its own scheme parameters, so all schemes on one grid share one
 geometry. A data vector d of length M*N is ordered Doppler-block-major:
 d[n*M + m] holds the symbol at delay m, Doppler n. Every map below is
 :func:`full_dft` along one axis of that N x M grid, with a diagonal or a
-permutation around it. ``Gamma`` (:func:`to_frequency_doppler`) has three steps:
+permutation around it. ``Gamma`` (dense: ``oracle_matrix("Gamma")``) has three steps:
 
 * a block-diagonal twiddle Omega (a phase ramp per Doppler block),
 * per-block M-point DFTs (:func:`blockwise_dft`),
@@ -17,10 +17,10 @@ s_t = (F_N^H kron I_M) d (:func:`zak_modulate`), and the SC-FDMA path
 s_t = F_MN^H Gamma d through the frequency-Doppler domain. Their equality is
 F_MN = Psi (I_N kron F_M) Omega (F_N kron I_M), checked in the test suite. Every
 modem takes the Zak path: gf_otfs, which replaces the final F_MN^H with its
-filter bank T_u, transmits T_u Gamma d = (T_u F_MN) zak_modulate(d). Gamma is
-left to the spectral studies and the tests. Dense materializations live in
-:func:`oracle_matrix`, for small-instance verification only, including the CP
-oracles ``A_cp`` and ``B_cp``.
+filter bank T_u, transmits T_u Gamma d = (T_u F_MN) zak_modulate(d). Gamma^H
+(:func:`to_delay_doppler`) is left to the spectral studies. Dense
+materializations live in :func:`oracle_matrix`, for small-instance
+verification only, including Gamma and the CP oracles ``A_cp`` and ``B_cp``.
 """
 
 from __future__ import annotations
@@ -122,17 +122,6 @@ def _twiddle(geom: FrameGeometry, ndim: int) -> np.ndarray:
     n = np.arange(geom.N)
     w = np.exp(-2j * np.pi * np.outer(n, m) / geom.n_sc).ravel()
     return w.reshape((geom.n_sc,) + (1,) * (ndim - 1))
-
-
-def to_frequency_doppler(d, geom: FrameGeometry) -> np.ndarray:
-    """Gamma d = Psi (I_N kron F_M) Omega d: delay-Doppler to frequency-Doppler.
-
-    Psi is the stride permutation y[m*N + n] = x[n*M + m], a swap of the grid
-    axes. Works columnwise on matrices.
-    """
-    d = _check_first_axis(d, geom.n_sc, "to_frequency_doppler")
-    v = blockwise_dft(d * _twiddle(geom, d.ndim), geom)
-    return v.reshape((geom.N, geom.M) + d.shape[1:]).swapaxes(0, 1).reshape(d.shape)
 
 
 def to_delay_doppler(y, geom: FrameGeometry) -> np.ndarray:

@@ -27,9 +27,8 @@ from ddwave import channel as chan
 from ddwave.config import config_from_dict
 from ddwave.detect import qam_map
 from ddwave.experiments import run_experiment
-from ddwave.gfotfs import GfOtfsModem
 from ddwave.metrics import wilson_interval
-from ddwave.scfdma import CpOtfsModem
+from ddwave.scfdma import CpOtfsModem, FilteredModem
 from ddwave.transforms import FrameGeometry, dft_matrix, full_dft, oracle_matrix, zak_modulate
 from ddwave.ufmc import FilterBankSpec, UfmcOperators, ufmc_analyze
 
@@ -157,7 +156,7 @@ def test_criterion_6_fast_paths_equal_dense_oracle():
     h_dd_dense = gamma.conj().T @ f_full @ (b_cp @ h @ a_cp) @ f_full.conj().T @ gamma
     errs["effective_channel"] = np.max(np.abs(otfs.effective_channel(ch) - h_dd_dense))
 
-    gm = GfOtfsModem(g, n_sc_rb=4, filter_len=9)  # the same Chebyshev bank as `bank`
+    gm = FilteredModem(g, 1, n_sc_rb=4, filter_len=9)  # the same Chebyshev bank as `bank`
     errs["subband_synthesis"] = np.max(np.abs(UfmcOperators(bank).tx - t_u @ f_full))
     rr = rng.normal(size=40) + 1j * rng.normal(size=40)
     errs["subband_analysis"] = np.max(np.abs(ufmc_analyze(rr, bank) - r_u @ rr))

@@ -5,16 +5,14 @@ import pytest
 from scipy.signal.windows import chebwin
 
 from ddwave import channel as chan
-from ddwave.baselines import DrUfmcModem
 from ddwave.detect import MmseEqualizer
-from ddwave.scfdma import CpOtfsModem
+from ddwave.scfdma import CpOtfsModem, FilteredModem
 from ddwave.transforms import (
     DimensionError,
     FrameGeometry,
     blockwise_dft,
     full_dft,
     oracle_matrix,
-    to_frequency_doppler,
     zak_modulate,
 )
 
@@ -45,7 +43,7 @@ class TestRwOtfs:
         rw = CpOtfsModem(g, 2, window_db=60.0, tx_window=True)
         rng = np.random.default_rng(1)
         d = random_complex(rng, 32)
-        s_t = full_dft(to_frequency_doppler(d, g), inverse=True)
+        s_t = full_dft(oracle_matrix("Gamma", g) @ d, inverse=True)
         windowed = rw.window_values * s_t
         x = rw.modulate(d)
         assert np.max(np.abs(x[2:] - windowed)) < 1e-12
@@ -95,7 +93,7 @@ class TestRwOtfs:
 class TestDrUfmc:
     def test_unit_filter_reduces_to_plain_transmit(self):
         g = geom_8x4()
-        dr = DrUfmcModem(g, n_sc_rb=4, filter_len=1)
+        dr = FilteredModem(g, g.N, n_sc_rb=4, filter_len=1)
         rng = np.random.default_rng(5)
         d = random_complex(rng, 32)
         assert np.max(np.abs(dr.modulate(d) - zak_modulate(d, g))) < 1e-12
@@ -105,14 +103,14 @@ class TestDrUfmc:
 
     def test_transmit_length(self):
         g = FrameGeometry(M=64, N=8)
-        dr = DrUfmcModem(g, n_sc_rb=4, filter_len=20)
+        dr = FilteredModem(g, g.N, n_sc_rb=4, filter_len=20)
         assert dr.rx_len == 64 * 8 + 20 - 1
         rng = np.random.default_rng(6)
         assert dr.modulate(random_complex(rng, 512)).shape == (531,)
 
     def test_overlap_add_interferes_but_mmse_recovers(self):
         g = geom_8x4()
-        dr = DrUfmcModem(g, n_sc_rb=4, filter_len=5)
+        dr = FilteredModem(g, g.N, n_sc_rb=4, filter_len=5)
         ident = still_channel(dr.rx_len + 4)
         rng = np.random.default_rng(7)
         d = random_complex(rng, 32)
@@ -127,7 +125,7 @@ class TestDrUfmc:
 
     def test_effective_channel_reproduces_signal_path(self):
         g = geom_8x4()
-        dr = DrUfmcModem(g, n_sc_rb=4, filter_len=5)
+        dr = FilteredModem(g, g.N, n_sc_rb=4, filter_len=5)
         cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6,
                                  doppler_model="jakes_sum_of_sinusoids")
         ch = chan.generate_channel(cfg, dr.rx_len + 8, seed=17,
@@ -143,7 +141,7 @@ class TestDrUfmc:
     @pytest.mark.parametrize("filter_len", [1, 5, None])  # None: M + 1, the longest
     def test_operators_match_the_per_block_oracles(self, m, n, filter_len):
         g = FrameGeometry(M=m, N=n)
-        dr = DrUfmcModem(g, n_sc_rb=4, filter_len=filter_len or m + 1)
+        dr = FilteredModem(g, g.N, n_sc_rb=4, filter_len=filter_len or m + 1)
         ru, tu = oracle_matrix("R_u", g, dr.bank), oracle_matrix("T_u", g, dr.bank)
         blocks = [slice(b * m, b * m + dr.bank.out_len) for b in range(n)]
         rng = np.random.default_rng(9)
@@ -162,4 +160,4 @@ class TestDrUfmc:
 
     def test_block_subband_constraint(self):
         with pytest.raises(DimensionError):
-            DrUfmcModem(FrameGeometry(M=6, N=4), n_sc_rb=4, filter_len=5)
+            FilteredModem(FrameGeometry(M=6, N=4), 4, n_sc_rb=4, filter_len=5)

@@ -210,14 +210,11 @@ class TestStructuredMmse:
     def test_the_ber_sweep_never_probes_them(self, tmp_path, monkeypatch):
         # no detector pushes probe columns through the channel: each forms the sparse
         # rx H tx, so every apply_channel input is one frame
-        from ddwave.baselines import DrUfmcModem
-        from ddwave.gfotfs import GfOtfsModem
-        from ddwave.scfdma import CpOtfsModem
+        from ddwave.scfdma import Modem
 
         def no_probe(self, ch):
             raise AssertionError("dense probe in the BER sweep")
-        for cls in (CpOtfsModem, GfOtfsModem, DrUfmcModem):
-            monkeypatch.setattr(cls, "effective_channel", no_probe)
+        monkeypatch.setattr(Modem, "effective_channel", no_probe)
         real_apply, widths = chan.apply_channel, []
 
         def recording_apply(x, ch, out_len=None):
@@ -250,7 +247,7 @@ class TestStructuredMmse:
     @pytest.mark.parametrize("override", _CASES)
     def test_k_k_h_is_a_band_in_the_modem_order(self, override):
         # the heights that make one banded Cholesky exact: 2 tau_max for the CP schemes,
-        # (2 tau_max + 1) n_sc_rb - 1 for gf_otfs, and DrUfmcModem's closed form
+        # (2 tau_max + 1) n_sc_rb - 1 for gf_otfs, and dr_ufmc's closed form
         cfg = config_from_dict({"experiment": "ber_sweep", "schemes": _STRUCTURED} | override)
         modems = build_modems(cfg)
         geom = next(iter(modems.values())).geom

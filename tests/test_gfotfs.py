@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from ddwave import channel as chan
-from ddwave.gfotfs import GfOtfsModem
+from ddwave.scfdma import FilteredModem
 from ddwave.transforms import FrameGeometry, oracle_matrix
 
 from test_channel import still_channel
 
 
 def small_modem(filter_len=9):
-    return GfOtfsModem(FrameGeometry(M=8, N=4), n_sc_rb=4, filter_len=filter_len)
+    return FilteredModem(FrameGeometry(M=8, N=4), 1, n_sc_rb=4, filter_len=filter_len)
 
 
 def table_modem():
-    return GfOtfsModem(FrameGeometry(M=64, N=8, bandwidth_hz=1.92e6),
-                       n_sc_rb=4, filter_len=129)
+    return FilteredModem(FrameGeometry(M=64, N=8, bandwidth_hz=1.92e6), 1,
+                         n_sc_rb=4, filter_len=129)
 
 
 def random_complex(rng, n):

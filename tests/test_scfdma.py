@@ -1,6 +1,7 @@
-"""The shared modem chain and the CP-OTFS modem on it: the Zak route against the
-SC-FDMA route, loopback, CP algebra, effective channels, and the chain's
-contract for all four schemes (columnwise, short input, the probe)."""
+"""The shared modem chain and the two modems on it: the Zak route against the
+SC-FDMA route, loopback, CP algebra, effective channels, the filtered modem at
+one block and at N, and the chain's contract for all four schemes (columnwise,
+short input, the probe)."""
 
 import numpy as np
 import pytest
@@ -9,14 +10,14 @@ from ddwave import channel as chan
 from ddwave.config import config_from_dict
 from ddwave.detect import qam_map
 from ddwave.experiments import build_modems
-from ddwave.scfdma import CpOtfsModem
+from ddwave.scfdma import CpOtfsModem, FilteredModem
 from ddwave.transforms import (
     DimensionError,
     FrameGeometry,
+    blockwise_dft,
     full_dft,
     oracle_matrix,
     to_delay_doppler,
-    to_frequency_doppler,
     zak_demodulate,
     zak_modulate,
 )
@@ -97,10 +98,11 @@ class TestPathEquivalence:
         g = FrameGeometry(M=m_dim, N=n_dim)
         rng = np.random.default_rng(4)
         modem = CpOtfsModem(g)
+        gamma = oracle_matrix("Gamma", g)
         for _ in range(20):
             d = random_symbols(rng, g.n_sc, 16)
             s_t = modem.modulate(d)  # no CP: the delay-time frame itself
-            scfdma = full_dft(to_frequency_doppler(d, g), inverse=True)
+            scfdma = full_dft(gamma @ d, inverse=True)
             assert np.max(np.abs(s_t - scfdma)) < 1e-12
             r = random_complex(rng, g.n_sc)
             assert np.max(np.abs(modem.demodulate(r)
@@ -110,7 +112,7 @@ class TestPathEquivalence:
         g = geom_8x4()
         rng = np.random.default_rng(5)
         d = random_symbols(rng, g.n_sc, 16)
-        s_f = to_frequency_doppler(d, g)
+        s_f = oracle_matrix("Gamma", g) @ d
         x_t = CpOtfsModem(g, cp_len=3).modulate(d)
         assert np.linalg.norm(s_f) == pytest.approx(np.linalg.norm(d), abs=1e-10)
         assert np.linalg.norm(x_t[3:]) == pytest.approx(np.linalg.norm(d), abs=1e-10)
@@ -249,6 +251,38 @@ class TestEffectiveChannel:
                 block = h_dd[n_out * 8:(n_out + 1) * 8, n_in * 8:(n_in + 1) * 8]
                 if n_out != n_in:
                     assert np.max(np.abs(block)) < 1e-10
+
+
+@pytest.mark.parametrize("n_blocks", [1, 4])  # gf_otfs's one bank, dr_ufmc's one per delay block
+class TestFilteredModem:
+    def test_frame_length(self, n_blocks):
+        modem = FilteredModem(geom_8x4(), n_blocks, n_sc_rb=4, filter_len=5)
+        assert modem.rx_len == 32 + 5 - 1
+        assert modem.tx.shape == modem.rx.shape[::-1] == (modem.rx_len, 32)
+
+    def test_n_blocks_must_divide_the_frame(self, n_blocks):
+        for bad in (0, 3 * n_blocks):
+            with pytest.raises(DimensionError, match="n_blocks"):
+                FilteredModem(geom_8x4(), bad, n_sc_rb=4, filter_len=5)
+
+    def test_block_spectra_frame(self, n_blocks):
+        # one block: the bins are frequency-Doppler bins s and the frame is tx F_MN^H s,
+        # the chain's tx Z Gamma^H s; N blocks: each delay block's M bins, as
+        # tx (I_N kron F_M^H), the same numpy call blockwise_dft makes
+        g = geom_8x4()
+        modem = FilteredModem(g, n_blocks, n_sc_rb=4, filter_len=5)
+        rng = np.random.default_rng(11)
+        for cols in ((), (3,)):
+            f = random_complex(rng, (n_blocks, 32 // n_blocks) + cols)
+            frame = modem.tx_from_block_spectra(f)
+            s = f.reshape((32,) + cols)
+            assert frame.shape == (modem.rx_len,) + cols
+            if n_blocks == 1:
+                assert np.max(np.abs(frame - modem.modulate(to_delay_doppler(s, g)))) < 1e-12
+            else:
+                assert np.array_equal(frame, modem.tx @ blockwise_dft(s, g, inverse=True))
+        with pytest.raises(DimensionError, match="leading shape"):
+            modem.tx_from_block_spectra(np.zeros((2 * n_blocks, 16 // n_blocks)))
 
 
 @pytest.mark.parametrize("scheme", ["otfs", "gf_otfs", "rw_otfs", "dr_ufmc"])

@@ -32,6 +32,7 @@ from ddwave.experiments import (
     SPECTRAL_CHUNK,
     NumericalFailure,
     _active_band_frames,
+    _frame_power_sum,
     build_modems,
     centered_band_mask,
     run_ber_sweep,
@@ -314,6 +315,19 @@ class TestExperiments:
         for name, tx in _active_band_frames(modems, cfg, mask, mask_block):
             assert tx.shape == (modems[name].rx_len, cfg.n_frames) and tx.flags.f_contiguous
             assert np.shares_memory(tx.ravel(order="F"), tx)
+
+    def test_sidelobe_spectrum_is_the_frame_by_frame_sum_bit_for_bit(self, tmp_path):
+        # one FFT a block of frames, the running sum added in first: the frames still add
+        # one after another, so the sidelobe CSVs keep their bytes
+        cfg = self.small_common(tmp_path, experiment="sidelobes",
+                                n_frames=2 * SPECTRAL_CHUNK + 3)
+        modems = build_modems(cfg)
+        mask = np.arange(cfg.n_sc) < cfg.n_sc // 2
+        mask_block = np.arange(cfg.m) < cfg.m // 2
+        n_fft = cfg.sidelobe_oversample * cfg.n_sc
+        for name, tx in _active_band_frames(modems, cfg, mask, mask_block):
+            frame_by_frame = sum(np.abs(np.fft.fft(x, n=n_fft)) ** 2 for x in tx.T)
+            assert np.array_equal(_frame_power_sum(tx, n_fft), frame_by_frame), name
 
     def test_loopback_draws_no_noise(self, tmp_path, monkeypatch):
         import ddwave.experiments as exp_mod

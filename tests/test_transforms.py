@@ -15,7 +15,6 @@ from ddwave.transforms import (
     full_dft,
     oracle_matrix,
     to_delay_doppler,
-    to_frequency_doppler,
     zak_demodulate,
     zak_modulate,
 )
@@ -102,13 +101,13 @@ class TestInterleave:
         assert np.array_equal(oracle_matrix("Psi", FrameGeometry(M=5, N=1)) @ x, x)
 
     def test_matches_dense_permutation(self):
-        # Psi is Gamma's last step, after the twiddle and the block DFTs
+        # Psi^T is Gamma^H's first step, before the inverse block DFTs and the twiddle
         for m_dim, n_dim in ((2, 2), (3, 2), (4, 3)):
             g = FrameGeometry(M=m_dim, N=n_dim)
             x = np.arange(m_dim * n_dim, dtype=float)
             psi = oracle_matrix("Psi", g)
-            assert np.array_equal(to_frequency_doppler(x, g),
-                                  psi @ blockwise_dft(twiddle(g) * x, g))
+            assert np.array_equal(to_delay_doppler(x, g),
+                                  blockwise_dft(psi.T @ x, g, inverse=True) * np.conj(twiddle(g)))
 
     @given(m_dim=st.integers(1, 9), n_dim=st.integers(1, 7), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -123,7 +122,7 @@ class TestInterleave:
     def test_length_mismatch(self):
         g = FrameGeometry(M=2, N=2)
         with pytest.raises(DimensionError):
-            to_frequency_doppler(np.zeros(5), g)
+            to_delay_doppler(np.zeros(5), g)
 
 
 class TestBlockwiseDft:
@@ -177,7 +176,8 @@ class TestFastVsOracle:
         gamma = oracle_matrix("Gamma", g)
         rng = np.random.default_rng(3)
         d = random_complex(rng, 32)
-        assert np.max(np.abs(to_frequency_doppler(d, g) - gamma @ d)) < 1e-10
+        # Gamma = F_MN Z: the forward map is the Zak route's frame, transformed
+        assert np.max(np.abs(full_dft(zak_modulate(d, g)) - gamma @ d)) < 1e-10
         assert np.max(np.abs(to_delay_doppler(gamma @ d, g) - d)) < 1e-10
 
     def test_matrix_arguments_columnwise(self):
@@ -185,7 +185,8 @@ class TestFastVsOracle:
         rng = np.random.default_rng(5)
         x = random_complex(rng, (12, 5))
         gamma = oracle_matrix("Gamma", g)
-        assert np.max(np.abs(to_frequency_doppler(x, g) - gamma @ x)) < 1e-10
+        assert np.max(np.abs(full_dft(zak_modulate(x, g)) - gamma @ x)) < 1e-10
+        assert np.max(np.abs(to_delay_doppler(x, g) - gamma.conj().T @ x)) < 1e-10
 
     def test_full_dft_matches_dense(self):
         rng = np.random.default_rng(6)
@@ -203,7 +204,7 @@ class TestFastVsOracle:
         gamma = oracle_matrix("Gamma", g)
         f_n, eye_m = dft_matrix(n_dim), np.eye(m_dim)
         blocks = oracle_matrix("I_N_kron_F_M", g)
-        assert np.max(np.abs(to_frequency_doppler(x, g) - gamma @ x)) < 1e-10
+        assert np.max(np.abs(full_dft(zak_modulate(x, g)) - gamma @ x)) < 1e-10
         assert np.max(np.abs(to_delay_doppler(x, g) - gamma.conj().T @ x)) < 1e-10
         assert np.max(np.abs(zak_modulate(x, g) - np.kron(f_n.conj().T, eye_m) @ x)) < 1e-12
         assert np.max(np.abs(zak_demodulate(x, g) - np.kron(f_n, eye_m) @ x)) < 1e-12

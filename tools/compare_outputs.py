@@ -51,6 +51,8 @@ RUNS = [
     ("oracle_suite", {"experiment": "oracle_suite"}, 1),
     # past two of experiments.SPECTRAL_CHUNK's 64-frame transmit chunks, and not a multiple
     ("psd_64x8_150_frames", {"experiment": "psd", "n_frames": 150}, 1),
+    # four full transmit chunks and a short one, summed over many of the sidelobe FFT's blocks
+    ("sidelobes_8x4_300_frames", {"experiment": "sidelobes", **GRID_8X4, "n_frames": 300}, 1),
 ]
 # pytest's progress marks can precede a line printed by a test
 CRITERION = re.compile(r"criterion \d+ (PASS|FAIL).*$")
