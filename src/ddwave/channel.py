@@ -77,10 +77,6 @@ class LtvChannelRealization:
             raise ValueError("tap_delays must be strictly increasing")
 
     @property
-    def n_taps(self) -> int:
-        return int(self.tap_delays.size)
-
-    @property
     def channel_len(self) -> int:
         return int(self.tap_delays[-1]) + 1
 

@@ -269,6 +269,29 @@ def validate_config(cfg: ExperimentConfig) -> None:
             # every modem's operators are sparse; the filtered schemes are capped below
             ("m * n", cfg.n_sc, 1, 2 ** 14),
             ("seed", cfg.seed, 0, inf), ("n_frames", cfg.n_frames, 1, inf),
+            ("channel.n_taps", cfg.channel.n_taps, 1, inf),
+            ("channel.carrier_hz", cfg.channel.carrier_hz, 0, inf),
+            ("channel.delay_spread_s", cfg.channel.delay_spread_s, 0, inf)):
+        _expect(lo <= value <= hi, f"{key}: {value!r} outside [{lo}, {hi}]")
+    _expect(cfg.bandwidth_hz > 0, "bandwidth_hz must be positive")
+    _expect(cfg.channel.profile in PROFILES,
+            f"channel.profile: unknown value {cfg.channel.profile!r}")
+    _expect(cfg.channel.doppler_model in DOPPLER_MODELS,
+            f"channel.doppler_model: unknown value {cfg.channel.doppler_model!r}")
+    # The profile must have n_taps distinct delays, all inside the frame. Checked before
+    # cp_len, whose default follows the channel, so that the channel's own error names it.
+    delay_spread = cfg.channel.delay_spread_s
+    _expect(delay_spread * cfg.bandwidth_hz <= cfg.n_sc,
+            f"channel.delay_spread_s: {delay_spread!r} s is longer than the "
+            f"{cfg.n_sc}-sample frame")
+    try:
+        delays, _ = quantized_profile(channel_config(cfg))
+    except ValueError as exc:
+        raise ConfigError(f"channel.n_taps: {exc} at delay_spread_s={delay_spread!r}") from exc
+    _expect(delays[-1] < cfg.n_sc,
+            f"channel.delay_spread_s: {delay_spread!r} s gives a channel memory of "
+            f"{delays[-1] + 1} samples, longer than the {cfg.n_sc}-sample frame")
+    for key, value, lo, hi in (
             ("cp_len", cfg.cp_len, 0, cfg.n_sc),
             ("rw_cp_len", cfg.rw_cp_len, 0, cfg.n_sc),
             ("gf_filter_len", cfg.gf_filter_len, 1, cfg.n_sc + 1),
@@ -277,9 +300,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             ("sidelobe_oversample", cfg.sidelobe_oversample, 2, inf),
             ("leakage_half_widths", min(cfg.leakage_half_widths), 0, inf),
             ("leakage_center", min(cfg.leakage_center), 0, inf),
-            ("channel.n_taps", cfg.channel.n_taps, 1, inf),
-            ("channel.carrier_hz", cfg.channel.carrier_hz, 0, inf),
-            ("channel.delay_spread_s", cfg.channel.delay_spread_s, 0, inf),
             # 10^(-snr/10) overflows far below -300 dB; above -10 log10(m*n*eps) dB the
             # noise variance is lost in the rounding of the detectors' Gram
             ("snr_grid_db", min(cfg.snr_grid_db), -300, snr_max),
@@ -298,7 +318,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 f"du_filter_len: {cfg.du_filter_len} outside [1, {cfg.m + 1}] (dr_ufmc block)")
         _expect(cfg.m % cfg.n_sc_rb == 0,
                 f"n_sc_rb: {cfg.n_sc_rb} does not divide m = {cfg.m} (dr_ufmc block constraint)")
-    _expect(cfg.bandwidth_hz > 0, "bandwidth_hz must be positive")
     # the window overflows above about 6165 dB; doubles resolve no more than about 320 dB
     for key in ("gf_atten_db", "du_atten_db", "rw_window_param"):
         value = getattr(cfg, key)
@@ -325,10 +344,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _expect(cfg.rw_window_param <= rw_max,
                 f"rw_window_param: {cfg.rw_window_param!r} dB above {rw_max:.1f} dB, where the "
                 f"{cfg.n_sc}-sample Dolph-Chebyshev window may round to non-positive samples")
-    _expect(cfg.channel.profile in PROFILES,
-            f"channel.profile: unknown value {cfg.channel.profile!r}")
-    _expect(cfg.channel.doppler_model in DOPPLER_MODELS,
-            f"channel.doppler_model: unknown value {cfg.channel.doppler_model!r}")
     _expect(0.0 < cfg.occupied_fraction <= 2.0 / 3.0,
             "occupied_fraction must be in (0, 2/3] so the offset band stays below Nyquist")
     if cfg.experiment == "impulse_leakage":
@@ -361,18 +376,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         for lo, hi in psd_bands(cfg):
             _expect(band_has_welch_bin(lo, hi, cfg.bandwidth_hz, cfg.psd_segment_len),
                     f"psd_segment_len: {cfg.psd_segment_len} leaves no Welch bin in [{lo}, {hi}] Hz")
-    # The profile must have n_taps distinct delays, all inside the frame.
-    delay_spread = cfg.channel.delay_spread_s
-    _expect(delay_spread * cfg.bandwidth_hz <= cfg.n_sc,
-            f"channel.delay_spread_s: {delay_spread!r} s is longer than the "
-            f"{cfg.n_sc}-sample frame")
-    try:
-        delays, _ = quantized_profile(channel_config(cfg))
-    except ValueError as exc:
-        raise ConfigError(f"channel.n_taps: {exc} at delay_spread_s={delay_spread!r}") from exc
-    _expect(delays[-1] < cfg.n_sc,
-            f"channel.delay_spread_s: {delay_spread!r} s gives a channel memory of "
-            f"{delays[-1] + 1} samples, longer than the {cfg.n_sc}-sample frame")
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -82,18 +82,18 @@ def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
 
 
 class StructuredMmse:
-    """Linear MMSE for an effective channel U T U^H, with U unitary and T structured.
+    """Linear MMSE detector whose map comes factored: d = factor(var)(y).
 
-    As U^H H^H H U = T^H T, the solve is d = U (T^H T + var I)^-1 T^H U^H y and
-    never forms H. ``to_t`` applies U^H, ``from_t`` applies U, and
-    ``factor(var)`` returns the map (T^H T + var I)^-1 T^H, or its push-through
-    twin T^H (T T^H + var I)^-1, with its factorization done. The contract: at
-    ``noise_var == 0`` a singular T raises :class:`RegularizationRequiredError`,
-    and at a positive ``noise_var`` an all-zero T gives exact zeros.
+    ``factor(var)`` factors for one noise variance and returns the map
+    (H^H H + var I)^-1 H^H of the effective channel H, or its push-through twin
+    H^H (H H^H + var I)^-1, built from H's structure without forming H: a
+    modem's detector wraps its banded solve in the Zak maps. The contract: at
+    ``noise_var == 0`` a singular H raises :class:`RegularizationRequiredError`,
+    and at a positive ``noise_var`` an all-zero H gives exact zeros.
     """
 
-    def __init__(self, factor, to_t, from_t):
-        self.factor, self.to_t, self.from_t = factor, to_t, from_t
+    def __init__(self, factor):
+        self.factor = factor
 
     def solve(self, y: np.ndarray, noise_var: float) -> np.ndarray:
         if noise_var < 0:
@@ -104,11 +104,11 @@ class StructuredMmse:
             if noise_var == 0.0:
                 raise RegularizationRequiredError("a singular channel needs noise_var > 0") from exc
             raise
-        return self.from_t(solver(self.to_t(y)))
+        return solver(y)
 
 
 class MmseEqualizer(StructuredMmse):
-    """Dense linear MMSE detector for a fixed effective channel (T = H, U = I).
+    """Dense linear MMSE detector for a fixed effective channel.
 
     It is the oracle that every modem's structured detector is tested
     against; no experiment runs it. It keeps the primal form
@@ -130,7 +130,7 @@ class MmseEqualizer(StructuredMmse):
             a = self.gram if var == 0.0 else self.gram + var * np.eye(h_eff.shape[0])
             c = scipy.linalg.cho_factor(a, check_finite=False)
             return lambda rhs: scipy.linalg.cho_solve(c, h_h @ rhs, check_finite=False)
-        super().__init__(factor, lambda y: y, lambda x: x)
+        super().__init__(factor)
 
 
 def residue_order(n: int, p: int) -> np.ndarray:

@@ -37,8 +37,9 @@ from .config import ExperimentConfig, channel_config, psd_bands
 from .detect import qam_demap, qam_map
 from .metrics import doppler_leakage, oob_metric, psd_welch, wilson_interval
 from .scfdma import CpOtfsModem, FilteredModem
-from .transforms import FrameGeometry, oracle_matrix, to_delay_doppler, dft_matrix, zak_modulate
-from .ufmc import FilterBankSpec, UfmcOperators, ufmc_analyze
+from .transforms import (FrameGeometry, dft_matrix, full_dft, oracle_matrix, to_delay_doppler,
+                         zak_modulate)
+from .ufmc import FilterBankSpec, UfmcOperators, analysis_fold
 
 
 class NumericalFailure(RuntimeError):
@@ -455,7 +456,7 @@ def oracle_checks() -> list[tuple[str, float, float]]:
     r = rng.normal(size=40) + 1j * rng.normal(size=40)
     ru = oracle_matrix("R_u", g, bank)
     rows.append(("ufmc_ru_fast_vs_oracle",
-                 float(np.max(np.abs(ufmc_analyze(r, bank) - ru @ r))), 1e-10))
+                 float(np.max(np.abs(full_dft(analysis_fold(bank) @ r) - ru @ r))), 1e-10))
     bank1 = FilterBankSpec.chebyshev(32, 4, filter_len=1)
     red = oracle_matrix("R_u", g, bank1) @ oracle_matrix("T_0", g, bank1)
     rows.append(("ofdm_reduction_lf1",

@@ -84,9 +84,9 @@ class Modem:
 
         def factor(var):
             solve = band_solver(var)
-            return lambda v: tx_h @ (a_h @ solve(v[self.order]))
-        return StructuredMmse(factor, lambda y: zak_modulate(y, self.geom),
-                              lambda x: zak_demodulate(x, self.geom))
+            return lambda y: zak_demodulate(
+                tx_h @ (a_h @ solve(zak_modulate(y, self.geom)[self.order])), self.geom)
+        return StructuredMmse(factor)
 
     def effective_channel(self, ch: chan.LtvChannelRealization) -> np.ndarray:
         """End-to-end delay-Doppler map; column q is the response to symbol q."""
@@ -114,14 +114,9 @@ class CpOtfsModem(Modem):
         if tx_window and window_db is None:
             raise ValueError("tx_window requires window_db")
         self.geom = geom
-        self.cp_len = cp_len
-        self.window_values = None
-        if window_db is not None:
-            self.window_values = dolph_chebyshev_window(n, window_db)
         self.rx_len = n + cp_len
-        ones = np.ones(n)
-        w_rx = ones if window_db is None else self.window_values
-        w_tx = self.window_values if tx_window else ones
+        w_rx = np.ones(n) if window_db is None else dolph_chebyshev_window(n, window_db)
+        w_tx = w_rx if tx_window else np.ones(n)
         j = np.arange(self.rx_len)
         col = (j - cp_len) % n
         self.tx = scipy.sparse.csr_array((w_tx[col], (j, col)), shape=(self.rx_len, n))

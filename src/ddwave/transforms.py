@@ -8,7 +8,7 @@ d[n*M + m] holds the symbol at delay m, Doppler n. Every map below is
 permutation around it. ``Gamma`` (dense: ``oracle_matrix("Gamma")``) has three steps:
 
 * a block-diagonal twiddle Omega (a phase ramp per Doppler block),
-* per-block M-point DFTs (:func:`blockwise_dft`),
+* per-block M-point DFTs, :func:`full_dft` along the delay axis of the grid,
 * a stride interleaver Psi that makes the N Doppler bins of each frequency
   index contiguous.
 
@@ -101,11 +101,6 @@ def _grid_dft(x, geom: FrameGeometry, axis: int, inverse: bool, what: str) -> np
     return full_dft(v, inverse, axis).reshape(x.shape)
 
 
-def blockwise_dft(x, geom: FrameGeometry, inverse: bool = False) -> np.ndarray:
-    """(I_N kron F_M) x: the unitary M-point DFT (or inverse) of each of the N blocks."""
-    return _grid_dft(x, geom, 1, inverse, "blockwise_dft")
-
-
 def zak_modulate(d, geom: FrameGeometry) -> np.ndarray:
     """(F_N^H kron I_M) d: delay-Doppler to delay-time, an inverse DFT over Doppler per delay."""
     return _grid_dft(d, geom, 0, True, "zak_modulate")
@@ -128,7 +123,7 @@ def to_delay_doppler(y, geom: FrameGeometry) -> np.ndarray:
     """Gamma^H y = Omega^H (I_N kron F_M^H) Psi^T y: frequency-Doppler to delay-Doppler."""
     y = _check_first_axis(y, geom.n_sc, "to_delay_doppler")
     v = y.reshape((geom.M, geom.N) + y.shape[1:]).swapaxes(0, 1).reshape(y.shape)
-    return blockwise_dft(v, geom, inverse=True) * np.conj(_twiddle(geom, y.ndim))
+    return _grid_dft(v, geom, 1, True, "to_delay_doppler") * np.conj(_twiddle(geom, y.ndim))
 
 
 # ---------------------------------------------------------------------------

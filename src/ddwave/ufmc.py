@@ -1,4 +1,4 @@
-"""Subband filter bank: prototype design, synthesis, analysis, and predistortion.
+"""Subband filter bank: the Chebyshev bank, synthesis, analysis, and predistortion.
 
 A bank groups n_sc subcarriers into n_rb subbands of n_sc_rb each. Synthesis
 transforms each subband to the time domain with the matching columns of the
@@ -50,23 +50,8 @@ def dolph_chebyshev_window(length: int, atten_db: float) -> np.ndarray:
     return w / np.max(w)
 
 
-def design_chebyshev_prototype(filter_len: int, atten_db: float) -> np.ndarray:
-    """Dolph-Chebyshev window of the given length, scaled to unit L2 norm.
-
-    ``atten_db`` is the equiripple sidelobe attenuation of the window's
-    frequency response. The overall modulator gain is fixed later by power
-    normalization, so only the shape matters here.
-    """
-    if filter_len < 1:
-        raise DimensionError(f"filter_len must be >= 1, got {filter_len}")
-    if atten_db <= 0:
-        raise ValueError(f"atten_db must be positive, got {atten_db}")
-    w = dolph_chebyshev_window(filter_len, atten_db)
-    return w / np.linalg.norm(w)
-
-
 class FilterBankSpec:
-    """Prototype filter plus the per-subband frequency shifts derived from it.
+    """A prototype filter and the n_sc / n_sc_rb subbands it is shifted onto.
 
     Subband i is centered on alpha_i = (i + 0.5) * n_sc_rb - 0.5 in bin units,
     i.e. on the midpoint of its n_sc_rb bins, and its filter is the prototype
@@ -87,13 +72,21 @@ class FilterBankSpec:
         self.n_rb = n_sc // n_sc_rb
         self.prototype = prototype
         self.filter_len = prototype.size
-        self.alpha = (np.arange(self.n_rb) + 0.5) * n_sc_rb - 0.5
 
     @classmethod
     def chebyshev(cls, n_sc: int, n_sc_rb: int, filter_len: int,
                   atten_db: float = 60.0) -> "FilterBankSpec":
-        """Bank on :func:`design_chebyshev_prototype`; both filtered modems build theirs here."""
-        return cls(n_sc, n_sc_rb, design_chebyshev_prototype(filter_len, atten_db))
+        """Bank on a unit-norm Dolph-Chebyshev prototype; both filtered modems build theirs here.
+
+        ``atten_db`` is the window's equiripple sidelobe attenuation. Power
+        normalization fixes the modulator's gain later, so only the shape matters.
+        """
+        if filter_len < 1:
+            raise DimensionError(f"filter_len must be >= 1, got {filter_len}")
+        if atten_db <= 0:
+            raise ValueError(f"atten_db must be positive, got {atten_db}")
+        w = dolph_chebyshev_window(filter_len, atten_db)
+        return cls(n_sc, n_sc_rb, w / np.linalg.norm(w))
 
     @property
     def out_len(self) -> int:
@@ -110,19 +103,6 @@ def analysis_fold(bank: FilterBankSpec, n_blocks: int = 1) -> scipy.sparse.csr_a
     rows, cols = (start + j % m).ravel(), (start + j).ravel()
     return scipy.sparse.csr_array((np.full(rows.size, np.sqrt(0.5)), (rows, cols)),
                                   shape=(n_blocks * m, (n_blocks - 1) * m + bank.out_len))
-
-
-def ufmc_analyze(r: np.ndarray, bank: FilterBankSpec) -> np.ndarray:
-    """Fold the first n_sc + filter_len - 1 samples and take their unitary n_sc-point DFT.
-
-    Trailing samples beyond the synthesis length (channel tail) are discarded.
-    Works columnwise on 1-D and 2-D input.
-    """
-    r = np.asarray(r)
-    if r.shape[0] < bank.out_len:
-        raise DimensionError(
-            f"analysis needs at least {bank.out_len} samples, got {r.shape[0]}")
-    return full_dft(analysis_fold(bank) @ r[:bank.out_len])
 
 
 def predistortion(bank: FilterBankSpec) -> np.ndarray:
@@ -155,8 +135,8 @@ class UfmcOperators:
         w_r[t] = sum_{k=max(0, t-n+1)}^{min(t, L-1)} p[k] exp(2j pi c_r k / n).
 
     So ``ref = T_0 1`` is nonzero only at t = 0 mod n/rb, ``synth_norm_gain`` g
-    is its RMS, and ``predistortion``, mean|s| / s of its analysis s, is
-    :func:`predistortion` repeated with period rb. T_u = T_0 diag(predistortion) / g
+    is its RMS, and its predistortion D, mean|s| / s of its analysis s, is
+    :func:`predistortion` repeated with period rb. T_u = T_0 diag(D) / g
     after the unitary DFT F has rb entries a row, at s = t mod n/rb:
 
         (T_u F)[t, s] = 1/(g rb) sum_r w_r[t] predistortion[r] exp(2j pi r (t - s) / n).
@@ -165,7 +145,6 @@ class UfmcOperators:
     """
 
     def __init__(self, bank: FilterBankSpec, n_blocks: int = 1):
-        self.bank = bank
         n, rb, flen = bank.n_sc, bank.n_sc_rb, bank.filter_len
         m, t, j = n // rb, np.arange(bank.out_len), np.arange(rb)[:, None]
         h = bank.prototype * np.exp(2j * np.pi * ((rb - 1) / 2 - j) * np.arange(flen) / n)
@@ -176,7 +155,6 @@ class UfmcOperators:
             return np.sqrt(rb) * full_dft(a, inverse=True)[(t // m - j) % rb, t]
 
         gains = predistortion(bank)  # a zero bin also means an all-zero ref, a zero gain
-        self.predistortion = np.tile(gains, bank.n_rb)
         ref = np.where(t % m == 0, np.sqrt(n) / rb * sums(w)[0], 0)
         self.synth_norm_gain = float(np.sqrt(np.mean(np.abs(ref) ** 2)))
         vals = sums(w * gains[:, None]) / (self.synth_norm_gain * rb)

@@ -30,7 +30,7 @@ from ddwave.experiments import run_experiment
 from ddwave.metrics import wilson_interval
 from ddwave.scfdma import CpOtfsModem, FilteredModem
 from ddwave.transforms import FrameGeometry, dft_matrix, full_dft, oracle_matrix, zak_modulate
-from ddwave.ufmc import FilterBankSpec, UfmcOperators, ufmc_analyze
+from ddwave.ufmc import FilterBankSpec, UfmcOperators, analysis_fold
 
 SCHEMES = ("otfs", "gf_otfs", "rw_otfs", "dr_ufmc")
 
@@ -159,7 +159,7 @@ def test_criterion_6_fast_paths_equal_dense_oracle():
     gm = FilteredModem(g, 1, n_sc_rb=4, filter_len=9)  # the same Chebyshev bank as `bank`
     errs["subband_synthesis"] = np.max(np.abs(UfmcOperators(bank).tx - t_u @ f_full))
     rr = rng.normal(size=40) + 1j * rng.normal(size=40)
-    errs["subband_analysis"] = np.max(np.abs(ufmc_analyze(rr, bank) - r_u @ rr))
+    errs["subband_analysis"] = np.max(np.abs(full_dft(analysis_fold(bank) @ rr) - r_u @ rr))
     errs["gf_modulate"] = np.max(np.abs(gm.modulate(d) - t_u @ gamma @ d))
     h_bar = chan.delay_time_matrix(ch, gm.rx_len).toarray()
     r_gf = chan.apply_channel(gm.modulate(d), ch, out_len=gm.rx_len)
@@ -179,11 +179,12 @@ def test_criterion_6_fast_paths_equal_dense_oracle():
 
 def test_criterion_7_predistortion_improvement():
     t0 = time.time()
-    ops = UfmcOperators(FilterBankSpec.chebyshev(512, 4, 129, atten_db=60.0))
+    bank = FilterBankSpec.chebyshev(512, 4, 129, atten_db=60.0)
+    ops, fold = UfmcOperators(bank), analysis_fold(bank)
     ones = np.ones(512)
-    t_n = oracle_matrix("T_0", FrameGeometry(M=512, N=1), ops.bank) / ops.synth_norm_gain
-    r_norm = ufmc_analyze(t_n @ ones, ops.bank)
-    r_pre = ufmc_analyze(ops.tx @ full_dft(ones, inverse=True), ops.bank)
+    t_n = oracle_matrix("T_0", FrameGeometry(M=512, N=1), bank) / ops.synth_norm_gain
+    r_norm = full_dft(fold @ (t_n @ ones))
+    r_pre = full_dft(fold @ (ops.tx @ full_dft(ones, inverse=True)))
     spread_norm = float(np.max(np.abs(r_norm)) / np.min(np.abs(r_norm)))
     spread_pre = float(np.max(np.abs(r_pre)) / np.min(np.abs(r_pre)))
     elapsed = time.time() - t0

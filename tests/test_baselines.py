@@ -10,13 +10,14 @@ from ddwave.scfdma import CpOtfsModem, FilteredModem
 from ddwave.transforms import (
     DimensionError,
     FrameGeometry,
-    blockwise_dft,
     full_dft,
     oracle_matrix,
     zak_modulate,
 )
+from ddwave.ufmc import dolph_chebyshev_window
 
 from test_channel import still_channel
+from test_transforms import block_dft
 
 
 def geom_8x4():
@@ -31,7 +32,8 @@ class TestWindowSpec:
     """The Dolph-Chebyshev window CpOtfsModem builds from ``window_db``."""
 
     def test_peak_normalized(self):
-        w = CpOtfsModem(FrameGeometry(M=8, N=8), window_db=60.0).window_values
+        # with no prefix, rx is the receive window on its diagonal
+        w = CpOtfsModem(FrameGeometry(M=8, N=8), window_db=60.0).rx.toarray().diagonal()
         assert w.max() == pytest.approx(1.0)
         assert np.all(np.isfinite(w))
         assert np.array_equal(w, chebwin(64, at=60.0) / chebwin(64, at=60.0).max())
@@ -44,7 +46,7 @@ class TestRwOtfs:
         rng = np.random.default_rng(1)
         d = random_complex(rng, 32)
         s_t = full_dft(oracle_matrix("Gamma", g) @ d, inverse=True)
-        windowed = rw.window_values * s_t
+        windowed = dolph_chebyshev_window(32, 60.0) * s_t
         x = rw.modulate(d)
         assert np.max(np.abs(x[2:] - windowed)) < 1e-12
         assert np.max(np.abs(x[:2] - windowed[-2:])) < 1e-12
@@ -52,7 +54,7 @@ class TestRwOtfs:
     def test_windowing_is_spectral_circular_convolution(self):
         # multiplying the delay-time frame by the window convolves its
         # spectrum circularly with the window transform
-        w = CpOtfsModem(geom_8x4(), window_db=60.0).window_values
+        w = dolph_chebyshev_window(32, 60.0)
         rng = np.random.default_rng(2)
         s = random_complex(rng, 32)
         lhs = np.fft.fft(w * s)
@@ -149,10 +151,10 @@ class TestDrUfmc:
         d = rng.normal(size=(g.n_sc, 2)) + 1j * rng.normal(size=(g.n_sc, 2))
         # receive: each block's analysis at its nominal boundaries, then its inverse DFT
         analysed = np.concatenate([ru @ r[blk] for blk in blocks])
-        expected = blockwise_dft(analysed, g, inverse=True)
+        expected = block_dft(analysed, g, inverse=True)
         assert np.max(np.abs(zak_modulate(dr.demodulate(r), g) - expected)) < 1e-12
         # transmit: each block's DFT through the predistorted bank, tails overlap-added
-        f = blockwise_dft(zak_modulate(d, g), g)
+        f = block_dft(zak_modulate(d, g), g)
         x = np.zeros((dr.rx_len, 2), dtype=complex)
         for b, blk in enumerate(blocks):
             x[blk] += tu @ f[b * m:(b + 1) * m]

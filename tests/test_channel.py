@@ -78,7 +78,7 @@ class TestGeneration:
         delta_nu = cfg.bandwidth_hz / 512
         ch = generate_channel(cfg, 600, seed=3, delta_nu_hz=delta_nu)
         tone = np.exp(2j * np.pi * 0.3 * delta_nu * np.arange(600) / cfg.bandwidth_hz)
-        assert ch.n_taps == 5
+        assert ch.tap_delays.size == 5
         for g in ch.gains:
             assert abs(g[0]) > 1e-3
             assert np.max(np.abs(g - g[0] * tone)) < 1e-12

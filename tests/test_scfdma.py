@@ -14,15 +14,16 @@ from ddwave.scfdma import CpOtfsModem, FilteredModem
 from ddwave.transforms import (
     DimensionError,
     FrameGeometry,
-    blockwise_dft,
     full_dft,
     oracle_matrix,
     to_delay_doppler,
     zak_demodulate,
     zak_modulate,
 )
+from ddwave.ufmc import dolph_chebyshev_window
 
 from test_channel import still_channel
+from test_transforms import block_dft
 
 
 def geom_8x4():
@@ -141,9 +142,8 @@ class TestCpHandling:
         # tx = A_cp W_tx and rx = W_rx B_cp, with W = I where there is no window
         g = geom_8x4()
         modem = CpOtfsModem(g, 5, window_db, tx_window)
-        ones = np.ones(g.n_sc)
-        w_rx = ones if window_db is None else modem.window_values
-        w_tx = modem.window_values if tx_window else ones
+        w_rx = np.ones(g.n_sc) if window_db is None else dolph_chebyshev_window(g.n_sc, window_db)
+        w_tx = w_rx if tx_window else np.ones(g.n_sc)
         assert np.array_equal(modem.tx.toarray(),
                               oracle_matrix("A_cp", g, cp_len=5) * w_tx[None, :])
         assert np.array_equal(modem.rx.toarray(),
@@ -268,7 +268,7 @@ class TestFilteredModem:
     def test_block_spectra_frame(self, n_blocks):
         # one block: the bins are frequency-Doppler bins s and the frame is tx F_MN^H s,
         # the chain's tx Z Gamma^H s; N blocks: each delay block's M bins, as
-        # tx (I_N kron F_M^H), the same numpy call blockwise_dft makes
+        # tx (I_N kron F_M^H), bit for bit: block_dft makes the same numpy call
         g = geom_8x4()
         modem = FilteredModem(g, n_blocks, n_sc_rb=4, filter_len=5)
         rng = np.random.default_rng(11)
@@ -280,7 +280,7 @@ class TestFilteredModem:
             if n_blocks == 1:
                 assert np.max(np.abs(frame - modem.modulate(to_delay_doppler(s, g)))) < 1e-12
             else:
-                assert np.array_equal(frame, modem.tx @ blockwise_dft(s, g, inverse=True))
+                assert np.array_equal(frame, modem.tx @ block_dft(s, g, inverse=True))
         with pytest.raises(DimensionError, match="leading shape"):
             modem.tx_from_block_spectra(np.zeros((2 * n_blocks, 16 // n_blocks)))
 

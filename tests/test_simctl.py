@@ -692,6 +692,13 @@ class TestCli:
         ({"m": 64, "n": 128}, "m * n"),
         # gf_otfs's 16-bin bank in subbands of 8 needs a predistortion gain of 12.3
         ({"n": 2, "n_sc_rb": 8}, "n_sc_rb: 8-bin subbands need a gf_otfs predistortion gain"),
+        # a defaulted cp_len follows the channel, so the channel's own error is the one named:
+        # 30 taps on an 8x2 grid (cp_len would default to 29), and the default 5-sample
+        # channel memory on a 2x1 grid (cp_len would default to 4)
+        ({"m": 8, "n": 2, "n_sc_rb": 2, "gf_filter_len": 5, "du_filter_len": 3,
+          "channel": {"n_taps": 30}}, "channel.n_taps: n_taps=30 exceeds"),
+        ({"m": 2, "n": 1, "n_sc_rb": 1, "gf_filter_len": 1, "du_filter_len": 1},
+         "channel.delay_spread_s: 3e-07 s gives a channel memory of 5 samples"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"

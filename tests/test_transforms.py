@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ddwave.transforms import (
     DimensionError,
     FrameGeometry,
-    blockwise_dft,
     dft_matrix,
     full_dft,
     oracle_matrix,
@@ -23,6 +22,11 @@ from ddwave.ufmc import FilterBankSpec
 
 def random_complex(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def block_dft(x, g, inverse=False):
+    """(I_N kron F_M) x, the unitary DFT of the N x M grid along its delay axis (axis 1)."""
+    return full_dft(x.reshape((g.N, g.M) + x.shape[1:]), inverse, axis=1).reshape(x.shape)
 
 
 class TestFrameGeometry:
@@ -107,7 +111,7 @@ class TestInterleave:
             x = np.arange(m_dim * n_dim, dtype=float)
             psi = oracle_matrix("Psi", g)
             assert np.array_equal(to_delay_doppler(x, g),
-                                  blockwise_dft(psi.T @ x, g, inverse=True) * np.conj(twiddle(g)))
+                                  block_dft(psi.T @ x, g, inverse=True) * np.conj(twiddle(g)))
 
     @given(m_dim=st.integers(1, 9), n_dim=st.integers(1, 7), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -126,23 +130,25 @@ class TestInterleave:
 
 
 class TestBlockwiseDft:
+    """(I_N kron F_M), Gamma's block DFTs: full_dft of the N x M grid along its delay axis."""
+
     def test_single_sample_blocks(self):
         g = FrameGeometry(M=1, N=6)
         rng = np.random.default_rng(0)
         x = random_complex(rng, 6)
-        assert np.allclose(blockwise_dft(x, g), x)
+        assert np.allclose(block_dft(x, g), x)
 
     def test_roundtrip(self):
         g = FrameGeometry(M=8, N=4)
         rng = np.random.default_rng(1)
         x = random_complex(rng, 32)
-        assert np.max(np.abs(blockwise_dft(blockwise_dft(x, g), g, inverse=True) - x)) < 1e-12
+        assert np.max(np.abs(block_dft(block_dft(x, g), g, inverse=True) - x)) < 1e-12
 
     def test_impulse_block(self):
         g = FrameGeometry(M=4, N=2)
         x = np.zeros(8, dtype=complex)
         x[0] = 1.0
-        y = blockwise_dft(x, g)
+        y = block_dft(x, g)
         assert np.allclose(y[:4], 0.5)
         assert np.allclose(y[4:], 0.0)
 
@@ -150,7 +156,7 @@ class TestBlockwiseDft:
         g = FrameGeometry(M=8, N=3)
         rng = np.random.default_rng(2)
         x = random_complex(rng, 24)
-        assert np.linalg.norm(blockwise_dft(x, g)) == pytest.approx(np.linalg.norm(x))
+        assert np.linalg.norm(block_dft(x, g)) == pytest.approx(np.linalg.norm(x))
 
 
 class TestCooleyTukeyFactorization:
@@ -208,8 +214,8 @@ class TestFastVsOracle:
         assert np.max(np.abs(to_delay_doppler(x, g) - gamma.conj().T @ x)) < 1e-10
         assert np.max(np.abs(zak_modulate(x, g) - np.kron(f_n.conj().T, eye_m) @ x)) < 1e-12
         assert np.max(np.abs(zak_demodulate(x, g) - np.kron(f_n, eye_m) @ x)) < 1e-12
-        assert np.max(np.abs(blockwise_dft(x, g) - blocks @ x)) < 1e-12
-        assert np.max(np.abs(blockwise_dft(x, g, inverse=True) - blocks.conj().T @ x)) < 1e-12
+        assert np.max(np.abs(block_dft(x, g) - blocks @ x)) < 1e-12
+        assert np.max(np.abs(block_dft(x, g, inverse=True) - blocks.conj().T @ x)) < 1e-12
         x2d = x.reshape(g.n_sc, -1)
         k = x2d.shape[1]
         assert np.max(np.abs(full_dft(x2d, axis=1) - x2d @ dft_matrix(k).T)) < 1e-12

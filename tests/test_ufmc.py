@@ -15,10 +15,8 @@ from ddwave.ufmc import (
     SingularPredistortionError,
     UfmcOperators,
     analysis_fold,
-    design_chebyshev_prototype,
     dolph_chebyshev_window,
     predistortion,
-    ufmc_analyze,
 )
 
 
@@ -41,6 +39,16 @@ def oracle_t0(bank):
 def transmitted(ops, s_f):
     """T_u s_f through the builder's sparse T_u F."""
     return ops.tx @ full_dft(s_f, inverse=True)
+
+
+def analysed(r, bank):
+    """R_u r as the filtered modems' receiver takes it: the tail fold, then the unitary DFT."""
+    return full_dft(analysis_fold(bank) @ r)
+
+
+def tiled_predistortion(bank):
+    """The predistortion of every bin: the rb gains repeated over the bank's subbands."""
+    return np.tile(predistortion(bank), bank.n_rb)
 
 
 class TestDolphChebyshevWindow:
@@ -74,16 +82,18 @@ class TestDolphChebyshevWindow:
 
 
 class TestPrototypeDesign:
+    """The prototype that ``FilterBankSpec.chebyshev`` designs."""
+
     def test_degenerate_length_one(self):
-        assert np.array_equal(design_chebyshev_prototype(1, 60.0), [1.0])
+        assert np.array_equal(FilterBankSpec.chebyshev(32, 4, 1, 60.0).prototype, [1.0])
 
     def test_symmetric_and_unit_norm(self):
-        w = design_chebyshev_prototype(129, 60.0)
+        w = table_bank().prototype
         assert np.max(np.abs(w - w[::-1])) < 1e-12
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_equiripple_sidelobe_level(self):
-        w = design_chebyshev_prototype(129, 60.0)
+        w = table_bank().prototype
         response = np.abs(np.fft.fft(w, 4096))
         response_db = 20 * np.log10(response / response.max() + 1e-300)
         # first spectral null bounds the mainlobe; everything beyond is stopband
@@ -92,15 +102,22 @@ class TestPrototypeDesign:
 
     def test_rejects_bad_args(self):
         with pytest.raises(DimensionError):
-            design_chebyshev_prototype(0, 60.0)
+            FilterBankSpec.chebyshev(32, 4, 0, 60.0)
         with pytest.raises(ValueError):
-            design_chebyshev_prototype(5, -3.0)
+            FilterBankSpec.chebyshev(32, 4, 5, -3.0)
 
 
 class TestFilterBankSpec:
     def test_subband_centers(self):
-        bank = FilterBankSpec(32, 4, design_chebyshev_prototype(9, 60.0))
-        assert np.allclose(bank.alpha, (np.arange(8) + 0.5) * 4 - 0.5)
+        # subband i is centred on its bins' midpoint (i + 0.5) n_sc_rb - 0.5: the symmetric
+        # prototype's through response mirrors about it, in the dense oracle and the closed form
+        bank = small_bank()
+        s = oracle_matrix("R_u", small_geom(), bank) @ oracle_t0(bank).sum(axis=1)
+        mags = np.abs(s).reshape(bank.n_rb, bank.n_sc_rb)
+        assert np.allclose(mags, mags[:, ::-1])
+        assert not np.allclose(mags, np.roll(mags, 1, axis=1))  # a flat one mirrors about any bin
+        gains = np.abs(predistortion(bank))
+        assert np.allclose(gains, gains[::-1])
 
     def test_filter_too_long_rejected(self):
         with pytest.raises(DimensionError):
@@ -113,7 +130,8 @@ class TestFilterBankSpec:
     def test_chebyshev_bank_uses_the_designed_prototype(self):
         bank = FilterBankSpec.chebyshev(32, 4, 9, atten_db=50.0)
         assert (bank.n_sc, bank.n_sc_rb, bank.n_rb, bank.filter_len) == (32, 4, 8, 9)
-        assert np.array_equal(bank.prototype, design_chebyshev_prototype(9, 50.0))
+        w = dolph_chebyshev_window(9, 50.0)
+        assert np.array_equal(bank.prototype, w / np.linalg.norm(w))
 
     def test_output_length(self):
         bank = table_bank()
@@ -133,7 +151,7 @@ class TestSynthesis:
         rng = np.random.default_rng(0)
         s_f = rng.normal(size=32) + 1j * rng.normal(size=32)
         ops = UfmcOperators(bank)
-        dense = oracle_matrix("T_0", g, bank) * ops.predistortion / ops.synth_norm_gain
+        dense = oracle_matrix("T_0", g, bank) * tiled_predistortion(bank) / ops.synth_norm_gain
         assert np.max(np.abs(transmitted(ops, s_f) - dense @ s_f)) < 1e-10
         assert np.max(np.abs(full_dft(ops.tx.toarray(), inverse=True, axis=1) - dense)) < 1e-10
 
@@ -183,22 +201,14 @@ class TestSynthesis:
 class TestAnalysis:
     def test_zero(self):
         bank = small_bank()
-        assert np.all(ufmc_analyze(np.zeros(40), bank) == 0)
+        assert np.all(analysed(np.zeros(40), bank) == 0)
 
     def test_unit_impulse(self):
         bank = small_bank()
         r = np.zeros(40, dtype=complex)
         r[0] = 1.0
-        out = ufmc_analyze(r, bank)
+        out = analysed(r, bank)
         assert np.allclose(out, 1 / np.sqrt(64))
-
-    def test_matches_dense_oracle(self):
-        g = small_geom()
-        bank = small_bank()
-        rng = np.random.default_rng(1)
-        r = rng.normal(size=40) + 1j * rng.normal(size=40)
-        dense = oracle_matrix("R_u", g, bank)
-        assert np.max(np.abs(ufmc_analyze(r, bank) - dense @ r)) < 1e-10
 
     @pytest.mark.parametrize("n_sc, n_sc_rb", [(32, 4), (53, 1)])
     @pytest.mark.parametrize("filter_len", [1, 9, None])  # None: n_sc + 1, the longest
@@ -211,19 +221,6 @@ class TestAnalysis:
         r = rng.normal(size=(bank.out_len, 3)) + 1j * rng.normal(size=(bank.out_len, 3))
         for x in (r[:, 0], r):
             assert np.max(np.abs(full_dft(fold @ x) - dense @ x)) < 1e-12
-            assert np.max(np.abs(ufmc_analyze(x, bank) - dense @ x)) < 1e-12
-
-    def test_short_input_rejected(self):
-        bank = small_bank()
-        with pytest.raises(DimensionError):
-            ufmc_analyze(np.zeros(39), bank)
-
-    def test_trailing_samples_discarded(self):
-        bank = small_bank()
-        rng = np.random.default_rng(2)
-        r = rng.normal(size=40) + 1j * rng.normal(size=40)
-        extended = np.concatenate([r, rng.normal(size=5)])
-        assert np.array_equal(ufmc_analyze(r, bank), ufmc_analyze(extended, bank))
 
 
 class TestOfdmReduction:
@@ -232,14 +229,14 @@ class TestOfdmReduction:
         bank = small_bank(filter_len=1)
         ops = UfmcOperators(bank)  # T_0 = g (T_u F) F^H diag(1/predistortion)
         t0 = full_dft(ops.tx.toarray(), inverse=True, axis=1) * ops.synth_norm_gain \
-            / ops.predistortion
+            / tiled_predistortion(bank)
         ru = oracle_matrix("R_u", g, bank)
         assert np.max(np.abs(ru @ t0 - np.eye(32) / np.sqrt(2))) < 1e-12
 
     def test_unit_filter_predistortion_is_identity(self):
         g = small_geom()
         bank = small_bank(filter_len=1)
-        p = UfmcOperators(bank).predistortion
+        p = predistortion(bank)
         assert np.max(np.abs(p - 1.0)) < 1e-12
 
 
@@ -253,8 +250,8 @@ class TestNormalization:
 
     def test_prototype_scale_invariance(self):
         g = small_geom()
-        bank_a = FilterBankSpec(g.n_sc, 4, design_chebyshev_prototype(9, 60.0))
-        bank_b = FilterBankSpec(g.n_sc, 4, 3.7 * design_chebyshev_prototype(9, 60.0))
+        bank_a = FilterBankSpec.chebyshev(g.n_sc, 4, 9, 60.0)
+        bank_b = FilterBankSpec(g.n_sc, 4, 3.7 * bank_a.prototype)
         tn_a = UfmcOperators(bank_a).tx.toarray()
         tn_b = UfmcOperators(bank_b).tx.toarray()
         assert np.max(np.abs(tn_a - tn_b)) < 1e-12
@@ -279,8 +276,8 @@ class TestPredistortion:
         bank = table_bank()
         ops = UfmcOperators(bank)
         t_n = oracle_t0(bank) / ops.synth_norm_gain
-        r_plain = ufmc_analyze(t_n @ np.ones(512), bank)
-        r_pre = ufmc_analyze(transmitted(ops, np.ones(512)), bank)
+        r_plain = analysed(t_n @ np.ones(512), bank)
+        r_pre = analysed(transmitted(ops, np.ones(512)), bank)
         spread_plain = np.max(np.abs(r_plain)) / np.min(np.abs(r_plain))
         spread_pre = np.max(np.abs(r_pre)) / np.min(np.abs(r_pre))
         assert spread_pre < spread_plain
@@ -288,9 +285,9 @@ class TestPredistortion:
     def test_recomputed_predistortion_closer_to_one(self):
         bank = table_bank()
         ops = UfmcOperators(bank)
-        s_again = ufmc_analyze(transmitted(ops, np.ones(512)), bank)
+        s_again = analysed(transmitted(ops, np.ones(512)), bank)
         p_again = np.mean(np.abs(s_again)) / s_again
-        assert np.max(np.abs(p_again - 1.0)) < np.max(np.abs(ops.predistortion - 1.0))
+        assert np.max(np.abs(p_again - 1.0)) < np.max(np.abs(tiled_predistortion(bank) - 1.0))
 
     def test_matches_dense_oracle(self):
         g = small_geom()
@@ -304,9 +301,12 @@ class TestPredistortion:
         # mean|s| / s of R_u T_0 1, the dense through response, repeats the rb gains
         bank = FilterBankSpec.chebyshev(n_sc, n_sc_rb, filter_len)
         s = oracle_matrix("R_u", FrameGeometry(M=n_sc, N=1), bank) @ oracle_t0(bank).sum(axis=1)
-        gains = np.tile(predistortion(bank), bank.n_rb)
+        gains = tiled_predistortion(bank)
         assert np.max(np.abs(gains * s / np.mean(np.abs(s)) - 1)) < 1e-11
-        assert np.array_equal(UfmcOperators(bank).predistortion, gains)
+        # and the modulator applies them: T_u = T_0 diag(gains) / g
+        ops = UfmcOperators(bank)
+        t_u = full_dft(ops.tx.toarray(), inverse=True, axis=1)
+        assert np.max(np.abs(t_u - oracle_t0(bank) * gains / ops.synth_norm_gain)) < 1e-10
 
     def test_degenerate_filter_raises(self):
         # a prototype with a null exactly on a kept bin has no predistortion
