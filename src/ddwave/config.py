@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import DOPPLER_MODELS, PROFILES, ChannelConfig, quantized_profile
-from .metrics import band_has_welch_bin
+from .metrics import band_has_welch_bin, centered_band_mask
 from .ufmc import FilterBankSpec, SingularPredistortionError, predistortion
 
 EXPERIMENTS = ("loopback", "impulse_leakage", "sidelobes", "psd", "ber_sweep", "oracle_suite")
@@ -363,7 +363,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         # the m-bin grid carries dr_ufmc's blocks, the M*N-bin grid every other scheme
         grids = (cfg.n_sc, cfg.m) if "dr_ufmc" in cfg.schemes else (cfg.n_sc,)
         for n_bins in grids:
-            n_active = 2 * int(round(n_bins * cfg.occupied_fraction / 2.0))
+            n_active = np.count_nonzero(centered_band_mask(n_bins, cfg.occupied_fraction))
             _expect(n_active > 0 and n_active % cfg.n_sc_rb == 0,
                     f"occupied_fraction: {cfg.occupied_fraction} must activate whole subbands "
                     f"symmetrically on the {n_bins}-bin grid")

@@ -35,7 +35,8 @@ from . import __version__
 from . import channel as chan
 from .config import ExperimentConfig, channel_config, psd_bands
 from .detect import qam_demap, qam_map
-from .metrics import doppler_leakage, oob_metric, psd_welch, wilson_interval
+from .metrics import (centered_band_mask, doppler_leakage, oob_metric, psd_welch,
+                      wilson_interval)
 from .scfdma import CpOtfsModem, FilteredModem
 from .transforms import (FrameGeometry, dft_matrix, full_dft, oracle_matrix, to_delay_doppler,
                          zak_modulate)
@@ -46,12 +47,12 @@ class NumericalFailure(RuntimeError):
     """A non-finite value reached an experiment output."""
 
 
-def rng_for(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(purpose, index)))
-
-
 def seedseq_for(seed: int, purpose: int, index: int = 0) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(purpose, index))
+
+
+def rng_for(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
+    return np.random.default_rng(seedseq_for(seed, purpose, index))
 
 
 # purposes for spawn keys
@@ -116,13 +117,6 @@ def _check_finite(name: str, arr) -> None:
 # ---------------------------------------------------------------------------
 # Active-band frame construction for the spectral experiments
 # ---------------------------------------------------------------------------
-
-def centered_band_mask(n_bins: int, fraction: float) -> np.ndarray:
-    """Unshifted-DFT bins whose centered frequency lies inside the central fraction."""
-    n_half = int(round(n_bins * fraction / 2.0))
-    k = np.arange(n_bins)
-    return (k < n_half) | (k >= n_bins - n_half)
-
 
 _P_BLOCK_BITS = 3
 SPECTRAL_CHUNK = 64  # frames a transmit call: bounds the chain's copies, not n_frames
@@ -281,8 +275,9 @@ def run_psd(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
 # ---- BER sweep and loopback: one frame loop --------------------------------
 
 # The sweep's BLAS/LAPACK work is the banded Cholesky and its solves, in scipy's bundled
-# OpenBLAS; numpy's runs only the QAM maps' small products. Both are pinned. The dense
-# Gram's zherk belongs to the oracle MmseEqualizer alone.
+# OpenBLAS; nothing in the frame loop calls numpy's (the QAM maps multiply int64 arrays,
+# which numpy does without BLAS). Both are pinned. The dense Gram's zherk belongs to the
+# oracle MmseEqualizer alone.
 _OPENBLAS = ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
              (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
 

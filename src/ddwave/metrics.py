@@ -78,6 +78,13 @@ def psd_welch(x: np.ndarray, fs_hz: float, segment_len: int = 1024) -> PsdEstima
     return PsdEstimate(freq_hz=freqs, psd=pxx)
 
 
+def centered_band_mask(n_bins: int, fraction: float) -> np.ndarray:
+    """Unshifted-DFT bins whose centered frequency lies inside the central fraction."""
+    n_half = int(round(n_bins * fraction / 2.0))
+    k = np.arange(n_bins)
+    return (k < n_half) | (k >= n_bins - n_half)
+
+
 def band_has_welch_bin(lo_hz: float, hi_hz: float, fs_hz: float, segment_len: int) -> bool:
     """Whether ``band_mean_db(lo_hz, hi_hz)`` of a :func:`psd_welch` estimate has a bin.
 

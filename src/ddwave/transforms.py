@@ -3,24 +3,20 @@
 ``FrameGeometry(M, N, bandwidth_hz)`` describes the grid only; each modem
 takes its own scheme parameters, so all schemes on one grid share one
 geometry. A data vector d of length M*N is ordered Doppler-block-major:
-d[n*M + m] holds the symbol at delay m, Doppler n. Every map below is
-:func:`full_dft` along one axis of that N x M grid, with a diagonal or a
-permutation around it. ``Gamma`` (dense: ``oracle_matrix("Gamma")``) has three steps:
+d[n*M + m] holds the symbol at delay m, Doppler n. Every fast map below is
+:func:`full_dft` and the Zak maps: :func:`zak_modulate`,
+s_t = (F_N^H kron I_M) d, an inverse DFT over Doppler per delay, and its
+inverse :func:`zak_demodulate`. The SC-FDMA map ``Gamma`` from delay-Doppler
+to frequency-Doppler bins is F_MN Z with Z = :func:`zak_modulate`, so every
+modem transmits through Z, and gf_otfs, which replaces the final F_MN^H with
+its filter bank T_u, sends T_u Gamma d = (T_u F_MN) Z d. Gamma^H =
+Z^H F_MN^H (:func:`to_delay_doppler`) is left to the spectral studies.
 
-* a block-diagonal twiddle Omega (a phase ramp per Doppler block),
-* per-block M-point DFTs, :func:`full_dft` along the delay axis of the grid,
-* a stride interleaver Psi that makes the N Doppler bins of each frequency
-  index contiguous.
-
-Two equivalent modulation paths exist: the direct Zak path
-s_t = (F_N^H kron I_M) d (:func:`zak_modulate`), and the SC-FDMA path
-s_t = F_MN^H Gamma d through the frequency-Doppler domain. Their equality is
-F_MN = Psi (I_N kron F_M) Omega (F_N kron I_M), checked in the test suite. Every
-modem takes the Zak path: gf_otfs, which replaces the final F_MN^H with its
-filter bank T_u, transmits T_u Gamma d = (T_u F_MN) zak_modulate(d). Gamma^H
-(:func:`to_delay_doppler`) is left to the spectral studies. Dense
-materializations live in :func:`oracle_matrix`, for small-instance
-verification only, including Gamma and the CP oracles ``A_cp`` and ``B_cp``.
+Gamma's own three steps, a block-diagonal twiddle Omega, per-block M-point
+DFTs and a stride interleaver Psi, exist only in the dense oracle:
+:func:`oracle_matrix` materializes them, for small-instance verification
+only, with the CP oracles ``A_cp`` and ``B_cp``, and the test suite checks
+F_MN = Psi (I_N kron F_M) Omega (F_N kron I_M).
 """
 
 from __future__ import annotations
@@ -94,36 +90,27 @@ def full_dft(x, inverse: bool = False, axis: int = 0) -> np.ndarray:
     return np.fft.fft(x, axis=axis) / np.sqrt(n)
 
 
-def _grid_dft(x, geom: FrameGeometry, axis: int, inverse: bool, what: str) -> np.ndarray:
-    # the leading axis viewed as the N x M (Doppler, delay) grid, transformed along one of them
+def _grid_dft(x, geom: FrameGeometry, inverse: bool, what: str) -> np.ndarray:
+    # the leading axis viewed as the N x M (Doppler, delay) grid, transformed along Doppler
     x = _check_first_axis(x, geom.n_sc, what)
     v = x.reshape((geom.N, geom.M) + x.shape[1:])
-    return full_dft(v, inverse, axis).reshape(x.shape)
+    return full_dft(v, inverse).reshape(x.shape)
 
 
 def zak_modulate(d, geom: FrameGeometry) -> np.ndarray:
     """(F_N^H kron I_M) d: delay-Doppler to delay-time, an inverse DFT over Doppler per delay."""
-    return _grid_dft(d, geom, 0, True, "zak_modulate")
+    return _grid_dft(d, geom, True, "zak_modulate")
 
 
 def zak_demodulate(s_t, geom: FrameGeometry) -> np.ndarray:
     """(F_N kron I_M) s_t, the inverse of :func:`zak_modulate`."""
-    return _grid_dft(s_t, geom, 0, False, "zak_demodulate")
-
-
-def _twiddle(geom: FrameGeometry, ndim: int) -> np.ndarray:
-    # Omega's diagonal, entry n*M + m = exp(-2j pi m n / (M N)), shaped to scale columns
-    m = np.arange(geom.M)
-    n = np.arange(geom.N)
-    w = np.exp(-2j * np.pi * np.outer(n, m) / geom.n_sc).ravel()
-    return w.reshape((geom.n_sc,) + (1,) * (ndim - 1))
+    return _grid_dft(s_t, geom, False, "zak_demodulate")
 
 
 def to_delay_doppler(y, geom: FrameGeometry) -> np.ndarray:
-    """Gamma^H y = Omega^H (I_N kron F_M^H) Psi^T y: frequency-Doppler to delay-Doppler."""
+    """Gamma^H y = Z^H F_MN^H y: frequency-Doppler to delay-Doppler, Z the Zak map."""
     y = _check_first_axis(y, geom.n_sc, "to_delay_doppler")
-    v = y.reshape((geom.M, geom.N) + y.shape[1:]).swapaxes(0, 1).reshape(y.shape)
-    return _grid_dft(v, geom, 1, True, "to_delay_doppler") * np.conj(_twiddle(geom, y.ndim))
+    return zak_demodulate(full_dft(y, inverse=True), geom)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,14 @@ class TestMasks:
         assert mask[0] and mask[127] and not mask[128]
         assert mask[384] and not mask[383]
 
+    def test_counts_the_two_symmetric_halves(self):
+        # validate_config's psd check counts this mask's bins; on every grid and allowed
+        # fraction that count is two halves of round(n_bins * fraction / 2) bins
+        for fraction in (0.01, 0.1, 0.25, 1 / 3, 0.375, 0.5, 0.6, 2 / 3):
+            for n_bins in range(1, 65):
+                assert (np.count_nonzero(centered_band_mask(n_bins, fraction))
+                        == 2 * int(round(n_bins * fraction / 2.0))), (n_bins, fraction)
+
 
 class TestExperiments:
     def small_common(self, tmp_path, **over):
