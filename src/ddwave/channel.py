@@ -148,16 +148,13 @@ def generate_channel(config: ChannelConfig, span_samples: int, seed,
     return LtvChannelRealization(tap_delays=delays, gains=gains)
 
 
-def apply_channel(x: np.ndarray, ch: LtvChannelRealization,
-                  out_len: int | None = None) -> np.ndarray:
-    """y[i] = sum_l g_l[i] x[i - tau_l]; default output length len(x) + L - 1.
+def apply_channel(x: np.ndarray, ch: LtvChannelRealization, out_len: int) -> np.ndarray:
+    """y[i] = sum_l g_l[i] x[i - tau_l] for i < out_len.
 
     The gain of each tap is sampled at the output index. Works columnwise on
     matrices.
     """
     x = np.asarray(x)
-    if out_len is None:
-        out_len = x.shape[0] + ch.channel_len - 1
     return delay_time_matrix(ch, out_len, x.shape[0]) @ x
 
 

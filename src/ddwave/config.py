@@ -271,6 +271,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             ("seed", cfg.seed, 0, inf), ("n_frames", cfg.n_frames, 1, inf),
             ("channel.n_taps", cfg.channel.n_taps, 1, inf),
             ("channel.carrier_hz", cfg.channel.carrier_hz, 0, inf),
+            ("channel.speed_mps", cfg.channel.speed_mps, 0, inf),
             ("channel.delay_spread_s", cfg.channel.delay_spread_s, 0, inf)):
         _expect(lo <= value <= hi, f"{key}: {value!r} outside [{lo}, {hi}]")
     _expect(cfg.bandwidth_hz > 0, "bandwidth_hz must be positive")
@@ -278,6 +279,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
             f"channel.profile: unknown value {cfg.channel.profile!r}")
     _expect(cfg.channel.doppler_model in DOPPLER_MODELS,
             f"channel.doppler_model: unknown value {cfg.channel.doppler_model!r}")
+    # past half the sample rate the sampled tap gains alias: m*n/2 in Doppler bins
+    nu_max, nyquist = channel_config(cfg).nu_max_hz, cfg.bandwidth_hz / 2
+    _expect(nu_max <= nyquist,
+            f"channel.speed_mps: {cfg.channel.speed_mps!r} m/s at carrier_hz="
+            f"{cfg.channel.carrier_hz!r} gives a Doppler shift of {nu_max:.6g} Hz, above "
+            f"bandwidth_hz / 2 = {nyquist:.6g} Hz")
+    override = cfg.channel.fractional_doppler_override
+    _expect(override is None or abs(override) <= cfg.n_sc / 2,
+            f"channel.fractional_doppler_override: {override!r} outside "
+            f"[{-cfg.n_sc / 2:g}, {cfg.n_sc / 2:g}] (m*n/2 bins, half the sample rate)")
     # The profile must have n_taps distinct delays, all inside the frame. Checked before
     # cp_len, whose default follows the channel, so that the channel's own error names it.
     delay_spread = cfg.channel.delay_spread_s

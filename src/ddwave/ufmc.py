@@ -134,7 +134,7 @@ class UfmcOperators:
         T_0[t, q] = w_r[t] exp(2j pi q t / n) / sqrt(n),
         w_r[t] = sum_{k=max(0, t-n+1)}^{min(t, L-1)} p[k] exp(2j pi c_r k / n).
 
-    So ``ref = T_0 1`` is nonzero only at t = 0 mod n/rb, ``synth_norm_gain`` g
+    So ``ref = T_0 1`` is nonzero only at t = 0 mod n/rb, the normalization g
     is its RMS, and its predistortion D, mean|s| / s of its analysis s, is
     :func:`predistortion` repeated with period rb. T_u = T_0 diag(D) / g
     after the unitary DFT F has rb entries a row, at s = t mod n/rb:
@@ -156,8 +156,8 @@ class UfmcOperators:
 
         gains = predistortion(bank)  # a zero bin also means an all-zero ref, a zero gain
         ref = np.where(t % m == 0, np.sqrt(n) / rb * sums(w)[0], 0)
-        self.synth_norm_gain = float(np.sqrt(np.mean(np.abs(ref) ** 2)))
-        vals = sums(w * gains[:, None]) / (self.synth_norm_gain * rb)
+        norm = np.sqrt(np.mean(np.abs(ref) ** 2))
+        vals = sums(w * gains[:, None]) / (norm * rb)
         start = n * np.arange(n_blocks)[:, None, None]
         rows, cols, vals = np.broadcast_arrays(start + t, start + t % m + j * m, vals)
         self.tx = scipy.sparse.csr_array((vals.ravel(), (rows.ravel(), cols.ravel())),

@@ -182,7 +182,8 @@ def test_criterion_7_predistortion_improvement():
     bank = FilterBankSpec.chebyshev(512, 4, 129, atten_db=60.0)
     ops, fold = UfmcOperators(bank), analysis_fold(bank)
     ones = np.ones(512)
-    t_n = oracle_matrix("T_0", FrameGeometry(M=512, N=1), bank) / ops.synth_norm_gain
+    t_0 = oracle_matrix("T_0", FrameGeometry(M=512, N=1), bank)
+    t_n = t_0 / np.sqrt(np.mean(np.abs(t_0 @ ones) ** 2))
     r_norm = full_dft(fold @ (t_n @ ones))
     r_pre = full_dft(fold @ (ops.tx @ full_dft(ones, inverse=True)))
     spread_norm = float(np.max(np.abs(r_norm)) / np.min(np.abs(r_norm)))

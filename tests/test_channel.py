@@ -104,7 +104,7 @@ class TestApply:
     def test_identity(self):
         ch = still_channel(32)
         x = np.arange(8.0) + 1j
-        y = apply_channel(x, ch)
+        y = apply_channel(x, ch, x.shape[0] + ch.channel_len - 1)
         assert np.array_equal(y, x)
 
     def test_static_taps_equal_convolution(self):
@@ -114,7 +114,7 @@ class TestApply:
             gains=np.stack([np.full(64, taps[0]), np.full(64, taps[2]), np.full(64, taps[3])]))
         rng = np.random.default_rng(0)
         x = rng.normal(size=40) + 1j * rng.normal(size=40)
-        y = apply_channel(x, ch)
+        y = apply_channel(x, ch, x.shape[0] + ch.channel_len - 1)
         h = np.array([0.8, 0.0, -0.3j, 0.1])
         assert np.max(np.abs(y - np.convolve(x, h))) < 1e-12
 
@@ -124,16 +124,18 @@ class TestApply:
         rng = np.random.default_rng(1)
         x = rng.normal(size=64) + 1j * rng.normal(size=64)
         dense = delay_time_matrix(ch, 68).toarray()
-        assert np.max(np.abs(apply_channel(x, ch) - dense @ np.pad(x, (0, 4)))) < 1e-12
+        y = apply_channel(x, ch, x.shape[0] + ch.channel_len - 1)
+        assert np.max(np.abs(y - dense @ np.pad(x, (0, 4)))) < 1e-12
 
     def test_columnwise(self):
         cfg = ChannelConfig(bandwidth_hz=1.92e6)
         ch = generate_channel(cfg, 40, seed=2)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 4)) + 1j * rng.normal(size=(30, 4))
-        batched = apply_channel(x, ch)
+        out_len = x.shape[0] + ch.channel_len - 1
+        batched = apply_channel(x, ch, out_len)
         for col in range(4):
-            assert np.max(np.abs(batched[:, col] - apply_channel(x[:, col], ch))) < 1e-14
+            assert np.max(np.abs(batched[:, col] - apply_channel(x[:, col], ch, out_len))) < 1e-14
 
     @staticmethod
     def _explicit_sum(x, ch, out_len):

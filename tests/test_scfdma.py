@@ -1,14 +1,22 @@
-"""The shared modem chain and the two modems on it: the Zak route against the
-SC-FDMA route, loopback, CP algebra, effective channels, the filtered modem at
-one block and at N, and the chain's contract for all four schemes (columnwise,
-short input, the probe)."""
+"""The shared modem chain and the two modems on it.
+
+Topics, in order: the frame and the Zak route against the SC-FDMA route; the
+CP operators and rw_otfs's window; the filtered modem at one block and at N,
+with gf_otfs's dense chain and dr_ufmc's per-block oracles; the chain's
+contract, each clause tested once for all four schemes (zero in, zero out,
+linearity, frame length, the unit filter, columnwise, short input); the
+effective channel (the probe against the signal path, a still or scaled
+channel, the dense oracle products, fractional Doppler); and detection and
+noise (zero-noise MMSE on a still channel, the noise after demodulation).
+"""
 
 import numpy as np
 import pytest
+from scipy.signal.windows import chebwin
 
 from ddwave import channel as chan
-from ddwave.config import config_from_dict
-from ddwave.detect import qam_map
+from ddwave.config import SCHEMES, config_from_dict
+from ddwave.detect import MmseEqualizer, qam_map
 from ddwave.experiments import build_modems
 from ddwave.scfdma import CpOtfsModem, FilteredModem
 from ddwave.transforms import (
@@ -37,6 +45,14 @@ def random_complex(rng, n):
 def random_symbols(rng, n_sc, qam_order):
     """One frame of QAM symbols on uniformly random bits."""
     return qam_map(rng.integers(0, 2, size=n_sc * int(np.log2(qam_order))), qam_order)
+
+
+def modem_8x4(scheme, **fields):
+    """``scheme``'s modem from the 8x4 config, ``fields`` overriding it: gf_otfs is one bank
+    of length 9, dr_ufmc four of length 5, otfs has a 4-sample CP, rw_otfs 8 and a 50 dB window."""
+    cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
+                            "rw_cp_len": 8, "schemes": [scheme]} | fields)
+    return build_modems(cfg)[scheme]
 
 
 class TestFrame:
@@ -182,29 +198,287 @@ class TestCpHandling:
         assert np.max(np.abs(modem.demodulate(modem.modulate(d)) - d)) < 1e-10
 
 
-class TestDemodulator:
-    def test_zero_in_zero_out(self):
-        assert np.all(CpOtfsModem(geom_8x4(), cp_len=2).demodulate(np.zeros(34, complex)) == 0)
+class TestRwOtfs:
+    def test_window_peak_normalized(self):
+        # the Dolph-Chebyshev window built from window_db; with no prefix,
+        # rx is the receive window on its diagonal
+        w = CpOtfsModem(FrameGeometry(M=8, N=8), window_db=60.0).rx.toarray().diagonal()
+        assert w.max() == pytest.approx(1.0)
+        assert np.all(np.isfinite(w))
+        assert np.array_equal(w, chebwin(64, at=60.0) / chebwin(64, at=60.0).max())
 
-    def test_noise_energy_preserved(self):
-        # the chain after CP removal is unitary, so kept-noise energy survives
-        rng = np.random.default_rng(7)
-        eta = random_complex(rng, 36)
-        d_tilde = CpOtfsModem(geom_8x4(), cp_len=4).demodulate(eta)
-        assert np.linalg.norm(d_tilde) == pytest.approx(np.linalg.norm(eta[4:]), abs=1e-10)
+    def test_tx_window_sample_exact(self):
+        g = geom_8x4()
+        rw = CpOtfsModem(g, 2, window_db=60.0, tx_window=True)
+        rng = np.random.default_rng(1)
+        d = random_complex(rng, 32)
+        s_t = full_dft(oracle_matrix("Gamma", g) @ d, inverse=True)
+        windowed = dolph_chebyshev_window(32, 60.0) * s_t
+        x = rw.modulate(d)
+        assert np.max(np.abs(x[2:] - windowed)) < 1e-12
+        assert np.max(np.abs(x[:2] - windowed[-2:])) < 1e-12
+
+    def test_windowing_is_spectral_circular_convolution(self):
+        # multiplying the delay-time frame by the window convolves its
+        # spectrum circularly with the window transform
+        w = dolph_chebyshev_window(32, 60.0)
+        rng = np.random.default_rng(2)
+        s = random_complex(rng, 32)
+        lhs = np.fft.fft(w * s)
+        w_spec, s_spec = np.fft.fft(w), np.fft.fft(s)
+        circ = np.array([np.sum(w_spec * s_spec[(k - np.arange(32)) % 32])
+                         for k in range(32)]) / 32
+        assert np.max(np.abs(lhs - circ)) < 1e-9
+
+    def test_tx_window_requires_a_window(self):
+        with pytest.raises(ValueError):
+            CpOtfsModem(geom_8x4(), 2, tx_window=True)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 4])  # gf_otfs's one bank, dr_ufmc's one per delay block
+class TestFilteredModem:
+    def test_n_blocks_must_divide_the_frame(self, n_blocks):
+        for bad in (0, 3 * n_blocks):
+            with pytest.raises(DimensionError, match="n_blocks"):
+                FilteredModem(geom_8x4(), bad, n_sc_rb=4, filter_len=5)
+
+    def test_block_spectra_frame(self, n_blocks):
+        # one block: the bins are frequency-Doppler bins s and the frame is tx F_MN^H s,
+        # the chain's tx Z Gamma^H s; N blocks: each delay block's M bins, as
+        # tx (I_N kron F_M^H), bit for bit: block_dft makes the same numpy call
+        g = geom_8x4()
+        modem = FilteredModem(g, n_blocks, n_sc_rb=4, filter_len=5)
+        rng = np.random.default_rng(11)
+        for cols in ((), (3,)):
+            f = random_complex(rng, (n_blocks, 32 // n_blocks) + cols)
+            frame = modem.tx_from_block_spectra(f)
+            s = f.reshape((32,) + cols)
+            assert frame.shape == (modem.rx_len,) + cols
+            if n_blocks == 1:
+                assert np.max(np.abs(frame - modem.modulate(to_delay_doppler(s, g)))) < 1e-12
+            else:
+                assert np.array_equal(frame, modem.tx @ block_dft(s, g, inverse=True))
+        with pytest.raises(DimensionError, match="leading shape"):
+            modem.tx_from_block_spectra(np.zeros((2 * n_blocks, 16 // n_blocks)))
+
+
+class TestGfOtfs:
+    """The one-block filtered modem against the dense chain T_u Gamma and Gamma^H R_u."""
+
+    def test_modulate_matches_dense_operators(self):
+        gm = modem_8x4("gf_otfs")
+        dense = oracle_matrix("T_u", gm.geom, gm.bank) @ oracle_matrix("Gamma", gm.geom)
+        d = random_complex(np.random.default_rng(2), 32)
+        assert np.max(np.abs(gm.modulate(d) - dense @ d)) < 1e-10
+
+    def test_demodulate_matches_dense_operators(self):
+        gm = modem_8x4("gf_otfs")
+        dense = oracle_matrix("Gamma", gm.geom).conj().T @ oracle_matrix("R_u", gm.geom, gm.bank)
+        r = random_complex(np.random.default_rng(3), 40)
+        assert np.max(np.abs(gm.demodulate(r) - dense @ r)) < 1e-10
+
+    def test_identity_channel_transparency(self):
+        # predistortion makes the channel-free through response an exact
+        # scaled identity; bound frozen from bring-up at Table-1 scale
+        gm = modem_8x4("gf_otfs", m=64, n=8, gf_filter_len=129)
+        rng = np.random.default_rng(5)
+        d = random_complex(rng, 512)
+        d_tilde = gm.demodulate(gm.modulate(d))
+        scale = np.vdot(d_tilde, d) / np.vdot(d_tilde, d_tilde)
+        evm = np.linalg.norm(scale * d_tilde - d) / np.linalg.norm(d)
+        assert evm < 1e-10
+
+
+class TestDrUfmc:
+    @pytest.mark.parametrize("m, n", [(8, 4), (16, 8), (64, 8)])
+    @pytest.mark.parametrize("filter_len", [1, 5, None])  # None: M + 1, the longest
+    def test_operators_match_the_per_block_oracles(self, m, n, filter_len):
+        g = FrameGeometry(M=m, N=n)
+        dr = FilteredModem(g, g.N, n_sc_rb=4, filter_len=filter_len or m + 1)
+        ru, tu = oracle_matrix("R_u", g, dr.bank), oracle_matrix("T_u", g, dr.bank)
+        blocks = [slice(b * m, b * m + dr.bank.out_len) for b in range(n)]
+        rng = np.random.default_rng(9)
+        r = rng.normal(size=(dr.rx_len, 2)) + 1j * rng.normal(size=(dr.rx_len, 2))
+        d = rng.normal(size=(g.n_sc, 2)) + 1j * rng.normal(size=(g.n_sc, 2))
+        # receive: each block's analysis at its nominal boundaries, then its inverse DFT
+        analysed = np.concatenate([ru @ r[blk] for blk in blocks])
+        expected = block_dft(analysed, g, inverse=True)
+        assert np.max(np.abs(zak_modulate(dr.demodulate(r), g) - expected)) < 1e-12
+        # transmit: each block's DFT through the predistorted bank, tails overlap-added
+        f = block_dft(zak_modulate(d, g), g)
+        x = np.zeros((dr.rx_len, 2), dtype=complex)
+        for b, blk in enumerate(blocks):
+            x[blk] += tu @ f[b * m:(b + 1) * m]
+        assert np.max(np.abs(dr.modulate(d) - x)) < 1e-12
+
+    def test_block_subband_constraint(self):
+        with pytest.raises(DimensionError):
+            FilteredModem(FrameGeometry(M=6, N=4), 4, n_sc_rb=4, filter_len=5)
+
+
+# The chain's contract, once for every scheme.
+
+@pytest.mark.parametrize("side", ["modulate", "demodulate"])
+@pytest.mark.parametrize("scheme, fields, rx_len", [
+    ("otfs", {"cp_len": 2}, 34), ("gf_otfs", {}, 40), ("rw_otfs", {}, 40), ("dr_ufmc", {}, 36)],
+    ids=SCHEMES)
+def test_zero_in_zero_out(scheme, fields, rx_len, side):
+    modem = modem_8x4(scheme, **fields)
+    n_in, n_out = (32, rx_len) if side == "modulate" else (rx_len, 32)
+    out = getattr(modem, side)(np.zeros(n_in, dtype=complex))
+    assert out.shape == (n_out,)
+    assert np.all(out == 0)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_linearity(scheme):
+    modem = modem_8x4(scheme)
+    rng = np.random.default_rng(0)
+    d1, d2 = random_complex(rng, 32), random_complex(rng, 32)
+    a, b = 1.3 - 0.4j, -0.7j
+    lhs = modem.modulate(a * d1 + b * d2)
+    rhs = a * modem.modulate(d1) + b * modem.modulate(d2)
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
+    r1, r2 = random_complex(rng, modem.rx_len), random_complex(rng, modem.rx_len)
+    lhs = modem.demodulate(a * r1 + b * r2)
+    rhs = a * modem.demodulate(r1) + b * modem.demodulate(r2)
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("scheme, fields, rx_len, seed", [
+    ("otfs", {}, 32 + 4, 0),
+    ("gf_otfs", {"gf_filter_len": 5}, 32 + 5 - 1, 0),
+    ("gf_otfs", {"m": 64, "n": 8, "gf_filter_len": 129}, 512 + 129 - 1, 1),  # Table 1
+    ("rw_otfs", {}, 32 + 8, 0),
+    ("dr_ufmc", {}, 32 + 5 - 1, 0),
+    ("dr_ufmc", {"m": 64, "n": 8, "du_filter_len": 20}, 64 * 8 + 20 - 1, 6)],
+    ids=["otfs", "gf_otfs", "gf_otfs-64x8", "rw_otfs", "dr_ufmc", "dr_ufmc-64x8"])
+def test_frame_length(scheme, fields, rx_len, seed):
+    # the filtered schemes send n_sc + L - 1 samples at any number of blocks
+    modem = modem_8x4(scheme, **fields)
+    n_sc = modem.geom.n_sc
+    assert modem.rx_len == rx_len
+    assert modem.tx.shape == modem.rx.shape[::-1] == (rx_len, n_sc)
+    rng = np.random.default_rng(seed)
+    assert modem.modulate(random_complex(rng, n_sc)).shape == (rx_len,)
+
+
+@pytest.mark.parametrize("scheme, fields, analysis_gain, seed", [
+    ("otfs", {"cp_len": 0}, 1.0, 0),
+    ("gf_otfs", {"gf_filter_len": 1}, np.sqrt(2), 4),
+    ("dr_ufmc", {"du_filter_len": 1}, np.sqrt(2), 5)], ids=["otfs", "gf_otfs", "dr_ufmc"])
+def test_unit_filter_gives_the_plain_modem(scheme, fields, analysis_gain, seed):
+    # a one-tap filter, or no prefix, sends the Zak frame itself; the filtered
+    # receive chain carries the fixed 1/sqrt(2) of the zero-padded analysis.
+    # rw_otfs always windows, so it has no plain form
+    modem = modem_8x4(scheme, **fields)
+    rng = np.random.default_rng(seed)
+    d = random_complex(rng, 32)
+    assert np.max(np.abs(modem.modulate(d) - zak_modulate(d, modem.geom))) < 1e-12
+    d_rt = modem.demodulate(modem.modulate(d))
+    assert np.max(np.abs(analysis_gain * d_rt - d)) < 1e-10
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_the_chain_works_columnwise(scheme):
+    # the probe modulates the identity and the dense oracle demodulates its
+    # columns at once: a matrix must give what its columns give one by one
+    modem = modem_8x4(scheme, rw_tx_window=True)
+    rng = np.random.default_rng(10)
+    d = random_complex(rng, (modem.geom.n_sc, 3))
+    r = random_complex(rng, (modem.rx_len, 3))
+    x, y = modem.modulate(d), modem.demodulate(r)
+    assert x.shape == (modem.rx_len, 3) and y.shape == (modem.geom.n_sc, 3)
+    for q in range(3):
+        assert np.max(np.abs(x[:, q] - modem.modulate(d[:, q]))) <= 1e-12
+        assert np.max(np.abs(y[:, q] - modem.demodulate(r[:, q]))) <= 1e-12
+        # the spectral studies modulate SPECTRAL_CHUNK frames a call, and the
+        # benchmark's frame-by-frame replay must reproduce them bit for bit
+        assert np.array_equal(x[:, q], modem.modulate(d[:, q]))
+        assert np.array_equal(to_delay_doppler(d, modem.geom)[:, q],
+                              to_delay_doppler(d[:, q], modem.geom))
+    if scheme == "dr_ufmc":
+        f_blocks = random_complex(rng, (modem.geom.N, modem.geom.M, 3))
+        stack = modem.tx_from_block_spectra(f_blocks)
+        for q in range(3):
+            assert np.array_equal(stack[:, q], modem.tx_from_block_spectra(f_blocks[:, :, q]))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_demodulate_rejects_short_input_and_drops_the_tail(scheme):
+    modem = modem_8x4(scheme)
+    for shape in ((modem.rx_len - 1,), (modem.rx_len - 1, 2)):
+        with pytest.raises(DimensionError, match="^demodulate"):
+            modem.demodulate(np.zeros(shape))
+    r = random_complex(np.random.default_rng(9), (modem.rx_len + 3, 2))
+    assert np.array_equal(modem.demodulate(r), modem.demodulate(r[:modem.rx_len]))
+
+
+# The effective channel.
+
+@pytest.mark.parametrize("scheme, doppler_model, ch_seed, seed", [
+    ("otfs", "single_shift_per_tap", 11, 8),
+    ("gf_otfs", "single_shift_per_tap", 13, 7),
+    ("gf_otfs", "jakes_sum_of_sinusoids", 13, 7),
+    ("rw_otfs", "single_shift_per_tap", 21, 4),
+    ("dr_ufmc", "jakes_sum_of_sinusoids", 17, 8)],
+    ids=["otfs", "gf_otfs-single_shift", "gf_otfs-jakes", "rw_otfs", "dr_ufmc"])
+def test_probe_reproduces_the_signal_path(scheme, doppler_model, ch_seed, seed):
+    modem = modem_8x4(scheme)
+    cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6, doppler_model=doppler_model)
+    ch = chan.generate_channel(cfg, modem.rx_len + 8, seed=ch_seed,
+                               delta_nu_hz=modem.geom.delta_nu_hz)
+    h = modem.effective_channel(ch)
+    rng = np.random.default_rng(seed)
+    d = random_complex(rng, 32)
+    via_signal = modem.demodulate(chan.apply_channel(modem.modulate(d), ch,
+                                                     out_len=modem.rx_len))
+    assert np.max(np.abs(h @ d - via_signal)) < 1e-10
+
+
+@pytest.mark.parametrize("scheme, fields", [
+    ("otfs", {"cp_len": 0}), ("gf_otfs", {}), ("rw_otfs", {}), ("dr_ufmc", {})], ids=SCHEMES)
+def test_probe_of_a_still_channel(scheme, fields):
+    # the still channel's probe is the through-modem matrix
+    modem = modem_8x4(scheme, **fields)
+    h = modem.effective_channel(still_channel(modem.rx_len + 4))
+    through = modem.demodulate(modem.modulate(np.eye(32, dtype=complex)))
+    assert np.max(np.abs(h - through)) < 1e-12
+    if scheme == "otfs":  # no prefix and no window: the chain is unitary
+        assert np.max(np.abs(h - np.eye(32))) < 1e-12
+
+
+@pytest.mark.parametrize("scheme, fields, c", [
+    ("otfs", {"cp_len": 0}, 0.3 - 1.1j), ("gf_otfs", {}, 2.5j), ("rw_otfs", {}, 2.5j),
+    ("dr_ufmc", {}, 2.5j)], ids=SCHEMES)
+def test_probe_of_a_scaled_channel(scheme, fields, c):
+    # scaling the gains by c scales the probe by c
+    modem = modem_8x4(scheme, **fields)
+    still = still_channel(modem.rx_len + 4)
+    scaled = chan.LtvChannelRealization(tap_delays=still.tap_delays, gains=c * still.gains)
+    h, h_scaled = modem.effective_channel(still), modem.effective_channel(scaled)
+    assert np.max(np.abs(h_scaled - c * h)) < 1e-12
+    if scheme == "otfs":
+        assert np.max(np.abs(h_scaled - c * np.eye(32))) < 1e-12
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_shared_probe_caches_only_the_basis(scheme):
+    # every modem's effective channel is its own signal path applied to the
+    # identity basis, and a second realization is probed afresh
+    modem = modem_8x4(scheme)
+    ch_cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6,
+                                doppler_model="jakes_sum_of_sinusoids")
+    eye = np.eye(modem.geom.n_sc, dtype=complex)
+    for seed in (31, 32):
+        ch = chan.generate_channel(ch_cfg, modem.rx_len + 8, seed=seed,
+                                   delta_nu_hz=modem.geom.delta_nu_hz)
+        direct = modem.demodulate(chan.apply_channel(modem.modulate(eye), ch,
+                                                     out_len=modem.rx_len))
+        assert np.array_equal(modem.effective_channel(ch), direct)
 
 
 class TestEffectiveChannel:
-    def test_identity_and_scalar(self):
-        modem = CpOtfsModem(geom_8x4())
-        ident = still_channel(modem.rx_len)
-        h_dd = modem.effective_channel(ident)
-        assert np.max(np.abs(h_dd - np.eye(32))) < 1e-12
-        scalar = chan.LtvChannelRealization(
-            tap_delays=ident.tap_delays, gains=(0.3 - 1.1j) * ident.gains)
-        h_dd_c = modem.effective_channel(scalar)
-        assert np.max(np.abs(h_dd_c - (0.3 - 1.1j) * np.eye(32))) < 1e-12
-
     def test_matrix_path_equals_signal_path(self):
         g = geom_8x4()
         modem = CpOtfsModem(g, cp_len=4)
@@ -252,94 +526,20 @@ class TestEffectiveChannel:
                 if n_out != n_in:
                     assert np.max(np.abs(block)) < 1e-10
 
-
-@pytest.mark.parametrize("n_blocks", [1, 4])  # gf_otfs's one bank, dr_ufmc's one per delay block
-class TestFilteredModem:
-    def test_frame_length(self, n_blocks):
-        modem = FilteredModem(geom_8x4(), n_blocks, n_sc_rb=4, filter_len=5)
-        assert modem.rx_len == 32 + 5 - 1
-        assert modem.tx.shape == modem.rx.shape[::-1] == (modem.rx_len, 32)
-
-    def test_n_blocks_must_divide_the_frame(self, n_blocks):
-        for bad in (0, 3 * n_blocks):
-            with pytest.raises(DimensionError, match="n_blocks"):
-                FilteredModem(geom_8x4(), bad, n_sc_rb=4, filter_len=5)
-
-    def test_block_spectra_frame(self, n_blocks):
-        # one block: the bins are frequency-Doppler bins s and the frame is tx F_MN^H s,
-        # the chain's tx Z Gamma^H s; N blocks: each delay block's M bins, as
-        # tx (I_N kron F_M^H), bit for bit: block_dft makes the same numpy call
-        g = geom_8x4()
-        modem = FilteredModem(g, n_blocks, n_sc_rb=4, filter_len=5)
-        rng = np.random.default_rng(11)
-        for cols in ((), (3,)):
-            f = random_complex(rng, (n_blocks, 32 // n_blocks) + cols)
-            frame = modem.tx_from_block_spectra(f)
-            s = f.reshape((32,) + cols)
-            assert frame.shape == (modem.rx_len,) + cols
-            if n_blocks == 1:
-                assert np.max(np.abs(frame - modem.modulate(to_delay_doppler(s, g)))) < 1e-12
-            else:
-                assert np.array_equal(frame, modem.tx @ block_dft(s, g, inverse=True))
-        with pytest.raises(DimensionError, match="leading shape"):
-            modem.tx_from_block_spectra(np.zeros((2 * n_blocks, 16 // n_blocks)))
-
-
-@pytest.mark.parametrize("scheme", ["otfs", "gf_otfs", "rw_otfs", "dr_ufmc"])
-def test_shared_probe_caches_only_the_basis(scheme):
-    # every modem's effective channel is its own signal path applied to the
-    # identity basis, and a second realization is probed afresh
-    cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
-                            "rw_cp_len": 8, "schemes": [scheme]})
-    modem = build_modems(cfg)[scheme]
-    ch_cfg = chan.ChannelConfig(profile="tdl_c", bandwidth_hz=1.92e6,
-                                doppler_model="jakes_sum_of_sinusoids")
-    eye = np.eye(modem.geom.n_sc, dtype=complex)
-    for seed in (31, 32):
-        ch = chan.generate_channel(ch_cfg, modem.rx_len + 8, seed=seed,
-                                   delta_nu_hz=modem.geom.delta_nu_hz)
-        direct = modem.demodulate(chan.apply_channel(modem.modulate(eye), ch,
-                                                     out_len=modem.rx_len))
-        assert np.array_equal(modem.effective_channel(ch), direct)
-
-
-@pytest.mark.parametrize("scheme", ["otfs", "gf_otfs", "rw_otfs", "dr_ufmc"])
-def test_the_chain_works_columnwise(scheme):
-    # the probe modulates the identity and the dense oracle demodulates its
-    # columns at once: a matrix must give what its columns give one by one
-    cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
-                            "rw_cp_len": 8, "rw_tx_window": True, "schemes": [scheme]})
-    modem = build_modems(cfg)[scheme]
-    rng = np.random.default_rng(10)
-    d = random_complex(rng, (modem.geom.n_sc, 3))
-    r = random_complex(rng, (modem.rx_len, 3))
-    x, y = modem.modulate(d), modem.demodulate(r)
-    assert x.shape == (modem.rx_len, 3) and y.shape == (modem.geom.n_sc, 3)
-    for q in range(3):
-        assert np.max(np.abs(x[:, q] - modem.modulate(d[:, q]))) <= 1e-12
-        assert np.max(np.abs(y[:, q] - modem.demodulate(r[:, q]))) <= 1e-12
-        # the spectral studies modulate SPECTRAL_CHUNK frames a call, and the
-        # benchmark's frame-by-frame replay must reproduce them bit for bit
-        assert np.array_equal(x[:, q], modem.modulate(d[:, q]))
-        assert np.array_equal(to_delay_doppler(d, modem.geom)[:, q],
-                              to_delay_doppler(d[:, q], modem.geom))
-    if scheme == "dr_ufmc":
-        f_blocks = random_complex(rng, (modem.geom.N, modem.geom.M, 3))
-        stack = modem.tx_from_block_spectra(f_blocks)
-        for q in range(3):
-            assert np.array_equal(stack[:, q], modem.tx_from_block_spectra(f_blocks[:, :, q]))
-
-
-@pytest.mark.parametrize("scheme", ["otfs", "gf_otfs", "rw_otfs", "dr_ufmc"])
-def test_demodulate_rejects_short_input_and_drops_the_tail(scheme):
-    cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
-                            "rw_cp_len": 8, "schemes": [scheme]})
-    modem = build_modems(cfg)[scheme]
-    for shape in ((modem.rx_len - 1,), (modem.rx_len - 1, 2)):
-        with pytest.raises(DimensionError, match="^demodulate"):
-            modem.demodulate(np.zeros(shape))
-    r = random_complex(np.random.default_rng(9), (modem.rx_len + 3, 2))
-    assert np.array_equal(modem.demodulate(r), modem.demodulate(r[:modem.rx_len]))
+    def test_gf_otfs_static_two_tap_matches_dense_product(self):
+        gm = modem_8x4("gf_otfs")
+        g = gm.geom
+        taps = np.array([0.9, 0.435j])
+        ch = chan.LtvChannelRealization(
+            tap_delays=np.array([0, 1]),
+            gains=np.repeat(taps[:, None], gm.rx_len + 2, axis=1))
+        h_bar = chan.delay_time_matrix(ch, gm.rx_len).toarray()
+        dense = (oracle_matrix("Gamma", g).conj().T
+                 @ oracle_matrix("R_u", g, gm.bank)
+                 @ h_bar
+                 @ oracle_matrix("T_u", g, gm.bank)
+                 @ oracle_matrix("Gamma", g))
+        assert np.max(np.abs(gm.effective_channel(ch) - dense)) < 1e-10
 
 
 def test_fractional_doppler_dirichlet_spread():
@@ -369,3 +569,51 @@ def test_fractional_doppler_dirichlet_spread():
     profile = grid_power[m0]
     # strongest two Doppler bins straddle the half-bin shift
     assert set(np.argsort(profile)[-2:]) == {n0, (n0 + 1) % 4}
+
+
+# Detection and noise.
+
+@pytest.mark.parametrize("scheme, fields, seed", [
+    ("otfs", {}, 0), ("gf_otfs", {}, 0), ("rw_otfs", {"rw_window_param": 60.0}, 3),
+    ("dr_ufmc", {}, 7)], ids=SCHEMES)
+def test_zero_noise_mmse_recovers_the_frame_on_a_still_channel(scheme, fields, seed):
+    modem = modem_8x4(scheme, **fields)
+    still = still_channel(modem.rx_len + 4)
+    rng = np.random.default_rng(seed)
+    d = random_complex(rng, 32)
+    d_tilde = modem.demodulate(chan.apply_channel(modem.modulate(d), still,
+                                                  out_len=modem.rx_len))
+    if scheme == "dr_ufmc":
+        # raw demodulation is distorted by inter-block interference
+        scale = np.vdot(d_tilde, d) / np.vdot(d_tilde, d_tilde)
+        assert np.linalg.norm(scale * d_tilde - d) / np.linalg.norm(d) > 1e-3
+    d_hat = MmseEqualizer(modem.effective_channel(still)).solve(d_tilde, 0.0)
+    assert np.max(np.abs(d_hat - d)) < 1e-8
+
+
+class TestDemodulator:
+    def test_noise_energy_preserved(self):
+        # the chain after CP removal is unitary, so kept-noise energy survives
+        rng = np.random.default_rng(7)
+        eta = random_complex(rng, 36)
+        d_tilde = CpOtfsModem(geom_8x4(), cp_len=4).demodulate(eta)
+        assert np.linalg.norm(d_tilde) == pytest.approx(np.linalg.norm(eta[4:]), abs=1e-10)
+
+    def test_gf_otfs_noise_coloring_covariance(self):
+        # demodulated pure-noise covariance approaches the analytic form
+        gm = modem_8x4("gf_otfs")
+        g = gm.geom
+        ru = oracle_matrix("R_u", g, gm.bank)
+        gamma = oracle_matrix("Gamma", g)
+        var = 0.8
+        target = gamma.conj().T @ ru @ ru.conj().T @ gamma * var
+        rng = np.random.default_rng(6)
+        acc = np.zeros((32, 32), dtype=complex)
+        n_draws = 20_000
+        for _ in range(n_draws):
+            eta = np.sqrt(var) * chan.complex_noise(rng, 40)
+            y = gm.demodulate(eta)
+            acc += np.outer(y, y.conj())
+        sample_cov = acc / n_draws
+        rel = np.linalg.norm(sample_cov - target) / np.linalg.norm(target)
+        assert rel < 0.1

@@ -707,6 +707,12 @@ class TestCli:
           "channel": {"n_taps": 30}}, "channel.n_taps: n_taps=30 exceeds"),
         ({"m": 2, "n": 1, "n_sc_rb": 1, "gf_filter_len": 1, "du_filter_len": 1},
          "channel.delay_spread_s: 3e-07 s gives a channel memory of 5 samples"),
+        # Doppler shifts past half the sample rate, where the sampled tap gains alias
+        ({"channel": {"speed_mps": 1e308}}, "channel.speed_mps"),
+        ({"channel": {"carrier_hz": 1e308, "speed_mps": 10}}, "channel.speed_mps"),
+        ({"experiment": "impulse_leakage", "channel": {"fractional_doppler_override": 1e308}},
+         "channel.fractional_doppler_override"),
+        ({"channel": {"speed_mps": -100}}, "channel.speed_mps"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"

@@ -36,6 +36,11 @@ def oracle_t0(bank):
     return oracle_matrix("T_0", FrameGeometry(M=bank.n_sc, N=1), bank)
 
 
+def synth_norm_gain(bank):
+    """g, the RMS of T_0 1, which normalizes the modulator T_u = T_0 diag(predistortion) / g."""
+    return np.sqrt(np.mean(np.abs(oracle_t0(bank) @ np.ones(bank.n_sc)) ** 2))
+
+
 def transmitted(ops, s_f):
     """T_u s_f through the builder's sparse T_u F."""
     return ops.tx @ full_dft(s_f, inverse=True)
@@ -151,7 +156,7 @@ class TestSynthesis:
         rng = np.random.default_rng(0)
         s_f = rng.normal(size=32) + 1j * rng.normal(size=32)
         ops = UfmcOperators(bank)
-        dense = oracle_matrix("T_0", g, bank) * tiled_predistortion(bank) / ops.synth_norm_gain
+        dense = oracle_matrix("T_0", g, bank) * tiled_predistortion(bank) / synth_norm_gain(bank)
         assert np.max(np.abs(transmitted(ops, s_f) - dense @ s_f)) < 1e-10
         assert np.max(np.abs(full_dft(ops.tx.toarray(), inverse=True, axis=1) - dense)) < 1e-10
 
@@ -228,7 +233,7 @@ class TestOfdmReduction:
         g = small_geom()
         bank = small_bank(filter_len=1)
         ops = UfmcOperators(bank)  # T_0 = g (T_u F) F^H diag(1/predistortion)
-        t0 = full_dft(ops.tx.toarray(), inverse=True, axis=1) * ops.synth_norm_gain \
+        t0 = full_dft(ops.tx.toarray(), inverse=True, axis=1) * synth_norm_gain(bank) \
             / tiled_predistortion(bank)
         ru = oracle_matrix("R_u", g, bank)
         assert np.max(np.abs(ru @ t0 - np.eye(32) / np.sqrt(2))) < 1e-12
@@ -242,10 +247,9 @@ class TestOfdmReduction:
 
 class TestNormalization:
     def test_unit_mean_power_after_normalization(self):
+        # T_0 1 / g, the normalized reference, through the sparse T_u = T_0 diag(D) / g
         bank = table_bank()
-        t0 = oracle_t0(bank)
-        gain = UfmcOperators(bank).synth_norm_gain
-        ref = (t0 / gain) @ np.ones(512)
+        ref = transmitted(UfmcOperators(bank), 1 / tiled_predistortion(bank))
         assert np.mean(np.abs(ref) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_prototype_scale_invariance(self):
@@ -262,7 +266,10 @@ class TestNormalization:
         dense = oracle_matrix("T_0", g, bank)
         ref = dense @ np.ones(8)
         oracle_gain = np.sqrt(np.mean(np.abs(ref) ** 2))
-        assert UfmcOperators(bank).synth_norm_gain == pytest.approx(oracle_gain, abs=1e-12)
+        # T_u diag(1/D) = T_0 / g: the fast g is the oracle's where T_0 is nonzero
+        t_n = full_dft(UfmcOperators(bank).tx.toarray(), inverse=True, axis=1) \
+            / tiled_predistortion(bank)
+        assert np.max(np.abs(t_n * oracle_gain - dense)) < 1e-12
 
     def test_all_zero_prototype_rejected(self):
         bank = FilterBankSpec(32, 4, np.zeros(5))
@@ -275,7 +282,7 @@ class TestPredistortion:
         # spread ratio of the through-modem all-ones response must shrink
         bank = table_bank()
         ops = UfmcOperators(bank)
-        t_n = oracle_t0(bank) / ops.synth_norm_gain
+        t_n = oracle_t0(bank) / synth_norm_gain(bank)
         r_plain = analysed(t_n @ np.ones(512), bank)
         r_pre = analysed(transmitted(ops, np.ones(512)), bank)
         spread_plain = np.max(np.abs(r_plain)) / np.min(np.abs(r_plain))
@@ -306,7 +313,7 @@ class TestPredistortion:
         # and the modulator applies them: T_u = T_0 diag(gains) / g
         ops = UfmcOperators(bank)
         t_u = full_dft(ops.tx.toarray(), inverse=True, axis=1)
-        assert np.max(np.abs(t_u - oracle_t0(bank) * gains / ops.synth_norm_gain)) < 1e-10
+        assert np.max(np.abs(t_u - oracle_t0(bank) * gains / synth_norm_gain(bank))) < 1e-10
 
     def test_degenerate_filter_raises(self):
         # a prototype with a null exactly on a kept bin has no predistortion

@@ -15,9 +15,10 @@ column that changed. It then runs each root's own
 lines are ignored. Each run's line also gives both trees' ``wall_clock_s``
 and ``peak_rss_mb`` from its ``report.json`` ("-" where a report has none).
 It prints each difference, the two trees' ``src/`` line counts (as ``wc -l
-src/ddwave/*.py`` sums them) and a summary, and exits 0 when everything
-matches, 1 otherwise; neither the costs nor the line counts count as a
-difference.
+src/ddwave/*.py`` sums them), the test ids that only one tree collects (from
+``pytest --collect-only -q`` in each root) and a summary, and exits 0 when
+everything matches, 1 otherwise; neither the costs, the line counts nor the
+test ids count as a difference.
 """
 
 from __future__ import annotations
@@ -95,6 +96,14 @@ def criterion_lines(root: Path) -> list[str]:
     return [m.group(0) for m in map(CRITERION.search, proc.stdout.splitlines()) if m]
 
 
+def collected_ids(root: Path) -> set[str]:
+    """The test ids ``pytest --collect-only -q`` lists in ``root``."""
+    proc = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                           "-p", "no:cacheprovider"],
+                          env=_env(root), cwd=root, capture_output=True, text=True)
+    return {line for line in proc.stdout.splitlines() if "::" in line}
+
+
 def src_lines(root: Path) -> int:
     """Newlines in src/ddwave/*.py, the total ``wc -l`` prints."""
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "ddwave").glob("*.py"))
@@ -169,6 +178,11 @@ def main(argv: list[str]) -> int:
     for diff in diffs:
         print(diff)
     print(f"src lines: parent {src_lines(parent)}, change {src_lines(change)}")
+    old_ids, new_ids = collected_ids(parent), collected_ids(change)
+    for label, only in (("parent", old_ids - new_ids), ("change", new_ids - old_ids)):
+        print(f"test ids only the {label} collects: {len(only)}")
+        for test_id in sorted(only):
+            print(f"  {test_id}")
     print(f"summary: {len(RUNS)} runs, {n_csv} parent CSVs, {len(old_lines)} criterion lines; "
           f"{len(diffs)} difference(s)")
     return 1 if diffs else 0
