@@ -141,7 +141,12 @@ def generate_channel(config: ChannelConfig, span_samples: int, seed,
         freqs = config.nu_max_hz * np.cos(theta_s)
         if config.fractional_doppler_override is not None:
             freqs = np.broadcast_to(shifts[:, None], theta_s.shape)
-        sinusoids = (np.exp(1j * (2.0 * np.pi * freqs[:, s, None] * i * dt + phi_s[:, s, None]))
+        # tone s at i = 64 q + r is exp(j (w 64 q + phi)) exp(j w r), w = 2 pi f dt: span / 64 + 64
+        # exps a tone, not span, and sample i still does not depend on the span
+        w = 2.0 * np.pi * freqs[:, :, None]
+        coarse = np.exp(1j * (w * np.arange(0, span_samples, 64) * dt + phi_s[:, :, None]))
+        fine = np.exp(1j * (w * np.arange(64) * dt))[:, :, None]
+        sinusoids = ((coarse[:, s, :, None] * fine[:, s]).reshape(n_taps, -1)[:, :span_samples]
                      for s in range(JAKES_N_SINUSOIDS))  # each (n_taps, span), in index order
         gains = amps[:, None] * functools.reduce(np.add, sinusoids) / np.sqrt(JAKES_N_SINUSOIDS)
 
@@ -170,11 +175,12 @@ def delay_time_matrix(ch: LtvChannelRealization, k: int,
     rows = min(k, n + ch.channel_len - 1)
     if ch.span < rows:
         raise ValueError(f"realization spans {ch.span} samples, need {rows}")
-    i, tau = np.arange(rows), ch.tap_delays[:, None]
-    hit = (i >= tau) & (i - tau < n)
-    return scipy.sparse.csr_array(
-        (ch.gains[:, :rows][hit], (np.broadcast_to(i, hit.shape)[hit], (i - tau)[hit])),
-        shape=(k, n))
+    # the taps from the longest delay down: each row's columns ascend, as in canonical CSR
+    i, tau = np.arange(rows), ch.tap_delays[::-1, None]
+    hit = ((i >= tau) & (i - tau < n)).T
+    indptr = np.cumsum(np.pad(hit.sum(axis=1), (1, k - rows)))
+    return scipy.sparse.csr_array((ch.gains[::-1, :rows].T[hit], (i - tau).T[hit], indptr),
+                                  shape=(k, n))
 
 
 def complex_noise(rng, n: int) -> np.ndarray:

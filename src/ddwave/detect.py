@@ -1,8 +1,8 @@
 """Symbol detection: regularized linear (MMSE) equalization and Gray-coded QAM.
 
-A modem's ``detector(ch)`` is a :class:`StructuredMmse` with
-``solve(y, noise_var)`` that factors by :func:`band_factor` a Gram already
-in a :func:`residue_order`; :class:`MmseEqualizer` on the dense probed effective
+A modem's ``detector(ch)`` is a :class:`StructuredMmse` that factors by
+:func:`band_factor` a Gram already in a :func:`residue_order`, for one SNR point
+or all of a BER frame's; :class:`MmseEqualizer` on the dense probed effective
 channel is their oracle.
 """
 
@@ -34,10 +34,6 @@ def _gray_to_index(v: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _index_to_gray(idx: np.ndarray) -> np.ndarray:
-    return idx ^ (idx >> 1)
-
-
 def _axis_scale(order: int) -> float:
     # Unit average symbol energy across the square constellation.
     return float(np.sqrt(3.0 / (2.0 * (order - 1))))
@@ -65,46 +61,71 @@ def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
 
 
 def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
-    """Minimum-distance hard decision back to bits; exact inverse of qam_map."""
+    """Minimum-distance hard decision back to bits; exact inverse of qam_map.
+
+    Each axis level indexes a (q, m) table of its Gray label's bits; a non-finite
+    symbol, which no level is nearest to, raises ValueError.
+    """
     m = _bits_per_axis(order)
     symbols = np.asarray(symbols).ravel()
+    if not np.all(np.isfinite(symbols)):
+        raise ValueError("qam_demap: non-finite symbol")
     q = 1 << m
     scale = _axis_scale(order)
-    li = np.clip(np.round((symbols.real / scale + (q - 1)) / 2), 0, q - 1).astype(np.int64)
-    lq = np.clip(np.round((symbols.imag / scale + (q - 1)) / 2), 0, q - 1).astype(np.int64)
-    gi = _index_to_gray(li)
-    gq = _index_to_gray(lq)
-    shifts = np.arange(m - 1, -1, -1)
-    bits = np.empty((symbols.size, 2 * m), dtype=np.int64)
-    bits[:, :m] = (gi[:, None] >> shifts) & 1
-    bits[:, m:] = (gq[:, None] >> shifts) & 1
-    return bits.ravel()
+    levels = np.stack([symbols.real, symbols.imag], axis=1)  # (symbols, 2)
+    idx = np.clip(np.round((levels / scale + (q - 1)) / 2), 0, q - 1).astype(np.int64)
+    gray = np.arange(q) ^ (np.arange(q) >> 1)
+    table = (gray[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    return table[idx].ravel()
 
 
 class StructuredMmse:
-    """Linear MMSE detector whose map comes factored: d = factor(var)(y).
+    """Linear MMSE detector whose map comes factored: d = back(factor(var)(into(y))).
 
-    ``factor(var)`` factors for one noise variance and returns the map
+    ``factor(var)`` factors for one noise variance and returns a solver that,
+    between ``into`` and ``back`` (identities unless given), is the map
     (H^H H + var I)^-1 H^H of the effective channel H, or its push-through twin
     H^H (H H^H + var I)^-1, built from H's structure without forming H: a
-    modem's detector wraps its banded solve in the Zak maps. The contract: at
+    modem's detector solves its band between its Zak maps and K^H.
+    ``observe(z, eta)``, where given, forms a frame's signal and noise in the
+    solver's own coordinates for :meth:`solve_snrs`. The contract: at
     ``noise_var == 0`` a singular H raises :class:`RegularizationRequiredError`,
     and at a positive ``noise_var`` an all-zero H gives exact zeros.
     """
 
-    def __init__(self, factor):
-        self.factor = factor
+    def __init__(self, factor, into=None, back=None, observe=None):
+        self.factor, self.observe = factor, observe
+        self.into, self.back = into or (lambda y: y), back or (lambda v: v)
 
-    def solve(self, y: np.ndarray, noise_var: float) -> np.ndarray:
+    def _solver(self, noise_var: float):
         if noise_var < 0:
             raise ValueError("noise_var must be nonnegative")
         try:
-            solver = self.factor(noise_var)
+            return self.factor(noise_var)
         except np.linalg.LinAlgError as exc:
             if noise_var == 0.0:
                 raise RegularizationRequiredError("a singular channel needs noise_var > 0") from exc
             raise
-        return solver(y)
+
+    def solve(self, y: np.ndarray, noise_var: float) -> np.ndarray:
+        return self.back(self._solver(noise_var)(self.into(y)))
+
+    def solve_snrs(self, z: np.ndarray, eta, snr_grid_db) -> np.ndarray:
+        """A frame's estimates, a column per SNR point: y0 + sqrt(var) y_eta, var = 10^(-dB/10).
+
+        y0 and y_eta are ``observe(z, eta)``; with y_eta None, y0 alone. A failed
+        factorization raises its LinAlgError, the message prefixed by "<snr_db> dB: ".
+        """
+        y0, y_eta = self.observe(z, eta)
+        v = np.empty((len(y0), len(snr_grid_db)), dtype=complex)
+        for i, snr_db in enumerate(snr_grid_db):
+            var = 10.0 ** (-snr_db / 10.0)
+            try:
+                solver = self._solver(var)
+            except np.linalg.LinAlgError as exc:
+                raise type(exc)(f"{snr_db} dB: {exc}") from exc
+            v[:, i] = solver(y0 if y_eta is None else y0 + np.sqrt(var) * y_eta)
+        return self.back(v)
 
 
 class MmseEqualizer(StructuredMmse):

@@ -331,30 +331,23 @@ def _ber_frame(frame_idx: int):
     max_rx = max(m.rx_len for m in modems.values())
 
     bits = rng_for(cfg.seed, _P_BITS, frame_idx).integers(0, 2, size=cfg.n_sc * k)
-    d = qam_map(bits, cfg.qam_order)
+    z = zak_modulate(qam_map(bits, cfg.qam_order), geom)  # every modem's delay-time symbols
     ch = chan.generate_channel(ch_cfg, max_rx, seed=seedseq_for(cfg.seed, _P_CHANNEL, frame_idx),
                                delta_nu_hz=geom.delta_nu_hz)
-    # a grid of +inf dB only (the loopback) adds no noise: none is drawn or demodulated
+    # a grid of +inf dB only (the loopback) adds no noise: none is drawn or applied
     noisy = any(math.isfinite(snr_db) for snr_db in cfg.snr_grid_db)
     eta = chan.complex_noise(rng_for(cfg.seed, _P_NOISE, frame_idx), max_rx) if noisy else None
 
     errors = {}
     for name, modem in modems.items():
-        x = modem.modulate(d)
-        y0 = modem.demodulate(chan.apply_channel(x, ch, out_len=modem.rx_len))
-        y_eta = modem.demodulate(eta[:modem.rx_len]) if noisy else 0.0
         detector = modem.detector(ch)
-        per_snr = np.zeros(len(cfg.snr_grid_db), dtype=np.int64)
-        for si, snr_db in enumerate(cfg.snr_grid_db):
-            var = 10.0 ** (-snr_db / 10.0)
-            try:
-                d_hat = detector.solve(y0 + np.sqrt(var) * y_eta, var)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure(
-                    f"{name} detector failed: frame {frame_idx}, {snr_db} dB: {exc}") from exc
-            _check_finite(f"{name} MMSE output, frame {frame_idx}", d_hat)
-            per_snr[si] = np.sum(qam_demap(d_hat, cfg.qam_order) != bits)
-        errors[name] = per_snr
+        try:
+            d_hat = detector.solve_snrs(z, eta, cfg.snr_grid_db)  # (n_sc, SNR points)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"{name} detector failed: frame {frame_idx}, {exc}") from exc
+        _check_finite(f"{name} MMSE output, frame {frame_idx}", d_hat)
+        bits_hat = qam_demap(d_hat.T, cfg.qam_order).reshape(len(cfg.snr_grid_db), -1)
+        errors[name] = np.sum(bits_hat != bits, axis=1)
     return errors
 
 

@@ -73,20 +73,21 @@ class Modem:
         A P A^H, with A = rx H, its rows in ``order``, and P = tx tx^H, built
         once per modem; K itself is never formed, and K^H applies as tx^H A^H.
         K K^H is a band in ``order``, which :func:`ddwave.detect.band_factor`
-        factors once per noise variance.
+        factors once per noise variance. A BER frame's observations, A tx z for
+        the delay-time symbols z = Z d and rx eta for the unit noise eta, are
+        formed in ``order`` directly: no channel pass and no Zak round trip.
         """
         if self._gram_ops is None:
             self._gram_ops = self.rx[self.order], self.tx @ self.tx.conj().T, self.tx.conj().T
         rx_in_order, tx_gram, tx_h = self._gram_ops
         a = rx_in_order @ chan.delay_time_matrix(ch, self.rx_len)
         a_h = a.conj().T
-        band_solver = band_factor(a @ tx_gram @ a_h)
 
-        def factor(var):
-            solve = band_solver(var)
-            return lambda y: zak_demodulate(
-                tx_h @ (a_h @ solve(zak_modulate(y, self.geom)[self.order])), self.geom)
-        return StructuredMmse(factor)
+        def observe(z, eta):
+            return a @ (self.tx @ z), None if eta is None else rx_in_order @ eta[:self.rx_len]
+        return StructuredMmse(band_factor(a @ tx_gram @ a_h),
+                              lambda y: zak_modulate(y, self.geom)[self.order],
+                              lambda v: zak_demodulate(tx_h @ (a_h @ v), self.geom), observe)
 
     def effective_channel(self, ch: chan.LtvChannelRealization) -> np.ndarray:
         """End-to-end delay-Doppler map; column q is the response to symbol q."""

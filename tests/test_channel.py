@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from ddwave.channel import (
+    JAKES_N_SINUSOIDS,
     ChannelConfig,
     LtvChannelRealization,
     apply_channel,
     complex_noise,
     delay_time_matrix,
     generate_channel,
+    quantized_profile,
 )
 
 
@@ -92,6 +95,34 @@ class TestGeneration:
         cfg = ChannelConfig(bandwidth_hz=1.92e6)
         with pytest.raises(ValueError):
             generate_channel(cfg, 3, seed=0)
+
+    @pytest.mark.parametrize("override", [None, 0.3])
+    def test_jakes_matches_the_per_tone_formula(self, override):
+        # the factored tones against one exp a sample and tone, with the same draws
+        cfg = ChannelConfig(doppler_model="jakes_sum_of_sinusoids",
+                            fractional_doppler_override=override)
+        delta_nu, span = cfg.bandwidth_hz / 512, 700
+        delays, powers = quantized_profile(cfg)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            if override is None:
+                rng.uniform(0.0, 2.0 * np.pi, size=delays.size)  # the single-shift draw
+            theta_s = rng.uniform(0.0, 2.0 * np.pi, size=(delays.size, JAKES_N_SINUSOIDS))
+            phi_s = rng.uniform(0.0, 2.0 * np.pi, size=(delays.size, JAKES_N_SINUSOIDS))
+            freqs = (cfg.nu_max_hz * np.cos(theta_s) if override is None
+                     else np.full(theta_s.shape, override * delta_nu))
+            t = np.arange(span) / cfg.bandwidth_hz
+            tones = np.exp(1j * (2.0 * np.pi * freqs[:, :, None] * t + phi_s[:, :, None]))
+            ref = np.sqrt(powers)[:, None] * tones.sum(axis=1) / np.sqrt(JAKES_N_SINUSOIDS)
+            gains = generate_channel(cfg, span, seed, delta_nu_hz=delta_nu).gains
+            assert np.max(np.abs(gains - ref)) <= 1e-13 * np.max(np.abs(ref)), seed
+
+    @pytest.mark.parametrize("model", ["single_shift_per_tap", "jakes_sum_of_sinusoids"])
+    def test_a_realization_is_a_prefix_of_a_longer_one(self, model):
+        cfg = ChannelConfig(doppler_model=model)
+        for seed in range(3):
+            assert np.array_equal(generate_channel(cfg, 40, seed).gains,
+                                  generate_channel(cfg, 700, seed).gains[:, :40])
 
     def test_jakes_unit_power(self):
         cfg = ChannelConfig(bandwidth_hz=1.92e6, doppler_model="jakes_sum_of_sinusoids")
@@ -178,6 +209,25 @@ class TestApply:
 
 
 class TestDelayTimeMatrix:
+    @pytest.mark.parametrize("k, n", [(640, 640), (515, 512), (700, 512)],
+                             ids=["n=k", "n<k", "rows-cut-at-n+L-1"])
+    def test_csr_arrays_equal_the_coo_build(self, k, n):
+        # the COO build whose tocsr() the direct CSR arrays reproduce, so that every
+        # product with H is bit for bit the same
+        for seed in range(3):
+            ch = generate_channel(ChannelConfig(), 720, seed)
+            rows = min(k, n + ch.channel_len - 1)
+            i, tau = np.arange(rows), ch.tap_delays[:, None]
+            hit = (i >= tau) & (i - tau < n)
+            coo = scipy.sparse.csr_array(
+                (ch.gains[:, :rows][hit], (np.broadcast_to(i, hit.shape)[hit], (i - tau)[hit])),
+                shape=(k, n))
+            h = delay_time_matrix(ch, k, n)
+            assert h.shape == coo.shape
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(h, part), getattr(coo, part)), (seed, part)
+                assert getattr(h, part).dtype == getattr(coo, part).dtype, (seed, part)
+
     def test_identity_channel(self):
         ch = still_channel(16)
         assert np.array_equal(ch.gains, np.ones((1, 16)))

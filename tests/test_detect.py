@@ -1,5 +1,7 @@
 """QAM mapping and MMSE equalization."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -18,6 +20,7 @@ from ddwave.detect import (
     residue_order,
 )
 from ddwave.experiments import _one_blas_thread, build_modems, run_ber_sweep
+from ddwave.transforms import zak_modulate
 
 
 class TestQam:
@@ -60,6 +63,30 @@ class TestQam:
                     nb = (round(re + dre, 9), round(im + dim, 9))
                     if nb in bits_of:
                         assert np.sum(bits != bits_of[nb]) == 1
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_demap_table_matches_the_gray_formula(self, order):
+        # the nearest level per axis, Gray-coded and shifted out bit by bit, on random,
+        # boundary (level midpoints round half to even) and out-of-range symbols
+        m, scale = int(np.log2(order)) // 2, np.sqrt(3.0 / (2.0 * (order - 1)))
+        q = 1 << m
+        rng = np.random.default_rng(order)
+        edges = np.arange(-q - 3, q + 4) * scale
+        symbols = np.concatenate([2 * (rng.normal(size=3000) + 1j * rng.normal(size=3000)),
+                                  edges + 1j * edges[::-1], [1e300 - 1e300j, -0.0]])
+        li, lq = (np.clip(np.round((x / scale + (q - 1)) / 2), 0, q - 1).astype(np.int64)
+                  for x in (symbols.real, symbols.imag))
+        shifts = np.arange(m - 1, -1, -1)
+        ref = np.concatenate([((li ^ (li >> 1))[:, None] >> shifts) & 1,
+                              ((lq ^ (lq >> 1))[:, None] >> shifts) & 1], axis=1).ravel()
+        assert np.array_equal(qam_demap(symbols, order), ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.3, np.nan)])
+    def test_demap_rejects_a_non_finite_symbol(self, bad):
+        # no level is nearest, and a table index on NaN would read garbage; the BER
+        # frame checks its estimates for finiteness before it demaps
+        with pytest.raises(ValueError, match="non-finite"):
+            qam_demap(np.array([0.1 + 0.2j, bad]), 16)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -198,34 +225,37 @@ class TestStructuredMmse:
             for name, modem in modems.items():
                 y0 = modem.demodulate(chan.apply_channel(modem.modulate(d), ch,
                                                          out_len=modem.rx_len))
-                y_eta = modem.demodulate(chan.complex_noise(rng, modem.rx_len))
+                eta = chan.complex_noise(rng, modem.rx_len)
+                y_eta = modem.demodulate(eta)
                 dense, structured = MmseEqualizer(modem.effective_channel(ch)), modem.detector(ch)
                 assert isinstance(structured, StructuredMmse), name
-                for snr_db in range(0, 45, 5):
+                # the BER frame's entry: every SNR point from z = Z d and eta at once
+                swept = structured.solve_snrs(zak_modulate(d, geom), eta, range(0, 45, 5))
+                for si, snr_db in enumerate(range(0, 45, 5)):
                     var = 10.0 ** (-snr_db / 10.0)
                     y = y0 + np.sqrt(var) * y_eta
-                    err = np.max(np.abs(structured.solve(y, var) - dense.solve(y, var)))
+                    d_dense = dense.solve(y, var)
+                    err = np.max(np.abs(structured.solve(y, var) - d_dense))
                     assert err <= 1e-10, (name, seed, snr_db, err)
+                    err = np.max(np.abs(swept[:, si] - d_dense))
+                    assert err <= 1e-10, (name, seed, snr_db, "solve_snrs", err)
 
     def test_the_ber_sweep_never_probes_them(self, tmp_path, monkeypatch):
-        # no detector pushes probe columns through the channel: each forms the sparse
-        # rx H tx, so every apply_channel input is one frame
+        # no detector pushes probe columns through the channel, and no frame takes the
+        # channel's signal path: each detector forms its observations from its own A = rx H
         from ddwave.scfdma import Modem
 
         def no_probe(self, ch):
             raise AssertionError("dense probe in the BER sweep")
         monkeypatch.setattr(Modem, "effective_channel", no_probe)
-        real_apply, widths = chan.apply_channel, []
 
-        def recording_apply(x, ch, out_len=None):
-            widths.append(x.shape[1] if x.ndim == 2 else 1)
-            return real_apply(x, ch, out_len)
-        monkeypatch.setattr(chan, "apply_channel", recording_apply)
+        def no_apply(x, ch, out_len):
+            raise AssertionError("apply_channel in the BER sweep")
+        monkeypatch.setattr(chan, "apply_channel", no_apply)
         cfg = config_from_dict({"experiment": "ber_sweep", "schemes": _STRUCTURED,
                                 "n_frames": 2, "snr_grid_db": [0.0, 40.0]})
         summary, _ = run_ber_sweep(cfg, tmp_path)
         assert set(summary) == set(_STRUCTURED)
-        assert max(widths) == 1
 
     @pytest.mark.parametrize("scheme", _STRUCTURED)
     def test_an_all_zero_channel_needs_regularization(self, scheme):
@@ -242,6 +272,14 @@ class TestStructuredMmse:
             detector.solve(y, 0.0)
         d_hat = detector.solve(y, 0.5)
         assert d_hat.shape == y.shape
+        assert not np.any(d_hat)
+        # the sweep entry: the same contract, named by the SNR point that failed
+        z, eta = zak_modulate(y, modem.geom), chan.complex_noise(np.random.default_rng(9),
+                                                                  modem.rx_len)
+        with pytest.raises(RegularizationRequiredError, match="^inf dB: a singular"):
+            detector.solve_snrs(z, eta, [10.0, math.inf])
+        d_hat = detector.solve_snrs(z, eta, [-3.0, 10.0])
+        assert d_hat.shape == (modem.geom.n_sc, 2)
         assert not np.any(d_hat)
 
     @pytest.mark.parametrize("override", _CASES)

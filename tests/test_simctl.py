@@ -339,12 +339,21 @@ class TestExperiments:
 
     def test_loopback_draws_no_noise(self, tmp_path, monkeypatch):
         import ddwave.experiments as exp_mod
+        from ddwave.detect import StructuredMmse
 
         def no_noise(*args):
             raise AssertionError("noise drawn at +inf dB")
         monkeypatch.setattr(exp_mod.chan, "complex_noise", no_noise)
+        real_solve, etas = StructuredMmse.solve_snrs, []
+
+        def recording_solve(self, z, eta, snr_grid_db):
+            etas.append(eta)
+            return real_solve(self, z, eta, snr_grid_db)
+        monkeypatch.setattr(StructuredMmse, "solve_snrs", recording_solve)
         cfg = self.small_common(tmp_path, experiment="loopback", n_frames=2)
         assert all(v["total_errors"] == 0 for v in run_experiment(cfg).summary.values())
+        # and applies none: every detector solves the noiseless signal
+        assert etas and all(eta is None for eta in etas)
 
 
 _DYING_FRAME = """
@@ -794,12 +803,13 @@ class TestCli:
                              ids=["ber_sweep", "loopback"])
     def test_a_failed_ber_solve_exits_three(self, tmp_path, capsys, monkeypatch, experiment,
                                             snr):
-        # the loopback is the sweep's frame loop at +inf dB
-        from ddwave.detect import StructuredMmse
+        # the loopback is the sweep's frame loop at +inf dB; the factorization under
+        # solve_snrs fails, so the SNR point in the message is the one it failed at
+        import scipy.linalg
 
-        def failed_solve(self, d_tilde, noise_var):
+        def failed_factor(*args, **kwargs):
             raise np.linalg.LinAlgError("leading minor not positive definite")
-        monkeypatch.setattr(StructuredMmse, "solve", failed_solve)
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", failed_factor)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(_SMALL_SWEEP | {"experiment": experiment,
                                                       "schemes": ["rw_otfs"],
@@ -821,9 +831,9 @@ class TestCli:
         # otfs's detector is the structured solver
         from ddwave.detect import StructuredMmse
 
-        def nan_solve(self, d_tilde, noise_var):
-            return np.full(d_tilde.shape, np.nan, dtype=complex)
-        monkeypatch.setattr(StructuredMmse, "solve", nan_solve)
+        def nan_solve(self, z, eta, snr_grid_db):
+            return np.full((len(z), len(snr_grid_db)), np.nan, dtype=complex)
+        monkeypatch.setattr(StructuredMmse, "solve_snrs", nan_solve)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
             "m": 8, "n": 4, "n_frames": 3, "gf_filter_len": 9, "du_filter_len": 5,

@@ -50,6 +50,11 @@ RUNS = [
     ("rw_otfs_tx_window", {"experiment": "ber_sweep", "schemes": ["rw_otfs"],
                            "rw_tx_window": True, "n_frames": 24}, 1),
     ("oracle_suite", {"experiment": "oracle_suite"}, 1),
+    # a third BER grid, 16 x 6 with a 9-tap dr_ufmc filter, at the default 9 SNR points and two
+    # workers: a change that moves the channel or detector arithmetic at rounding level shows
+    # here too if it flips a decision
+    ("ber_16x6_w2", {"experiment": "ber_sweep", "m": 16, "n": 6, "du_filter_len": 9,
+                     "n_frames": 200}, 2),
     # past two of experiments.SPECTRAL_CHUNK's 64-frame transmit chunks, and not a multiple
     ("psd_64x8_150_frames", {"experiment": "psd", "n_frames": 150}, 1),
     # four full transmit chunks and a short one, summed over many of the sidelobe FFT's blocks
