@@ -319,6 +319,51 @@ def _one_blas_thread(record: dict):
             put(before)
 
 
+# glibc's mallopt parameters, the ceilings its dynamic rule reaches on 64-bit
+# (DEFAULT_MMAP_THRESHOLD_MAX, and twice that for trimming), and its defaults.
+_MALLOPT = (("mmap_threshold", -3, 32 << 20), ("trim_threshold", -1, 64 << 20))
+_MALLOPT_DEFAULT = 128 << 10
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
+               "GLIBC_TUNABLES")
+
+
+@contextlib.contextmanager
+def _keep_freed_heap(record: dict):
+    """Keep the memory a frame frees in the heap, which fork workers inherit; then restore glibc's.
+
+    A frame's detectors allocate and free about 4 MB of arrays. Above glibc's
+    default 128 KiB thresholds each is mmapped or trimmed back to the kernel
+    and faulted in again by the next frame, about 900 minor faults a frame
+    at 64x8. An explicit ``_MALLOC_ENV`` variable, a libc without
+    ``mallopt`` or a ``mallopt`` that returns 0 sets nothing. ``record``
+    gets each threshold as set, and why not set.
+    """
+    why = [f"explicit env {k}" for k in _MALLOC_ENV if os.environ.get(k)]
+    done = []
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError) as exc:
+        why.append(f"no mallopt: {exc}")
+    else:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for key, param, value in () if why else _MALLOPT:
+        if not mallopt(param, value):
+            why.append(f"mallopt({key}, {value}) returned 0")
+            break
+        done.append(param)
+    if why:
+        for param in done:
+            mallopt(param, _MALLOPT_DEFAULT)
+        done = []
+    record.update({key: value if done else None for key, _, value in _MALLOPT})
+    record["not_set"] = "; ".join(why) or None
+    try:
+        yield
+    finally:
+        for param in done:
+            mallopt(param, _MALLOPT_DEFAULT)
+
+
 _WORKER: dict = {}
 
 
@@ -352,17 +397,19 @@ def _ber_frame(frame_idx: int):
 
 
 def _frame_errors(cfg: ExperimentConfig, ch_cfg: chan.ChannelConfig, workers: int,
-                  blas: dict | None) -> dict:
+                  blas: dict | None, heap: dict | None) -> dict:
     """Run ``_ber_frame`` on every frame: {scheme: bit errors, n_frames x SNR points}.
 
-    ``blas`` receives the BLAS thread record. The modems are built here,
-    before any pool exists, so that a bad scheme parameter raises in the
-    caller; forked workers inherit them. A worker that raises or dies ends
-    the loop, and the frames not yet started are cancelled.
+    ``blas`` receives the BLAS thread record and ``heap`` the malloc
+    threshold record. The modems are built here, before any pool exists, so
+    that a bad scheme parameter raises in the caller; forked workers inherit
+    them. A worker that raises or dies ends the loop, and the frames not yet
+    started are cancelled.
     """
     _WORKER.update(cfg=cfg, modems=build_modems(cfg), ch_cfg=ch_cfg)
     pool = None
-    with _one_blas_thread({} if blas is None else blas):
+    with (_one_blas_thread({} if blas is None else blas),
+          _keep_freed_heap({} if heap is None else heap)):
         try:
             if workers > 1:
                 pool = ProcessPoolExecutor(min(workers, cfg.n_frames),
@@ -376,9 +423,9 @@ def _frame_errors(cfg: ExperimentConfig, ch_cfg: chan.ChannelConfig, workers: in
 
 
 def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
-                  blas: dict | None = None) -> tuple[dict, dict]:
-    """Monte Carlo BER of every scheme; ``blas`` receives the BLAS thread record."""
-    errors = _frame_errors(cfg, channel_config(cfg), workers, blas)
+                  blas: dict | None = None, heap: dict | None = None) -> tuple[dict, dict]:
+    """Monte Carlo BER of every scheme; ``blas`` and ``heap`` receive the frame loop's records."""
+    errors = _frame_errors(cfg, channel_config(cfg), workers, blas, heap)
     n_bits = cfg.n_frames * cfg.n_sc * int(np.log2(cfg.qam_order))
     summary, paths = {}, {}
     for name in cfg.schemes:
@@ -395,10 +442,11 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
 
 
 def run_loopback(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
-                 blas: dict | None = None) -> tuple[dict, dict]:
+                 blas: dict | None = None, heap: dict | None = None) -> tuple[dict, dict]:
     """The BER sweep's frames at +inf dB on a still single path: one error count a frame."""
     still = chan.ChannelConfig(profile="single_path", speed_mps=0.0, bandwidth_hz=cfg.bandwidth_hz)
-    errors = _frame_errors(dataclasses.replace(cfg, snr_grid_db=(math.inf,)), still, workers, blas)
+    errors = _frame_errors(dataclasses.replace(cfg, snr_grid_db=(math.inf,)), still, workers,
+                           blas, heap)
     n_bits = cfg.n_sc * int(np.log2(cfg.qam_order))
     summary, paths = {}, {}
     for name, per_frame in errors.items():
@@ -471,11 +519,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     pooled = cfg.experiment in ("loopback", "ber_sweep") and workers > 1
     environment = {"python": platform.python_version(), "numpy": np.__version__,
-                   "scipy": scipy.__version__, "blas": {},
+                   "scipy": scipy.__version__, "blas": {}, "heap": {},
                    "workers": min(workers, cfg.n_frames) if pooled else workers,
                    "pool_start_method": "fork" if pooled else None,
                    "cores": len(os.sched_getaffinity(0))}
-    frame_loop = {"workers": workers, "blas": environment["blas"]}
+    frame_loop = {"workers": workers, "blas": environment["blas"], "heap": environment["heap"]}
     runners = {
         "loopback": functools.partial(run_loopback, **frame_loop),
         "impulse_leakage": run_impulse_leakage,

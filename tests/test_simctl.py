@@ -4,6 +4,8 @@ import ctypes
 import dataclasses
 import json
 import os
+import platform
+import resource
 import signal
 import subprocess
 import sys
@@ -453,6 +455,7 @@ except Exception as exc:
             assert (env["workers"], env["pool_start_method"]) == (
                 (1, None) if workers == 1 else (2, "fork"))
             assert "scipy" in env["blas"]
+            assert "not_set" in env["heap"]
             csvs[workers] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
         assert len(csvs[1]) == 1
         assert csvs[1] == csvs[2] == csvs[8]
@@ -629,6 +632,123 @@ print(json.dumps([before, report.environment]))
         report = run_experiment(cfg)
         assert seen and all(threads == {"numpy": 2, "scipy": 2} for threads in seen)
         assert report.environment["blas"] == {}
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
+               "GLIBC_TUNABLES")
+_HEAP_SET = {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20, "not_set": None}
+_MALLOPT_SET = [(_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20)]
+_MALLOPT_RESTORED = [(_M_MMAP_THRESHOLD, 128 << 10), (_M_TRIM_THRESHOLD, 128 << 10)]
+
+
+class TestHeapThresholds:
+    """The frame loop keeps the memory it frees in the heap, and restores glibc's thresholds."""
+
+    class FakeLibc:
+        """``ctypes.CDLL(None)``: a ``mallopt`` that records its calls and returns ``returns``."""
+
+        def __init__(self, returns=()):
+            self.calls, returns = [], list(returns)
+
+            def mallopt(param, value):
+                self.calls.append((param, value))
+                return returns.pop(0) if returns else 1
+            self.mallopt = mallopt
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        for key in _MALLOC_ENV:
+            monkeypatch.delenv(key, raising=False)
+        fake, real_cdll = self.FakeLibc(), ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda name, *args, **kwargs: (
+            fake if name is None else real_cdll(name, *args, **kwargs)))
+        return fake
+
+    def sweep(self, tmp_path, **fields):
+        return config_from_dict(_SMALL_SWEEP | {"n_frames": 2,
+                                                "output_dir": str(tmp_path / "out")} | fields)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+    def test_a_warm_64x8_frame_takes_no_page_faults(self, tmp_path, monkeypatch):
+        # about 900 minor faults a frame with glibc's default thresholds
+        import ddwave.experiments as exp_mod
+        for key in _MALLOC_ENV:
+            monkeypatch.delenv(key, raising=False)
+        real_frame, faults = exp_mod._ber_frame, []
+
+        def counting_frame(frame_idx):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            errors = real_frame(frame_idx)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            return errors
+        monkeypatch.setattr(exp_mod, "_ber_frame", counting_frame)
+        cfg = config_from_dict({"n_frames": 12, "snr_grid_db": [20.0, 30.0, 40.0],
+                                "output_dir": str(tmp_path / "out")})
+        report = run_experiment(cfg)
+        assert report.environment["heap"] == _HEAP_SET
+        warm = faults[2:]
+        assert sum(warm) / len(warm) < 50, faults
+
+    @pytest.mark.parametrize("experiment", ["ber_sweep", "loopback"])
+    def test_set_during_the_frames_and_restored_after(self, tmp_path, monkeypatch, libc,
+                                                      experiment):
+        import ddwave.experiments as exp_mod
+        real_frame, seen = exp_mod._ber_frame, []
+
+        def recording_frame(frame_idx):
+            seen.append(list(libc.calls))
+            return real_frame(frame_idx)
+        monkeypatch.setattr(exp_mod, "_ber_frame", recording_frame)
+        report = run_experiment(self.sweep(tmp_path, experiment=experiment))
+        assert seen == [_MALLOPT_SET] * 2
+        assert libc.calls == _MALLOPT_SET + _MALLOPT_RESTORED
+        assert report.environment["heap"] == _HEAP_SET
+
+    def test_restored_after_a_failing_frame(self, tmp_path, capsys, monkeypatch, libc):
+        import ddwave.experiments as exp_mod
+
+        def failing_frame(frame_idx):
+            raise NumericalFailure("synthetic")
+        monkeypatch.setattr(exp_mod, "_ber_frame", failing_frame)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(_SMALL_SWEEP | {"output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", str(cfgfile)]) == 3
+        assert "synthetic" in capsys.readouterr().err
+        assert libc.calls == _MALLOPT_SET + _MALLOPT_RESTORED
+
+    @pytest.mark.parametrize("key", _MALLOC_ENV)
+    def test_explicit_env_sets_nothing(self, tmp_path, monkeypatch, libc, key):
+        monkeypatch.setenv(key, "glibc.malloc.trim_threshold=0" if key == "GLIBC_TUNABLES"
+                           else "0")
+        heap = {}
+        run_ber_sweep(self.sweep(tmp_path), tmp_path, heap=heap)
+        assert libc.calls == []
+        assert heap == {"mmap_threshold": None, "trim_threshold": None,
+                        "not_set": f"explicit env {key}"}
+
+    def test_a_libc_without_mallopt_sets_nothing(self, tmp_path, libc):
+        del libc.mallopt
+        heap = {}
+        run_ber_sweep(self.sweep(tmp_path), tmp_path, heap=heap)
+        assert heap["mmap_threshold"] is heap["trim_threshold"] is None
+        assert heap["not_set"].startswith("no mallopt: ")
+
+    def test_a_refused_threshold_sets_nothing(self, tmp_path, libc):
+        # the first threshold took, the second did not: the first is put back at once
+        libc.__init__(returns=[1, 0])
+        heap = {}
+        run_ber_sweep(self.sweep(tmp_path), tmp_path, heap=heap)
+        assert libc.calls == _MALLOPT_SET + _MALLOPT_RESTORED[:1]
+        assert heap == {"mmap_threshold": None, "trim_threshold": None,
+                        "not_set": f"mallopt(trim_threshold, {64 << 20}) returned 0"}
+
+    def test_psd_leaves_the_heap_alone(self, tmp_path, libc):
+        cfg = config_from_dict({"experiment": "psd", "m": 8, "n": 4, "n_frames": 8,
+                                "psd_segment_len": 64, "gf_filter_len": 9,
+                                "du_filter_len": 5, "output_dir": str(tmp_path / "out")})
+        assert run_experiment(cfg).environment["heap"] == {}
+        assert libc.calls == []
 
 
 class TestBuildModems:

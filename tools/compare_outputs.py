@@ -12,8 +12,9 @@ prints how many rows differ and the largest absolute difference in each
 column that changed. It then runs each root's own
 ``tests/test_acceptance.py`` with ``-s`` and compares the
 ``criterion N PASS|FAIL`` lines; the indented ``time of`` and ``detail of``
-lines are ignored. Each run's line also gives both trees' ``wall_clock_s``
-and ``peak_rss_mb`` from its ``report.json`` ("-" where a report has none).
+lines are ignored. Each run's line also gives both trees' ``wall_clock_s``,
+``peak_rss_mb`` and ``environment.heap`` (the frame loop's malloc
+thresholds) from its ``report.json`` ("-" where a report has none).
 It prints each difference, the two trees' ``src/`` line counts (as ``wc -l
 src/ddwave/*.py`` sums them), the test ids that only one tree collects (from
 ``pytest --collect-only -q`` in each root) and a summary, and exits 0 when
@@ -82,16 +83,27 @@ def run_config(root: Path, name: str, config: dict, workers: int, tmp: Path) -> 
     report = json.loads((out / "report.json").read_text())
     return {"csv": {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))},
             "config_hash": report["config_hash"],
-            "cost": {key: report.get(key) for key in ("wall_clock_s", "peak_rss_mb")}}
+            "cost": {**{key: report.get(key) for key in ("wall_clock_s", "peak_rss_mb")},
+                     "heap": report["environment"].get("heap")}}
+
+
+def heap_text(heap: dict | None) -> str:
+    """A report's malloc thresholds in MiB, why none were set, or {} for no frame loop."""
+    if not heap:
+        return "-" if heap is None else "{}"
+    if heap["not_set"]:
+        return f"not set ({heap['not_set']})"
+    return f"mmap {heap['mmap_threshold'] >> 20} MiB, trim {heap['trim_threshold'] >> 20} MiB"
 
 
 def cost_line(results: list[dict]) -> str:
-    """Each tree's wall_clock_s and peak_rss_mb, parent first."""
+    """Each tree's wall_clock_s, peak_rss_mb and heap, parent first."""
     def cost(result, key):
         value = result.get("cost", {}).get(key)
         return "-" if value is None else f"{value:.3g}"
-    return "; ".join(f"{key} {cost(results[0], key)} -> {cost(results[1], key)}"
-                     for key in ("wall_clock_s", "peak_rss_mb"))
+    heaps = [heap_text(result.get("cost", {}).get("heap")) for result in results]
+    return "; ".join([f"{key} {cost(results[0], key)} -> {cost(results[1], key)}"
+                      for key in ("wall_clock_s", "peak_rss_mb")] + ["heap " + " -> ".join(heaps)])
 
 
 def criterion_lines(root: Path) -> list[str]:
