@@ -3,8 +3,8 @@
 A realization holds per-tap integer delays and complex gain sequences g_l[i]
 over the sample index i. The sparse banded delay-time matrix H with
 H[i, j] = h[i - j, i] is the one definition of the channel: applying it to a
-signal computes y[i] = sum_l g_l[i] * x[i - tau_l], and the CP and gf_otfs
-detectors multiply the same matrix.
+signal computes y[i] = sum_l g_l[i] * x[i - tau_l], and every scheme's
+detector multiplies the same matrix.
 """
 
 from __future__ import annotations

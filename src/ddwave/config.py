@@ -317,10 +317,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             ("snr_grid_db", max(cfg.snr_grid_db), -300, snr_max)):
         _expect(lo <= value <= hi, f"{key}: {value!r} outside [{lo}, {hi}]")
     filtered = [s for s in cfg.schemes if s in ("gf_otfs", "dr_ufmc")]
-    # a one-frame four-scheme sweep at 64 x 64 peaked at 0.11 GB (0.63 GB with a dense Gram)
+    # guards the memory of dr_ufmc's detector band, 2 x 16 B x rows x m*n with up to
+    # m*n - 1 rows (0.5 GB at 2048 x 2), until a bound on that band replaces the m*n cap
     _expect(not filtered or cfg.n_sc <= 2 ** 12,
             f"m * n: {cfg.n_sc} outside [1, {2 ** 12}] with {', '.join(filtered)}, the filtered "
-            "schemes, not measured past it")
+            "schemes: a cap on dr_ufmc's detector band memory")
     if "gf_otfs" in cfg.schemes:
         _expect(cfg.n_sc % cfg.n_sc_rb == 0,
                 f"n_sc_rb: {cfg.n_sc_rb} does not divide m*n = {cfg.n_sc} (gf_otfs subbands)")

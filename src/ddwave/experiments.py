@@ -274,48 +274,43 @@ def run_psd(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, dict]:
 
 # ---- BER sweep and loopback: one frame loop --------------------------------
 
-# The sweep's BLAS/LAPACK work is the banded Cholesky and its solves, in scipy's bundled
-# OpenBLAS; nothing in the frame loop calls numpy's (the QAM maps multiply int64 arrays,
-# which numpy does without BLAS). Both are pinned. The dense Gram's zherk belongs to the
-# oracle MmseEqualizer alone.
-_OPENBLAS = ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
-             (scipy, "scipy.libs/libscipy_openblas-*.so", ""))
+# The frame loop's BLAS/LAPACK work is the banded Cholesky and its solves, in scipy's
+# bundled OpenBLAS, the one copy pinned. Nothing in the loop calls numpy's copy (the QAM
+# maps multiply int64 arrays, which numpy does without BLAS), so it keeps its threads.
+_OPENBLAS = "scipy.libs/libscipy_openblas-*.so"
 
 
 @contextlib.contextmanager
 def _one_blas_thread(record: dict):
-    """Pin both OpenBLAS copies to one thread, which fork workers inherit, and restore them.
+    """Pin scipy's OpenBLAS to one thread, which fork workers inherit, and restore it.
 
-    Left at its default, scipy's copy keeps a second core busy for no gain
-    even at one worker, and a thread per core in each worker oversubscribes
-    the cores. An explicit OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, or a
-    missing library or symbol, pins nothing. ``record`` gets each library's
-    file and threads, and why not pinned.
+    Left at its default, it keeps a second core busy for no gain even at one
+    worker, and a thread per core in each worker oversubscribes the cores.
+    An explicit OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, or a missing
+    library or symbol, pins nothing. ``record`` gets the library's file and
+    threads, and why not pinned.
     """
-    libs, why = {}, [f"explicit env {k}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-                     if os.environ.get(k)]
-    for module, pattern, suffix in _OPENBLAS:
-        found = sorted(Path(module.__file__).parents[1].glob(pattern))
-        record[module.__name__] = {"file": found[0].name if found else None}
-        try:
-            lib = ctypes.CDLL(str(found[0]))
-            get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}")
-                        for op in ("get", "set"))
-        except (IndexError, OSError, AttributeError) as exc:
-            why.append(f"{module.__name__}: {exc if found else 'no ' + pattern}")
-            continue
+    why = [f"explicit env {k}" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+           if os.environ.get(k)]
+    found = sorted(Path(scipy.__file__).parents[1].glob(_OPENBLAS))
+    record["scipy"] = {"file": found[0].name if found else None}
+    before = None
+    try:
+        lib = ctypes.CDLL(str(found[0]))
+        get, put = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    except (IndexError, OSError, AttributeError) as exc:
+        why.append(f"scipy: {exc if found else 'no ' + _OPENBLAS}")
+    else:
         get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
-        libs[module.__name__] = (get, put, get())
-    pinned = {} if why else libs
-    for _, put, _ in pinned.values():
-        put(1)
-    for name, (get, _, _) in libs.items():
-        record[name]["threads"] = get()
+        if not why:
+            before = get()
+            put(1)
+        record["scipy"]["threads"] = get()
     record["not_pinned"] = "; ".join(why) or None
     try:
         yield
     finally:
-        for _, put, before in pinned.values():
+        if before is not None:
             put(before)
 
 
@@ -397,22 +392,25 @@ def _ber_frame(frame_idx: int):
 
 
 def _frame_errors(cfg: ExperimentConfig, ch_cfg: chan.ChannelConfig, workers: int,
-                  blas: dict | None, heap: dict | None) -> dict:
+                  environment: dict | None) -> dict:
     """Run ``_ber_frame`` on every frame: {scheme: bit errors, n_frames x SNR points}.
 
-    ``blas`` receives the BLAS thread record and ``heap`` the malloc
-    threshold record. The modems are built here, before any pool exists, so
-    that a bad scheme parameter raises in the caller; forked workers inherit
-    them. A worker that raises or dies ends the loop, and the frames not yet
-    started are cancelled.
+    ``environment`` receives the BLAS thread record as ``blas`` and the
+    malloc threshold record as ``heap``, and, when a pool runs, its size as
+    ``workers`` and ``pool_start_method``. The modems are built here, before
+    any pool exists, so that a bad scheme parameter raises in the caller;
+    forked workers inherit them. A worker that raises or dies ends the loop,
+    and the frames not yet started are cancelled.
     """
+    env = {} if environment is None else environment
     _WORKER.update(cfg=cfg, modems=build_modems(cfg), ch_cfg=ch_cfg)
     pool = None
-    with (_one_blas_thread({} if blas is None else blas),
-          _keep_freed_heap({} if heap is None else heap)):
+    with (_one_blas_thread(env.setdefault("blas", {})),
+          _keep_freed_heap(env.setdefault("heap", {}))):
         try:
             if workers > 1:
-                pool = ProcessPoolExecutor(min(workers, cfg.n_frames),
+                env.update(workers=min(workers, cfg.n_frames), pool_start_method="fork")
+                pool = ProcessPoolExecutor(env["workers"],
                                            mp_context=multiprocessing.get_context("fork"))
             frames = list((pool.map if pool else map)(_ber_frame, range(cfg.n_frames)))
         finally:
@@ -423,9 +421,9 @@ def _frame_errors(cfg: ExperimentConfig, ch_cfg: chan.ChannelConfig, workers: in
 
 
 def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
-                  blas: dict | None = None, heap: dict | None = None) -> tuple[dict, dict]:
-    """Monte Carlo BER of every scheme; ``blas`` and ``heap`` receive the frame loop's records."""
-    errors = _frame_errors(cfg, channel_config(cfg), workers, blas, heap)
+                  environment: dict | None = None) -> tuple[dict, dict]:
+    """Monte Carlo BER of every scheme; ``environment`` receives the frame loop's records."""
+    errors = _frame_errors(cfg, channel_config(cfg), workers, environment)
     n_bits = cfg.n_frames * cfg.n_sc * int(np.log2(cfg.qam_order))
     summary, paths = {}, {}
     for name in cfg.schemes:
@@ -442,11 +440,11 @@ def run_ber_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
 
 
 def run_loopback(cfg: ExperimentConfig, out_dir: Path, workers: int = 1,
-                 blas: dict | None = None, heap: dict | None = None) -> tuple[dict, dict]:
+                 environment: dict | None = None) -> tuple[dict, dict]:
     """The BER sweep's frames at +inf dB on a still single path: one error count a frame."""
     still = chan.ChannelConfig(profile="single_path", speed_mps=0.0, bandwidth_hz=cfg.bandwidth_hz)
     errors = _frame_errors(dataclasses.replace(cfg, snr_grid_db=(math.inf,)), still, workers,
-                           blas, heap)
+                           environment)
     n_bits = cfg.n_sc * int(np.log2(cfg.qam_order))
     summary, paths = {}, {}
     for name, per_frame in errors.items():
@@ -517,13 +515,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     t_start = time.time()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pooled = cfg.experiment in ("loopback", "ber_sweep") and workers > 1
     environment = {"python": platform.python_version(), "numpy": np.__version__,
-                   "scipy": scipy.__version__, "blas": {}, "heap": {},
-                   "workers": min(workers, cfg.n_frames) if pooled else workers,
-                   "pool_start_method": "fork" if pooled else None,
-                   "cores": len(os.sched_getaffinity(0))}
-    frame_loop = {"workers": workers, "blas": environment["blas"], "heap": environment["heap"]}
+                   "scipy": scipy.__version__, "blas": {}, "heap": {}, "workers": workers,
+                   "pool_start_method": None, "cores": len(os.sched_getaffinity(0))}
+    frame_loop = {"workers": workers, "environment": environment}
     runners = {
         "loopback": functools.partial(run_loopback, **frame_loop),
         "impulse_leakage": run_impulse_leakage,

@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import functools
 import json
 import os
 import platform
@@ -10,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import types
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -440,8 +442,11 @@ except Exception as exc:
             return ProcessPoolExecutor(max_workers, **kwargs)
         monkeypatch.setattr(exp_mod, "ProcessPoolExecutor", recording_pool)
         cfg = config_from_dict(_SMALL_SWEEP | {"n_frames": 2, "schemes": ["otfs"]})
-        run_ber_sweep(cfg, tmp_path, workers=8)
+        env = {}
+        run_ber_sweep(cfg, tmp_path, workers=8, environment=env)
         assert sizes == [2]
+        # the frame loop records the pool it started, a direct call as much as run_experiment
+        assert (env["workers"], env["pool_start_method"]) == (2, "fork")
 
     @pytest.mark.parametrize("experiment", ["ber_sweep", "loopback"])
     def test_report_records_the_processes_that_ran(self, tmp_path, experiment):
@@ -475,8 +480,12 @@ except Exception as exc:
             run_ber_sweep(cfg, tmp_path, workers=2)
 
 
+@functools.cache
 def _openblas_calls(op: str) -> dict:
-    """numpy's and scipy's bundled OpenBLAS ``scipy_openblas_{op}_num_threads``."""
+    """numpy's and scipy's bundled OpenBLAS ``scipy_openblas_{op}_num_threads``.
+
+    Looked up once, so a test may move ``numpy.__file__`` and still read both.
+    """
     calls = {}
     for module, pattern, suffix in ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
                                     (scipy, "scipy.libs/libscipy_openblas-*.so", "")):
@@ -522,7 +531,8 @@ print(json.dumps([os.getpid(), _blas_threads()]))
 
 
 class TestBlasThreads:
-    """run_ber_sweep runs both bundled OpenBLAS copies on one thread and restores them."""
+    """The frame loop runs scipy's bundled OpenBLAS, the one it calls, on one thread and
+    restores it; numpy's keeps its thread count."""
 
     @pytest.fixture
     def two_threads(self, monkeypatch):
@@ -540,6 +550,18 @@ class TestBlasThreads:
         return config_from_dict(_SMALL_SWEEP | {"n_frames": 2,
                                                 "output_dir": str(tmp_path / "out")})
 
+    def recorded_sweep(self, tmp_path, monkeypatch, environment):
+        """Run the sweep in process: the BLAS threads each frame ran with."""
+        import ddwave.experiments as exp_mod
+        real_frame, seen = exp_mod._ber_frame, []
+
+        def recording_frame(frame_idx):
+            seen.append(_blas_threads())
+            return real_frame(frame_idx)
+        monkeypatch.setattr(exp_mod, "_ber_frame", recording_frame)
+        run_ber_sweep(self.sweep(tmp_path), tmp_path, environment=environment)
+        return seen
+
     def test_pinned_during_the_sweep_and_restored_after(self, tmp_path, monkeypatch,
                                                         two_threads):
         import ddwave.experiments as exp_mod
@@ -550,12 +572,22 @@ class TestBlasThreads:
             return real_frame(frame_idx)
         monkeypatch.setattr(exp_mod, "_ber_frame", recording_frame)
         report = run_experiment(self.sweep(tmp_path))
-        assert seen == [{"numpy": 1, "scipy": 1}] * 2
+        # nothing in the frame loop calls numpy's copy: it keeps its count
+        assert seen == [{"numpy": 2, "scipy": 1}] * 2
         assert _blas_threads() == {"numpy": 2, "scipy": 2}
         blas = report.environment["blas"]
         assert blas["not_pinned"] is None
-        assert blas["numpy"]["threads"] == blas["scipy"]["threads"] == 1
-        assert blas["numpy"]["file"].startswith("libscipy_openblas64_")
+        assert blas["scipy"]["threads"] == 1
+        assert set(blas) == {"scipy", "not_pinned"}
+
+    def test_a_numpy_without_openblas_still_pins_scipy(self, tmp_path, monkeypatch,
+                                                        two_threads):
+        # a numpy built against another BLAS, or none: scipy's pin does not depend on it
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        env = {}
+        assert self.recorded_sweep(tmp_path, monkeypatch, env) == [{"numpy": 2, "scipy": 1}] * 2
+        assert env["blas"]["not_pinned"] is None
+        assert _blas_threads() == {"numpy": 2, "scipy": 2}
 
     def test_restored_after_a_failing_frame(self, tmp_path, monkeypatch, two_threads):
         import ddwave.experiments as exp_mod
@@ -576,7 +608,7 @@ class TestBlasThreads:
         parent_pid, after = json.loads(proc.stdout.strip().splitlines()[-1])
         frames = [json.loads((tmp_path / f"frame{i}.json").read_text()) for i in range(4)]
         assert all(pid != parent_pid for pid, _ in frames)
-        assert [threads for _, threads in frames] == [{"numpy": 1, "scipy": 1}] * 4
+        assert [threads for _, threads in frames] == [{"numpy": 2, "scipy": 1}] * 4
         assert after == {"numpy": 2, "scipy": 2}
 
     def test_explicit_env_is_honoured(self, tmp_path):
@@ -594,29 +626,26 @@ print(json.dumps([before, report.environment]))
         assert proc.returncode == 0, proc.stderr
         before, env = json.loads(proc.stdout.strip().splitlines()[-1])
         assert env["blas"]["not_pinned"] == "explicit env OPENBLAS_NUM_THREADS"
-        assert {name: env["blas"][name]["threads"] for name in before} == before
+        assert env["blas"]["scipy"]["threads"] == before["scipy"]
         assert (env["workers"], env["pool_start_method"]) == (1, None)
         assert env["cores"] == len(os.sched_getaffinity(0))
 
     def test_missing_library_or_symbol_pins_nothing(self, tmp_path, monkeypatch, two_threads):
-        import ddwave.experiments as exp_mod
-        (np_mod, _, np_suffix), (sp_mod, sp_pattern, _) = exp_mod._OPENBLAS
-        monkeypatch.setattr(exp_mod, "_OPENBLAS", (
-            (np_mod, "numpy.libs/no-such-openblas-*.so", np_suffix),
-            (sp_mod, sp_pattern, "_no_such_suffix")))
-        real_frame, seen = exp_mod._ber_frame, []
-
-        def recording_frame(frame_idx):
-            seen.append(_blas_threads())
-            return real_frame(frame_idx)
-        monkeypatch.setattr(exp_mod, "_ber_frame", recording_frame)
-        blas = {}
-        run_ber_sweep(self.sweep(tmp_path), tmp_path, blas=blas)
-        assert seen == [{"numpy": 2, "scipy": 2}] * 2
-        assert blas["numpy"] == {"file": None}
-        assert blas["scipy"]["file"].startswith("libscipy_openblas-")
-        assert "numpy: no numpy.libs/no-such-openblas-*.so" in blas["not_pinned"]
-        assert "scipy_openblas_get_num_threads_no_such_suffix" in blas["not_pinned"]
+        real_file, real_cdll = scipy.__file__, ctypes.CDLL
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+        env = {}
+        assert self.recorded_sweep(tmp_path, monkeypatch, env) == [{"numpy": 2, "scipy": 2}] * 2
+        assert env["blas"] == {"scipy": {"file": None},
+                               "not_pinned": "scipy: no scipy.libs/libscipy_openblas-*.so"}
+        # an OpenBLAS without scipy_openblas's thread calls
+        monkeypatch.setattr(scipy, "__file__", real_file)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name, *args, **kwargs: (
+            types.SimpleNamespace() if "libscipy_openblas-" in str(name)
+            else real_cdll(name, *args, **kwargs)))
+        env = {}
+        assert self.recorded_sweep(tmp_path, monkeypatch, env) == [{"numpy": 2, "scipy": 2}] * 2
+        assert env["blas"]["scipy"]["file"].startswith("libscipy_openblas-")
+        assert "scipy_openblas_get_num_threads" in env["blas"]["not_pinned"]
 
     def test_psd_leaves_the_threads_alone(self, tmp_path, monkeypatch, two_threads):
         import ddwave.experiments as exp_mod
@@ -721,24 +750,27 @@ class TestHeapThresholds:
     def test_explicit_env_sets_nothing(self, tmp_path, monkeypatch, libc, key):
         monkeypatch.setenv(key, "glibc.malloc.trim_threshold=0" if key == "GLIBC_TUNABLES"
                            else "0")
-        heap = {}
-        run_ber_sweep(self.sweep(tmp_path), tmp_path, heap=heap)
+        env = {}
+        run_ber_sweep(self.sweep(tmp_path), tmp_path, environment=env)
+        heap = env["heap"]
         assert libc.calls == []
         assert heap == {"mmap_threshold": None, "trim_threshold": None,
                         "not_set": f"explicit env {key}"}
 
     def test_a_libc_without_mallopt_sets_nothing(self, tmp_path, libc):
         del libc.mallopt
-        heap = {}
-        run_ber_sweep(self.sweep(tmp_path), tmp_path, heap=heap)
+        env = {}
+        run_ber_sweep(self.sweep(tmp_path), tmp_path, environment=env)
+        heap = env["heap"]
         assert heap["mmap_threshold"] is heap["trim_threshold"] is None
         assert heap["not_set"].startswith("no mallopt: ")
 
     def test_a_refused_threshold_sets_nothing(self, tmp_path, libc):
         # the first threshold took, the second did not: the first is put back at once
         libc.__init__(returns=[1, 0])
-        heap = {}
-        run_ber_sweep(self.sweep(tmp_path), tmp_path, heap=heap)
+        env = {}
+        run_ber_sweep(self.sweep(tmp_path), tmp_path, environment=env)
+        heap = env["heap"]
         assert libc.calls == _MALLOPT_SET + _MALLOPT_RESTORED[:1]
         assert heap == {"mmap_threshold": None, "trim_threshold": None,
                         "not_set": f"mallopt(trim_threshold, {64 << 20}) returned 0"}

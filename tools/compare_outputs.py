@@ -13,8 +13,9 @@ column that changed. It then runs each root's own
 ``tests/test_acceptance.py`` with ``-s`` and compares the
 ``criterion N PASS|FAIL`` lines; the indented ``time of`` and ``detail of``
 lines are ignored. Each run's line also gives both trees' ``wall_clock_s``,
-``peak_rss_mb`` and ``environment.heap`` (the frame loop's malloc
-thresholds) from its ``report.json`` ("-" where a report has none).
+``peak_rss_mb``, ``environment.heap`` (the frame loop's malloc thresholds)
+and ``environment.blas`` (scipy's OpenBLAS threads in the frame loop) from
+its ``report.json`` ("-" where a report has none).
 It prints each difference, the two trees' ``src/`` line counts (as ``wc -l
 src/ddwave/*.py`` sums them), the test ids that only one tree collects (from
 ``pytest --collect-only -q`` in each root) and a summary, and exits 0 when
@@ -84,7 +85,7 @@ def run_config(root: Path, name: str, config: dict, workers: int, tmp: Path) -> 
     return {"csv": {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))},
             "config_hash": report["config_hash"],
             "cost": {**{key: report.get(key) for key in ("wall_clock_s", "peak_rss_mb")},
-                     "heap": report["environment"].get("heap")}}
+                     **{key: report["environment"].get(key) for key in ("heap", "blas")}}}
 
 
 def heap_text(heap: dict | None) -> str:
@@ -96,14 +97,25 @@ def heap_text(heap: dict | None) -> str:
     return f"mmap {heap['mmap_threshold'] >> 20} MiB, trim {heap['trim_threshold'] >> 20} MiB"
 
 
+def blas_text(blas: dict | None) -> str:
+    """A report's scipy OpenBLAS threads in the frame loop, why not pinned, or {} for no loop."""
+    if not blas:
+        return "-" if blas is None else "{}"
+    if blas["not_pinned"]:
+        return f"not pinned ({blas['not_pinned']})"
+    return f"scipy {blas['scipy']['threads']} thread(s)"
+
+
 def cost_line(results: list[dict]) -> str:
-    """Each tree's wall_clock_s, peak_rss_mb and heap, parent first."""
+    """Each tree's wall_clock_s, peak_rss_mb, heap and BLAS pin, parent first."""
     def cost(result, key):
         value = result.get("cost", {}).get(key)
         return "-" if value is None else f"{value:.3g}"
-    heaps = [heap_text(result.get("cost", {}).get("heap")) for result in results]
+    texts = {key: " -> ".join(text(result.get("cost", {}).get(key)) for result in results)
+             for key, text in (("heap", heap_text), ("blas", blas_text))}
     return "; ".join([f"{key} {cost(results[0], key)} -> {cost(results[1], key)}"
-                      for key in ("wall_clock_s", "peak_rss_mb")] + ["heap " + " -> ".join(heaps)])
+                      for key in ("wall_clock_s", "peak_rss_mb")]
+                     + [f"{key} {text}" for key, text in texts.items()])
 
 
 def criterion_lines(root: Path) -> list[str]:
