@@ -1,9 +1,8 @@
 """Symbol detection: regularized linear (MMSE) equalization and Gray-coded QAM.
 
-A modem's ``detector(ch)`` is a :class:`StructuredMmse` that factors by
-:func:`band_factor` a Gram already in a :func:`residue_order`, for one SNR point
-or all of a BER frame's; :class:`MmseEqualizer` on the dense probed effective
-channel is their oracle.
+A modem's ``detect`` factors by :func:`band_factor` a Gram already in a
+:func:`residue_order`, once for each of a BER frame's SNR points;
+:class:`MmseEqualizer` on the dense probed effective channel is its oracle.
 """
 
 from __future__ import annotations
@@ -79,61 +78,13 @@ def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
     return table[idx].ravel()
 
 
-class StructuredMmse:
-    """Linear MMSE detector whose map comes factored: d = back(factor(var)(into(y))).
-
-    ``factor(var)`` factors for one noise variance and returns a solver that,
-    between ``into`` and ``back`` (identities unless given), is the map
-    (H^H H + var I)^-1 H^H of the effective channel H, or its push-through twin
-    H^H (H H^H + var I)^-1, built from H's structure without forming H: a
-    modem's detector solves its band between its Zak maps and K^H.
-    ``observe(z, eta)``, where given, forms a frame's signal and noise in the
-    solver's own coordinates for :meth:`solve_snrs`. The contract: at
-    ``noise_var == 0`` a singular H raises :class:`RegularizationRequiredError`,
-    and at a positive ``noise_var`` an all-zero H gives exact zeros.
-    """
-
-    def __init__(self, factor, into=None, back=None, observe=None):
-        self.factor, self.observe = factor, observe
-        self.into, self.back = into or (lambda y: y), back or (lambda v: v)
-
-    def _solver(self, noise_var: float):
-        if noise_var < 0:
-            raise ValueError("noise_var must be nonnegative")
-        try:
-            return self.factor(noise_var)
-        except np.linalg.LinAlgError as exc:
-            if noise_var == 0.0:
-                raise RegularizationRequiredError("a singular channel needs noise_var > 0") from exc
-            raise
-
-    def solve(self, y: np.ndarray, noise_var: float) -> np.ndarray:
-        return self.back(self._solver(noise_var)(self.into(y)))
-
-    def solve_snrs(self, z: np.ndarray, eta, snr_grid_db) -> np.ndarray:
-        """A frame's estimates, a column per SNR point: y0 + sqrt(var) y_eta, var = 10^(-dB/10).
-
-        y0 and y_eta are ``observe(z, eta)``; with y_eta None, y0 alone. A failed
-        factorization raises its LinAlgError, the message prefixed by "<snr_db> dB: ".
-        """
-        y0, y_eta = self.observe(z, eta)
-        v = np.empty((len(y0), len(snr_grid_db)), dtype=complex)
-        for i, snr_db in enumerate(snr_grid_db):
-            var = 10.0 ** (-snr_db / 10.0)
-            try:
-                solver = self._solver(var)
-            except np.linalg.LinAlgError as exc:
-                raise type(exc)(f"{snr_db} dB: {exc}") from exc
-            v[:, i] = solver(y0 if y_eta is None else y0 + np.sqrt(var) * y_eta)
-        return self.back(v)
-
-
-class MmseEqualizer(StructuredMmse):
+class MmseEqualizer:
     """Dense linear MMSE detector for a fixed effective channel.
 
     It is the oracle that every modem's structured detector is tested
     against; no experiment runs it. It keeps the primal form
-    (H^H H + var I)^-1 H^H y, the structured detectors the dual one.
+    (H^H H + var I)^-1 H^H y, the structured detectors the dual one. At
+    ``noise_var == 0`` a singular H raises :class:`RegularizationRequiredError`.
 
     Caches the Gram matrix so that solves at several noise levels reuse the
     expensive product; ``gram`` holds its upper triangle only (zherk), the
@@ -145,13 +96,19 @@ class MmseEqualizer(StructuredMmse):
         if h_eff.ndim != 2 or h_eff.shape[0] != h_eff.shape[1]:
             raise ValueError(f"effective channel must be square, got {h_eff.shape}")
         self.gram = scipy.linalg.blas.zherk(1.0, h_eff, trans=2, lower=0)
-        h_h = h_eff.conj().T
+        self._h_h = h_eff.conj().T
 
-        def factor(var):
-            a = self.gram if var == 0.0 else self.gram + var * np.eye(h_eff.shape[0])
+    def solve(self, y: np.ndarray, noise_var: float) -> np.ndarray:
+        if noise_var < 0:
+            raise ValueError("noise_var must be nonnegative")
+        a = self.gram if noise_var == 0.0 else self.gram + noise_var * np.eye(len(self.gram))
+        try:
             c = scipy.linalg.cho_factor(a, check_finite=False)
-            return lambda rhs: scipy.linalg.cho_solve(c, h_h @ rhs, check_finite=False)
-        super().__init__(factor)
+        except np.linalg.LinAlgError as exc:
+            if noise_var == 0.0:
+                raise RegularizationRequiredError("a singular channel needs noise_var > 0") from exc
+            raise
+        return scipy.linalg.cho_solve(c, self._h_h @ y, check_finite=False)
 
 
 def residue_order(n: int, p: int) -> np.ndarray:

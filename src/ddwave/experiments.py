@@ -380,9 +380,8 @@ def _ber_frame(frame_idx: int):
 
     errors = {}
     for name, modem in modems.items():
-        detector = modem.detector(ch)
         try:
-            d_hat = detector.solve_snrs(z, eta, cfg.snr_grid_db)  # (n_sc, SNR points)
+            d_hat = modem.detect(ch, z, eta, cfg.snr_grid_db)  # (n_sc, SNR points)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"{name} detector failed: frame {frame_idx}, {exc}") from exc
         _check_finite(f"{name} MMSE output, frame {frame_idx}", d_hat)
@@ -516,7 +515,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     environment = {"python": platform.python_version(), "numpy": np.__version__,
-                   "scipy": scipy.__version__, "blas": {}, "heap": {}, "workers": workers,
+                   "scipy": scipy.__version__, "blas": {}, "heap": {}, "workers": 1,
                    "pool_start_method": None, "cores": len(os.sched_getaffinity(0))}
     frame_loop = {"workers": workers, "environment": environment}
     runners = {

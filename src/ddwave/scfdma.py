@@ -4,9 +4,9 @@
 :func:`zak_modulate` and ``demodulate`` is :func:`zak_demodulate` after ``rx``,
 so every scheme is two sparse operators, built once, around the Zak maps
 (the SC-FDMA route F_MN^H Gamma of a modem that filters nothing; gf_otfs's
-T_u Gamma is (T_u F_MN) zak_modulate). The one detector, a banded Cholesky
-of K K^H = (rx H) (tx tx^H) (rx H)^H in the scheme's residue order, and the
-effective-channel probe, its dense oracle, live there too.
+T_u Gamma is (T_u F_MN) zak_modulate). The one detector, ``detect``, a banded
+Cholesky of K K^H = (rx H) (tx tx^H) (rx H)^H in the scheme's residue order,
+and the effective-channel probe, its dense oracle, live there too.
 
 ``CpOtfsModem(geom, cp_len, window_db=None, tx_window=False)`` serves both
 CP schemes: plain OTFS (``otfs``, no window) and receiver-windowed OTFS
@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse
 
 from . import channel as chan
-from .detect import StructuredMmse, band_factor, residue_order
+from .detect import RegularizationRequiredError, band_factor, residue_order
 from .transforms import (DimensionError, FrameGeometry, _check_first_axis, full_dft,
                          zak_demodulate, zak_modulate)
 from .ufmc import FilterBankSpec, UfmcOperators, analysis_fold, dolph_chebyshev_window
@@ -42,7 +42,7 @@ class Modem:
     Z is :func:`zak_modulate`. A subclass sets ``geom``, ``rx_len``, ``tx``
     (rx_len x M*N), ``rx`` (M*N x rx_len) and ``order``, the
     :func:`ddwave.detect.residue_order` in which its K K^H is a band, K = rx H tx;
-    ``detector(ch)`` is written here once. Everything is linear and columnwise on
+    ``detect`` is written here once. Everything is linear and columnwise on
     matrices. The probe pushes the identity basis through the chain; the
     transmitted basis does not depend on the channel, so it is built on the
     first probe and kept. The dense probe and
@@ -65,29 +65,39 @@ class Modem:
         r = _check_first_axis(np.asarray(r)[:self.rx_len], self.rx_len, "demodulate")
         return zak_demodulate(self.rx @ r, self.geom)
 
-    def detector(self, ch: chan.LtvChannelRealization) -> StructuredMmse:
-        """Structured MMSE of Z^H K Z, K = rx H tx, in the dual form Z^H K^H (K K^H + var I)^-1 Z y.
+    def detect(self, ch: chan.LtvChannelRealization, z, eta, snr_grid_db) -> np.ndarray:
+        """A frame's MMSE estimates, (n_sc, SNR points): Z^H K^H (K K^H + var I)^-1 y_K.
 
-        By the push-through identity that is the primal (K^H K + var I)^-1 K^H.
-        H is the sparse delay-time matrix, with no probe. K K^H is formed as
-        A P A^H, with A = rx H, its rows in ``order``, and P = tx tx^H, built
-        once per modem; K itself is never formed, and K^H applies as tx^H A^H.
-        K K^H is a band in ``order``, which :func:`ddwave.detect.band_factor`
-        factors once per noise variance. A BER frame's observations, A tx z for
-        the delay-time symbols z = Z d and rx eta for the unit noise eta, are
-        formed in ``order`` directly: no channel pass and no Zak round trip.
+        K = rx H tx, var = 10^(-dB/10) and y_K = K z + sqrt(var) rx eta, for the
+        delay-time symbols z = Z d and the unit noise eta (None: K z alone). By the
+        push-through identity that is the primal (K^H K + var I)^-1 K^H. H is the
+        sparse delay-time matrix, with no probe. K K^H is formed as A P A^H, with
+        A = rx H, its rows in ``order``, and P = tx tx^H, built once per modem; K is
+        never formed, K^H applies as tx^H A^H, and y_K is formed in ``order`` with no
+        channel pass and no Zak round trip. :func:`ddwave.detect.band_factor`
+        factors the band once per SNR point; a failed factorization raises its
+        LinAlgError prefixed "<snr_db> dB: ", at 0 noise a RegularizationRequiredError.
         """
         if self._gram_ops is None:
             self._gram_ops = self.rx[self.order], self.tx @ self.tx.conj().T, self.tx.conj().T
         rx_in_order, tx_gram, tx_h = self._gram_ops
         a = rx_in_order @ chan.delay_time_matrix(ch, self.rx_len)
         a_h = a.conj().T
-
-        def observe(z, eta):
-            return a @ (self.tx @ z), None if eta is None else rx_in_order @ eta[:self.rx_len]
-        return StructuredMmse(band_factor(a @ tx_gram @ a_h),
-                              lambda y: zak_modulate(y, self.geom)[self.order],
-                              lambda v: zak_demodulate(tx_h @ (a_h @ v), self.geom), observe)
+        factor = band_factor(a @ tx_gram @ a_h)
+        y0 = a @ (self.tx @ z)
+        y_eta = None if eta is None else rx_in_order @ eta[:self.rx_len]
+        v = np.empty((len(y0), len(snr_grid_db)), dtype=complex)
+        for i, snr_db in enumerate(snr_grid_db):
+            var = 10.0 ** (-snr_db / 10.0)
+            try:
+                solve = factor(var)
+            except np.linalg.LinAlgError as exc:
+                if var == 0.0:
+                    raise RegularizationRequiredError(
+                        f"{snr_db} dB: a singular channel needs noise_var > 0") from exc
+                raise type(exc)(f"{snr_db} dB: {exc}") from exc
+            v[:, i] = solve(y0 if y_eta is None else y0 + np.sqrt(var) * y_eta)
+        return zak_demodulate(tx_h @ (a_h @ v), self.geom)
 
     def effective_channel(self, ch: chan.LtvChannelRealization) -> np.ndarray:
         """End-to-end delay-Doppler map; column q is the response to symbol q."""

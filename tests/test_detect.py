@@ -13,7 +13,6 @@ from ddwave.config import channel_config, config_from_dict
 from ddwave.detect import (
     MmseEqualizer,
     RegularizationRequiredError,
-    StructuredMmse,
     band_factor,
     qam_demap,
     qam_map,
@@ -210,7 +209,7 @@ _CASES = [
 
 
 class TestStructuredMmse:
-    """Every scheme solves structured; the dense probe is their oracle."""
+    """Every scheme's ``Modem.detect`` solves structured; the dense probe is its oracle."""
 
     @pytest.mark.parametrize("override", _CASES)
     def test_matches_the_dense_oracle(self, override, one_blas_thread):
@@ -227,18 +226,33 @@ class TestStructuredMmse:
                                                          out_len=modem.rx_len))
                 eta = chan.complex_noise(rng, modem.rx_len)
                 y_eta = modem.demodulate(eta)
-                dense, structured = MmseEqualizer(modem.effective_channel(ch)), modem.detector(ch)
-                assert isinstance(structured, StructuredMmse), name
-                # the BER frame's entry: every SNR point from z = Z d and eta at once
-                swept = structured.solve_snrs(zak_modulate(d, geom), eta, range(0, 45, 5))
+                dense = MmseEqualizer(modem.effective_channel(ch))
+                # every SNR point from z = Z d and eta at once, against the dense solve of
+                # the received y = y0 + sqrt(var) y_eta
+                swept = modem.detect(ch, zak_modulate(d, geom), eta, range(0, 45, 5))
+                assert swept.shape == (geom.n_sc, 9), name
                 for si, snr_db in enumerate(range(0, 45, 5)):
                     var = 10.0 ** (-snr_db / 10.0)
-                    y = y0 + np.sqrt(var) * y_eta
-                    d_dense = dense.solve(y, var)
-                    err = np.max(np.abs(structured.solve(y, var) - d_dense))
+                    err = np.max(np.abs(swept[:, si] - dense.solve(y0 + np.sqrt(var) * y_eta, var)))
                     assert err <= 1e-10, (name, seed, snr_db, err)
-                    err = np.max(np.abs(swept[:, si] - d_dense))
-                    assert err <= 1e-10, (name, seed, snr_db, "solve_snrs", err)
+
+    @pytest.mark.parametrize("scheme", _STRUCTURED)
+    def test_an_snr_point_does_not_depend_on_the_rest_of_the_grid(self, scheme):
+        # each SNR point factors and solves alone, bit for bit: a driver may run low and
+        # high SNR points at different frame counts
+        cfg = config_from_dict({"experiment": "ber_sweep", "schemes": [scheme]})
+        modem = build_modems(cfg)[scheme]
+        rng = np.random.default_rng(11)
+        z = zak_modulate(qam_map(rng.integers(0, 2, size=modem.geom.n_sc * 4), 16), modem.geom)
+        grid = [0.0, 20.0, 30.0, 40.0]
+        for seed in (3, 4, 5):
+            ch = chan.generate_channel(channel_config(cfg), modem.rx_len + 8, seed=seed,
+                                       delta_nu_hz=modem.geom.delta_nu_hz)
+            eta = chan.complex_noise(rng, modem.rx_len)
+            swept = modem.detect(ch, z, eta, grid)
+            for i, snr_db in enumerate(grid):
+                assert np.array_equal(swept[:, i], modem.detect(ch, z, eta, [snr_db])[:, 0]), (
+                    seed, snr_db)
 
     def test_the_ber_sweep_never_probes_them(self, tmp_path, monkeypatch):
         # no detector pushes probe columns through the channel, and no frame takes the
@@ -267,18 +281,12 @@ class TestStructuredMmse:
         ch = chan.LtvChannelRealization(np.arange(5),
                                         np.zeros((5, modem.rx_len + 8), dtype=complex))
         y = modem.demodulate(chan.complex_noise(np.random.default_rng(8), modem.rx_len))
-        detector = modem.detector(ch)
-        with pytest.raises(RegularizationRequiredError):
-            detector.solve(y, 0.0)
-        d_hat = detector.solve(y, 0.5)
-        assert d_hat.shape == y.shape
-        assert not np.any(d_hat)
-        # the sweep entry: the same contract, named by the SNR point that failed
         z, eta = zak_modulate(y, modem.geom), chan.complex_noise(np.random.default_rng(9),
                                                                   modem.rx_len)
+        # named by the SNR point that failed
         with pytest.raises(RegularizationRequiredError, match="^inf dB: a singular"):
-            detector.solve_snrs(z, eta, [10.0, math.inf])
-        d_hat = detector.solve_snrs(z, eta, [-3.0, 10.0])
+            modem.detect(ch, z, eta, [10.0, math.inf])
+        d_hat = modem.detect(ch, z, eta, [-3.0, 10.0])
         assert d_hat.shape == (modem.geom.n_sc, 2)
         assert not np.any(d_hat)
 
@@ -311,10 +319,9 @@ class TestStructuredMmse:
         modem = build_modems(cfg)["gf_otfs"]
         ch = chan.generate_channel(channel_config(cfg), modem.rx_len + 8, seed=3,
                                    delta_nu_hz=modem.geom.delta_nu_hz)
-        y = modem.demodulate(chan.complex_noise(np.random.default_rng(8), modem.rx_len))
-        detector = modem.detector(ch)
-        assert np.all(np.isfinite(detector.solve(y, 1e-4)))
-        assert np.all(np.isnan(detector.solve(np.full_like(y, np.nan), 1e-4)))
+        z = chan.complex_noise(np.random.default_rng(8), modem.geom.n_sc)
+        assert np.all(np.isfinite(modem.detect(ch, z, None, [40.0])))
+        assert np.all(np.isnan(modem.detect(ch, np.full_like(z, np.nan), None, [40.0])))
 
 
 @pytest.mark.parametrize("n, p", [(1, 1), (7, 7), (8, 8), (12, 3), (12, 4), (512, 128),

@@ -39,7 +39,7 @@ def _resolve(modules, name):
     head, *rest = name.split(".")
     for mod in modules:
         obj = getattr(mod, head, None)
-        if obj is None:  # a method written without its class, such as `detector(ch)`
+        if obj is None:  # a method written without its class, such as `detect(...)`
             obj = next((vars(c)[head] for c in vars(mod).values()
                         if inspect.isclass(c) and c.__module__ == mod.__name__
                         and head in vars(c)), None)

@@ -343,17 +343,17 @@ class TestExperiments:
 
     def test_loopback_draws_no_noise(self, tmp_path, monkeypatch):
         import ddwave.experiments as exp_mod
-        from ddwave.detect import StructuredMmse
+        from ddwave.scfdma import Modem
 
         def no_noise(*args):
             raise AssertionError("noise drawn at +inf dB")
         monkeypatch.setattr(exp_mod.chan, "complex_noise", no_noise)
-        real_solve, etas = StructuredMmse.solve_snrs, []
+        real_detect, etas = Modem.detect, []
 
-        def recording_solve(self, z, eta, snr_grid_db):
+        def recording_detect(self, ch, z, eta, snr_grid_db):
             etas.append(eta)
-            return real_solve(self, z, eta, snr_grid_db)
-        monkeypatch.setattr(StructuredMmse, "solve_snrs", recording_solve)
+            return real_detect(self, ch, z, eta, snr_grid_db)
+        monkeypatch.setattr(Modem, "detect", recording_detect)
         cfg = self.small_common(tmp_path, experiment="loopback", n_frames=2)
         assert all(v["total_errors"] == 0 for v in run_experiment(cfg).summary.values())
         # and applies none: every detector solves the noiseless signal
@@ -448,22 +448,25 @@ except Exception as exc:
         # the frame loop records the pool it started, a direct call as much as run_experiment
         assert (env["workers"], env["pool_start_method"]) == (2, "fork")
 
-    @pytest.mark.parametrize("experiment", ["ber_sweep", "loopback"])
+    @pytest.mark.parametrize("experiment", ["ber_sweep", "loopback", "psd"])
     def test_report_records_the_processes_that_ran(self, tmp_path, experiment):
-        # both link-level studies run the one frame loop, pooled and pinned alike
-        csvs = {}
-        for workers in (1, 2, 8):
+        # both link-level studies run the one frame loop, pooled and pinned alike; psd
+        # runs in one process whatever --workers asks for
+        frame_loop, csvs = experiment != "psd", {}
+        frames = {"n_frames": 2} if frame_loop else {"n_frames": 8, "psd_segment_len": 64}
+        for workers in (1, 2, 8) if frame_loop else (2,):
             out = tmp_path / str(workers)
-            cfg = config_from_dict(_SMALL_SWEEP | {"experiment": experiment, "n_frames": 2,
-                                                   "schemes": ["otfs"], "output_dir": str(out)})
+            cfg = config_from_dict(_SMALL_SWEEP | frames | {"experiment": experiment,
+                                                            "schemes": ["otfs"],
+                                                            "output_dir": str(out)})
             env = run_experiment(cfg, workers=workers).environment
             assert (env["workers"], env["pool_start_method"]) == (
-                (1, None) if workers == 1 else (2, "fork"))
-            assert "scipy" in env["blas"]
-            assert "not_set" in env["heap"]
+                (2, "fork") if frame_loop and workers > 1 else (1, None))
+            assert ("scipy" in env["blas"], "not_set" in env["heap"]) == (frame_loop,) * 2
             csvs[workers] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
-        assert len(csvs[1]) == 1
-        assert csvs[1] == csvs[2] == csvs[8]
+        if frame_loop:
+            assert len(csvs[1]) == 1
+            assert csvs[1] == csvs[2] == csvs[8]
 
     def test_scheme_error_raises_before_any_pool(self, tmp_path, monkeypatch):
         # a pool initializer that raises makes the pool respawn workers
@@ -956,7 +959,7 @@ class TestCli:
     def test_a_failed_ber_solve_exits_three(self, tmp_path, capsys, monkeypatch, experiment,
                                             snr):
         # the loopback is the sweep's frame loop at +inf dB; the factorization under
-        # solve_snrs fails, so the SNR point in the message is the one it failed at
+        # Modem.detect fails, so the SNR point in the message is the one it failed at
         import scipy.linalg
 
         def failed_factor(*args, **kwargs):
@@ -980,12 +983,12 @@ class TestCli:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_nan_in_a_ber_solve_exits_three(self, tmp_path, capsys, monkeypatch, workers):
-        # otfs's detector is the structured solver
-        from ddwave.detect import StructuredMmse
+        # every scheme detects through Modem.detect
+        from ddwave.scfdma import Modem
 
-        def nan_solve(self, z, eta, snr_grid_db):
+        def nan_detect(self, ch, z, eta, snr_grid_db):
             return np.full((len(z), len(snr_grid_db)), np.nan, dtype=complex)
-        monkeypatch.setattr(StructuredMmse, "solve_snrs", nan_solve)
+        monkeypatch.setattr(Modem, "detect", nan_detect)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
             "m": 8, "n": 4, "n_frames": 3, "gf_filter_len": 9, "du_filter_len": 5,
