@@ -7,12 +7,11 @@ Exit codes: 0 success, 1 oracle check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
-from .config import SCHEMES, ConfigError, parse_config, validate_config
+from .config import SCHEMES, ConfigError, parse_config
 from .experiments import NumericalFailure, oracle_checks, run_experiment
 
 
@@ -20,12 +19,8 @@ def _cmd_run(args) -> int:
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers: {args.workers} is below 1")
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, output_dir=args.out)
-        validate_config(cfg)
+        overrides = {"seed": args.seed, "output_dir": args.out}
+        cfg = parse_config(args.config, **{k: v for k, v in overrides.items() if v is not None})
         try:
             Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -4,8 +4,9 @@ Unknown keys are rejected with the offending key named; omitted and null
 fields get the documented defaults (frame 64 x 8, carrier 5.9 GHz, bandwidth
 1.92 MHz for link-level experiments and 10 MHz for the PSD study, TDL-C with
 5 taps at 500 km/h, subbands of 4, filter lengths MN/4 + 1 and 20), filled
-once by config_from_dict, so a parsed config holds concrete values. Every
-field is checked against its annotated type before the defaults are filled
+once by config_from_dict, so a parsed config holds concrete values. The
+command line's overrides enter the JSON object, so a run's config is checked
+once: every field against its annotated type before the defaults are filled
 and the range checks run, so a bad value raises ConfigError naming the
 field. The configuration is echoed into every report.
 """
@@ -170,7 +171,8 @@ def _parse_snr_grid(value):
         x = start
         while x <= stop + 1e-9:
             grid.append(round(x, 9))
-            x += step
+            x, last = x + step, x
+            _expect(x > last, f"snr_grid_db: step {step!r} does not move the grid past {last!r}")
         return tuple(grid)
     if isinstance(value, tuple):
         return tuple(float(v) if _is_number(v) else v for v in value)
@@ -181,9 +183,10 @@ _CHANNEL_KEYS = {f.name for f in dataclasses.fields(ChannelSection)}
 _TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a parsed JSON object, fill its defaults and validate it."""
+def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
+    """Build a config from a parsed JSON object and ``overrides`` of its values; fill, check."""
     _expect(isinstance(raw, dict), "top-level config must be a JSON object")
+    raw = raw | overrides
     unknown = set(raw) - _TOP_KEYS
     _expect(not unknown, f"unknown config key(s): {', '.join(sorted(unknown))}")
 
@@ -201,7 +204,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**kwargs)
     _check_types(cfg)
     cfg = _with_defaults(cfg)
-    validate_config(cfg)
+    _validate(cfg)
     return cfg
 
 
@@ -233,7 +236,7 @@ def _with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         cfg.bandwidth_hz, 10e6 if exp == "psd" else 1.92e6))
     cp_len = max(n_taps - 1, 0)  # kept by psd and sidelobes: they send no frame through a channel
     if cfg.cp_len is None and exp not in ("psd", "sidelobes"):
-        # a channel that validate_config rejects keeps n_taps - 1: its error names the channel
+        # a channel that _validate rejects keeps n_taps - 1: its error names the channel
         with np.errstate(all="ignore"), contextlib.suppress(ValueError):
             memory = int(quantized_profile(channel_config(cfg))[0][-1])
             cp_len = memory if 0 <= memory < cfg.n_sc else cp_len
@@ -253,9 +256,8 @@ def _check_types(cfg: ExperimentConfig) -> None:
                     f"{value!r} (floats must be finite and a bool is not an int)")
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Type and range checks of a filled config; a grid fit is checked only where it is read."""
-    _check_types(cfg)
+def _validate(cfg: ExperimentConfig) -> None:
+    """Range checks of a typed, filled config; a grid fit is checked only where it is read."""
     _expect(cfg.experiment in EXPERIMENTS,
             f"experiment: unknown value {cfg.experiment!r}, expected one of {EXPERIMENTS}")
     for s in cfg.schemes:
@@ -371,6 +373,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _expect(os_factor * cfg.n_sc // 2 + os_factor * rb + 1 < os_factor * (cfg.n_sc - rb),
                 f"n_sc_rb: a {rb}-bin guard on each side of the stopband leaves no bin "
                 f"of the {cfg.n_sc}-bin sidelobe spectrum to average")
+        # it holds os * m*n bins and their axis in memory: 2^17 at most at the default os of 8
+        _expect(os_factor * cfg.n_sc <= 2 ** 20, f"sidelobe_oversample: {os_factor} x m*n = "
+                f"{os_factor * cfg.n_sc} spectrum bins, above {2 ** 20}")
     if cfg.experiment == "psd":
         # the m-bin grid carries dr_ufmc's blocks, the M*N-bin grid every other scheme
         grids = (cfg.n_sc, cfg.m) if "dr_ufmc" in cfg.schemes else (cfg.n_sc,)
@@ -390,8 +395,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
                     f"psd_segment_len: {cfg.psd_segment_len} leaves no Welch bin in [{lo}, {hi}] Hz")
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Read a JSON config file; an empty file means all defaults."""
+def parse_config(path, **overrides) -> ExperimentConfig:
+    """Read a JSON config file with config_from_dict's ``overrides``; empty means all defaults."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -402,4 +407,4 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"malformed JSON in {p}: line {exc.lineno}: {exc.msg}") from exc
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read {p}: {type(exc).__name__}: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(raw, **overrides)

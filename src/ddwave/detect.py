@@ -17,46 +17,34 @@ class RegularizationRequiredError(np.linalg.LinAlgError):
     """Zero-noise solve requested on a numerically singular effective channel."""
 
 
-def _bits_per_axis(order: int) -> int:
+def _gray_axis(order: int) -> tuple[int, np.ndarray, float]:
+    """One axis of square QAM: its bit count, the Gray label of each level, and the scale.
+
+    Level l sits at (2 l - (q - 1)) * scale, 2 * scale apart, which gives the
+    constellation unit average energy; adjacent labels differ in one bit.
+    """
     if order not in QAM_ORDERS:
         raise ValueError(f"unsupported QAM order {order}, expected one of {QAM_ORDERS}")
-    return int(np.log2(order)) // 2
-
-
-def _gray_to_index(v: np.ndarray, m: int) -> np.ndarray:
-    # Invert the binary-reflected Gray code over m bits.
-    out = v.copy()
-    shift = 1
-    while shift < m:
-        out ^= out >> shift
-        shift *= 2
-    return out
-
-
-def _axis_scale(order: int) -> float:
-    # Unit average symbol energy across the square constellation.
-    return float(np.sqrt(3.0 / (2.0 * (order - 1))))
+    m = int(np.log2(order)) // 2
+    level = np.arange(1 << m)
+    return m, level ^ (level >> 1), float(np.sqrt(3.0 / (2.0 * (order - 1))))
 
 
 def qam_map(bits: np.ndarray, order: int) -> np.ndarray:
     """Gray-labeled square QAM with unit average energy.
 
-    The first half of each symbol's bits selects the in-phase level, the
-    second half the quadrature level; adjacent levels differ in one bit.
+    The first half of each symbol's bits selects the in-phase label, the
+    second half the quadrature label; the inverse of the Gray table gives
+    each label's level.
     """
-    m = _bits_per_axis(order)
+    m, gray, scale = _gray_axis(order)
     bits = np.asarray(bits, dtype=np.int64).ravel()
     if bits.size % (2 * m) != 0:
         raise ValueError(f"bit count {bits.size} not divisible by {2 * m}")
-    grouped = bits.reshape(-1, 2 * m)
-    weights = 1 << np.arange(m - 1, -1, -1)
-    gi = grouped[:, :m] @ weights
-    gq = grouped[:, m:] @ weights
-    q = 1 << m
-    li = _gray_to_index(gi, m)
-    lq = _gray_to_index(gq, m)
-    scale = _axis_scale(order)
-    return ((2 * li - (q - 1)) + 1j * (2 * lq - (q - 1))) * scale
+    labels = bits.reshape(-1, 2, m) @ (1 << np.arange(m - 1, -1, -1))  # (symbols, 2)
+    # label -> level l -> its point 2 l - (q - 1), in units of scale
+    xi, xq = (2 * np.argsort(gray) - (len(gray) - 1))[labels].T
+    return (xi + 1j * xq) * scale
 
 
 def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
@@ -65,15 +53,13 @@ def qam_demap(symbols: np.ndarray, order: int) -> np.ndarray:
     Each axis level indexes a (q, m) table of its Gray label's bits; a non-finite
     symbol, which no level is nearest to, raises ValueError.
     """
-    m = _bits_per_axis(order)
+    m, gray, scale = _gray_axis(order)
     symbols = np.asarray(symbols).ravel()
     if not np.all(np.isfinite(symbols)):
         raise ValueError("qam_demap: non-finite symbol")
     q = 1 << m
-    scale = _axis_scale(order)
     levels = np.stack([symbols.real, symbols.imag], axis=1)  # (symbols, 2)
     idx = np.clip(np.round((levels / scale + (q - 1)) / 2), 0, q - 1).astype(np.int64)
-    gray = np.arange(q) ^ (np.arange(q) >> 1)
     table = (gray[:, None] >> np.arange(m - 1, -1, -1)) & 1
     return table[idx].ravel()
 

@@ -80,6 +80,22 @@ class TestQam:
                               ((lq ^ (lq >> 1))[:, None] >> shifts) & 1], axis=1).ravel()
         assert np.array_equal(qam_demap(symbols, order), ref)
 
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_map_matches_the_gray_formula(self, order):
+        # map and demap share one table, so the round trip holds for any consistent
+        # relabelling; pin each label's point: the shift-xor Gray inverse per axis
+        m, scale = int(np.log2(order)) // 2, np.sqrt(3.0 / (2.0 * (order - 1)))
+        q = 1 << m
+        labels = np.arange(order)
+        gi, gq = labels >> m, labels & (q - 1)
+        li, lq = gi.copy(), gq.copy()
+        for shift in range(1, m):
+            li ^= gi >> shift
+            lq ^= gq >> shift
+        ref = ((2 * li - (q - 1)) + 1j * (2 * lq - (q - 1))) * scale
+        bits = (labels[:, None] >> np.arange(2 * m - 1, -1, -1)) & 1
+        assert np.array_equal(qam_map(bits, order), ref)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.3, np.nan)])
     def test_demap_rejects_a_non_finite_symbol(self, bad):
         # no level is nearest, and a table index on NaN would read garbage; the BER

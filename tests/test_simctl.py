@@ -478,7 +478,7 @@ except Exception as exc:
         monkeypatch.setattr(exp_mod.multiprocessing, "get_context", no_pool)
         cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
                                 "n_frames": 2, "snr_grid_db": [10.0]})
-        cfg = dataclasses.replace(cfg, gf_atten_db=-5.0)  # bypasses validate_config
+        cfg = dataclasses.replace(cfg, gf_atten_db=-5.0)  # bypasses config_from_dict's checks
         with pytest.raises(ValueError):
             run_ber_sweep(cfg, tmp_path, workers=2)
 
@@ -877,6 +877,11 @@ class TestCli:
         ({"experiment": "impulse_leakage", "channel": {"fractional_doppler_override": 1e308}},
          "channel.fractional_doppler_override"),
         ({"channel": {"speed_mps": -100}}, "channel.speed_mps"),
+        # a step below half an ulp of the grid never moves it
+        ({"snr_grid_db": "1e16:1:1e16"}, "snr_grid_db"),
+        # 2^45 spectrum bins, past the 2^20 bound; allocating their axis used to fail
+        ({"experiment": "sidelobes", "m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
+          "n_frames": 2, "sidelobe_oversample": 2 ** 40}, "sidelobe_oversample"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"
@@ -1049,6 +1054,20 @@ class TestCli:
                          "--out", str(tmp_path / "chosen")]) == 0
         rep = json.loads((tmp_path / "chosen" / "report.json").read_text())
         assert rep["seed"] == 99
+
+    @pytest.mark.parametrize("bad,flag", [({"seed": -5}, "--seed"), ({"output_dir": 5}, "--out")],
+                             ids=["seed", "out"])
+    def test_override_replaces_the_file_value_before_the_check(self, tmp_path, bad, flag):
+        # the file's own value, out of range or of the wrong type, is never checked
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "experiment": "loopback", "m": 8, "n": 4, "n_frames": 1, "gf_filter_len": 9,
+            "du_filter_len": 5, "channel": {"profile": "single_path", "speed_mps": 0.0},
+            "seed": 0, "output_dir": str(tmp_path / "out")} | bad))
+        out = tmp_path / ("chosen" if flag == "--out" else "out")
+        assert cli_main(["run", str(cfgfile), flag, str(out) if flag == "--out" else "3"]) == 0
+        assert json.loads((out / "report.json").read_text())["seed"] == (
+            3 if flag == "--seed" else 0)
 
     def test_seed_override_is_validated(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

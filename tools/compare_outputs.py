@@ -2,6 +2,7 @@
 """Check that two checkouts of ddwave produce the same outputs.
 
 Usage: python3 tools/compare_outputs.py PARENT [CHANGE]
+       python3 tools/compare_outputs.py --record | --check
 
 PARENT and CHANGE are checkout roots; CHANGE defaults to the checkout this
 script lives in. Each config of a fixed seed-5 table runs in a fresh
@@ -21,11 +22,21 @@ src/ddwave/*.py`` sums them), the test ids that only one tree collects (from
 ``pytest --collect-only -q`` in each root) and a summary, and exits 0 when
 everything matches, 1 otherwise; neither the costs, the line counts nor the
 test ids count as a difference.
+
+``--record`` runs the same table on this checkout alone and writes
+``tools/outputs_manifest.json``: the SHA-256 of each run's CSVs, its
+``config_hash``, and the numpy, scipy and bundled OpenBLAS versions they were
+made with. ``--check`` runs the table again and compares it with the
+manifest, so that no parent checkout is needed; it exits 0 when every hash
+matches, 1 otherwise, and names both version sets when they differ.
+``tests/test_outputs_manifest.py`` makes the same check in process. A change
+that moves an output on purpose records the manifest again in its own diff.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -64,6 +75,7 @@ RUNS = [
 ]
 # pytest's progress marks can precede a line printed by a test
 CRITERION = re.compile(r"criterion \d+ (PASS|FAIL).*$")
+MANIFEST = Path(__file__).resolve().parent / "outputs_manifest.json"
 
 
 def _env(root: Path) -> dict:
@@ -81,11 +93,82 @@ def run_config(root: Path, name: str, config: dict, workers: int, tmp: Path) -> 
                           env=_env(root), cwd=tmp, capture_output=True, text=True)
     if proc.returncode:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"}
+    return read_outputs(out)
+
+
+def read_outputs(out: Path) -> dict:
+    """CSV bytes by file name, the config_hash and the costs of the run written to ``out``."""
     report = json.loads((out / "report.json").read_text())
     return {"csv": {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))},
             "config_hash": report["config_hash"],
             "cost": {**{key: report.get(key) for key in ("wall_clock_s", "peak_rss_mb")},
                      **{key: report["environment"].get(key) for key in ("heap", "blas")}}}
+
+
+def digest(result: dict) -> dict:
+    """A run's manifest entry: its config_hash and the SHA-256 of each CSV, or its error."""
+    if "error" in result:
+        return {"error": result["error"]}
+    return {"config_hash": result["config_hash"],
+            "csv": {name: hashlib.sha256(body).hexdigest()
+                    for name, body in result["csv"].items()}}
+
+
+def versions() -> dict:
+    """The numpy and scipy versions and the OpenBLAS each bundles, as they report them."""
+    import numpy
+    import scipy
+    found = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    for module in (numpy, scipy):
+        try:
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            found[f"{module.__name__}_blas"] = f"{blas['name']} {blas['version']}"
+        except (TypeError, KeyError) as exc:  # numpy < 1.25 has no dict form
+            found[f"{module.__name__}_blas"] = f"unknown ({type(exc).__name__})"
+    return found
+
+
+def manifest_differences(recorded: dict, found: dict) -> list[str]:
+    """Each error, config_hash or CSV hash of ``found``'s runs that differs from ``recorded``.
+
+    A run or CSV that only one side has reads None on the other.
+    """
+    diffs = []
+    for name in sorted(set(recorded) | set(found)):
+        old, new = recorded.get(name, {}), found.get(name, {})
+        diffs += [f"{name}: {key} {old.get(key)} != {new.get(key)}"
+                  for key in ("error", "config_hash") if old.get(key) != new.get(key)]
+        old_csv, new_csv = old.get("csv", {}), new.get("csv", {})
+        diffs += [f"{name}: {csv} sha256 {old_csv.get(csv)} != {new_csv.get(csv)}"
+                  for csv in sorted(set(old_csv) | set(new_csv))
+                  if old_csv.get(csv) != new_csv.get(csv)]
+    return diffs
+
+
+def record_or_check(mode: str) -> int:
+    """Write the manifest of this checkout's runs, or compare them with it."""
+    root = Path(__file__).resolve().parents[1]
+    runs = {}
+    with tempfile.TemporaryDirectory(prefix="ddwave-manifest-") as tmp:
+        for name, config, workers in RUNS:
+            runs[name] = digest(run_config(root, name, config, workers, Path(tmp)))
+            print(f"{name}: {runs[name].get('error', 'ran')}", flush=True)
+    if mode == "--record":
+        if any("error" in run for run in runs.values()):
+            print(f"{MANIFEST.name} not written: a run failed")
+            return 1
+        MANIFEST.write_text(json.dumps({"versions": versions(), "runs": runs}, indent=1,
+                                       sort_keys=True) + "\n")
+        print(f"wrote {MANIFEST}")
+        return 0
+    manifest = json.loads(MANIFEST.read_text())
+    if manifest["versions"] != versions():
+        print(f"versions differ: recorded {manifest['versions']}, here {versions()}")
+    diffs = manifest_differences(manifest["runs"], runs)
+    for diff in diffs:
+        print(diff)
+    print(f"summary: {len(RUNS)} runs against {MANIFEST.name}; {len(diffs)} difference(s)")
+    return 1 if diffs else 0
 
 
 def heap_text(heap: dict | None) -> str:
@@ -182,7 +265,9 @@ def size_difference(old: bytes, new: bytes) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if not 1 <= len(argv) <= 2:
+    if argv in (["--record"], ["--check"]):
+        return record_or_check(argv[0])
+    if not 1 <= len(argv) <= 2 or any(arg.startswith("--") for arg in argv):
         print(__doc__, file=sys.stderr)
         return 2
     parent = Path(argv[0]).resolve()
