@@ -253,7 +253,8 @@ def _check_types(cfg: ExperimentConfig) -> None:
         for f in dataclasses.fields(section):
             value = getattr(section, f.name)
             _expect(_has_type(value, f.type), f"{prefix}{f.name}: expected {f.type}, got "
-                    f"{value!r} (floats must be finite and a bool is not an int)")
+                    f"{value!r} (ints must be below 2**53 in magnitude, floats finite, "
+                    "and a bool is not an int)")
 
 
 def _validate(cfg: ExperimentConfig) -> None:

@@ -3,12 +3,14 @@
 A modem's ``detect`` factors by :func:`band_factor` a Gram already in a
 :func:`residue_order`, once for each of a BER frame's SNR points;
 :class:`MmseEqualizer` on the dense probed effective channel is its oracle.
+Both import ``scipy.linalg`` when called, not when this module loads:
+the spectral studies and the oracle suite never detect, and the import takes
+about 0.05 s and 8 MB.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 QAM_ORDERS = (4, 16, 64)
 
@@ -81,10 +83,12 @@ class MmseEqualizer:
         h_eff = np.asarray(h_eff)
         if h_eff.ndim != 2 or h_eff.shape[0] != h_eff.shape[1]:
             raise ValueError(f"effective channel must be square, got {h_eff.shape}")
+        import scipy.linalg
         self.gram = scipy.linalg.blas.zherk(1.0, h_eff, trans=2, lower=0)
         self._h_h = h_eff.conj().T
 
     def solve(self, y: np.ndarray, noise_var: float) -> np.ndarray:
+        import scipy.linalg
         if noise_var < 0:
             raise ValueError("noise_var must be nonnegative")
         a = self.gram if noise_var == 0.0 else self.gram + noise_var * np.eye(len(self.gram))
@@ -118,6 +122,7 @@ def band_factor(gram):
     solver of G + var I. A caller puts G's rows and columns in the order that
     makes it a band, its :func:`residue_order`, before the call.
     """
+    import scipy.linalg
     g = gram.tocoo()
     low = g.row >= g.col
     r, q = g.row[low], g.col[low]

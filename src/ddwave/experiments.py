@@ -408,6 +408,9 @@ def _frame_errors(cfg: ExperimentConfig, ch_cfg: chan.ChannelConfig, workers: in
           _keep_freed_heap(env.setdefault("heap", {}))):
         try:
             if workers > 1:
+                # detection imports scipy.linalg at its first call; imported here, once,
+                # the forked workers inherit it rather than each importing it again
+                import scipy.linalg  # noqa: F401
                 env.update(workers=min(workers, cfg.n_frames), pool_start_method="fork")
                 pool = ProcessPoolExecutor(env["workers"],
                                            mp_context=multiprocessing.get_context("fork"))

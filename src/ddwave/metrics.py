@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import fft
 
 DB_FLOOR = -200.0
 # segments per FFT call, bounding the complex transient to 2 MB at 1024; numpy's pairwise
@@ -43,8 +42,8 @@ def _power_sum(segments: np.ndarray, win: np.ndarray) -> np.ndarray:
         half = n // 2
         half -= half % 8
         return _power_sum(segments[:half], win) + _power_sum(segments[half:], win)
-    spec = fft(segments * win, axis=-1)
-    # C-order (segment_len, n), laid out as scipy's, so that the row sums round alike
+    spec = np.fft.fft(segments * win, axis=-1)
+    # C-order (segment_len, n), laid out as welch's power matrix, so that the row sums round alike
     return np.ascontiguousarray((spec.real ** 2 + spec.imag ** 2).T).sum(axis=-1)
 
 
@@ -54,7 +53,8 @@ def psd_welch(x: np.ndarray, fs_hz: float, segment_len: int = 1024) -> PsdEstima
     Hann window, 50 % overlap, density scaling: the PSD integrates to the
     mean signal power. The lowest (unpaired) frequency bin is dropped so the
     axis is symmetric about zero. Welch (1967) in the steps and order of
-    scipy's ``welch`` (pinned to it in the tests). It keeps a running
+    scipy's ``welch`` (pinned to it in the tests), transformed by numpy's FFT,
+    which on complex segments is bit for bit scipy's. It keeps a running
     ``segment_len``-vector sum of the segments' |S|^2, transformed a block at
     a time, and divides it by the segment count at the end; neither the
     complex spectrogram nor the (segment_len, n_seg) power matrix is ever

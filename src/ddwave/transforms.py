@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import convolution_matrix
 
 
 class DimensionError(ValueError):
@@ -133,13 +132,19 @@ def _oracle_shifted_filter(bank, i: int) -> np.ndarray:
     return bank.prototype * np.exp(2j * np.pi * alpha * k / bank.n_sc)
 
 
+def _oracle_conv(h: np.ndarray, n: int) -> np.ndarray:
+    # entry (i, j) is h[i - j], as in scipy.linalg.convolution_matrix(h, n, "full")
+    k = np.arange(n + h.size - 1)[:, None] - np.arange(n)
+    return np.where((k >= 0) & (k < h.size), h[k % h.size], 0)
+
+
 def _oracle_t0(bank) -> np.ndarray:
     n_sc, width = bank.n_sc, bank.n_sc_rb
     f_full = dft_matrix(n_sc)
     t0 = np.zeros((n_sc + bank.filter_len - 1, n_sc), dtype=complex)
     for i in range(bank.n_rb):
         synth_cols = np.conj(f_full[:, i * width:(i + 1) * width])
-        conv = convolution_matrix(_oracle_shifted_filter(bank, i), n_sc, mode="full")
+        conv = _oracle_conv(_oracle_shifted_filter(bank, i), n_sc)
         t0[:, i * width:(i + 1) * width] = conv @ synth_cols
     return t0
 

@@ -409,6 +409,51 @@ def test_import_leaves_out_scipy_signal_and_stats():
     assert proc.stdout.strip() == "[]", proc.stderr
 
 
+_SCIPY_LOADS = """
+import json, sys
+from pathlib import Path
+
+import ddwave.cli, ddwave.config, ddwave.experiments
+import ddwave.experiments as exp
+from ddwave.config import config_from_dict
+
+
+def loaded():
+    return [m for m in ("scipy.fft", "scipy.special", "scipy.linalg") if m in sys.modules]
+
+
+seen = {"import": loaded()}
+out = Path(sys.argv[1])
+exp.run_experiment(config_from_dict({"experiment": "psd", "m": 8, "n": 4, "gf_filter_len": 9,
+                                     "du_filter_len": 5, "rw_cp_len": 8, "n_frames": 8,
+                                     "psd_segment_len": 64, "output_dir": str(out / "psd")}))
+exp.oracle_checks()
+seen["psd_and_oracle"] = loaded()
+real_pool = exp.ProcessPoolExecutor
+
+
+def recording_pool(*args, **kwargs):
+    seen["pool"] = loaded()
+    return real_pool(*args, **kwargs)
+
+
+exp.ProcessPoolExecutor = recording_pool
+exp.run_experiment(config_from_dict(json.loads(sys.argv[2]) | {"output_dir": str(out / "ber")}),
+                   workers=2)
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_fft_special_and_linalg_load_only_for_detection(tmp_path):
+    # about 13 MB and 0.1 s of every start; a spectral study or the oracle calls none of them,
+    # and a pool's workers inherit scipy.linalg from the parent rather than each import it
+    proc = _run_in_own_session(_SCIPY_LOADS, str(tmp_path), json.dumps(_SMALL_SWEEP))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["import"] == [] and seen["psd_and_oracle"] == []
+    assert "scipy.linalg" in seen["pool"]
+
+
 class TestBerWorkers:
     def test_dying_worker_ends_the_run(self, tmp_path):
         # a pool that waits for the lost frame would hang the sweep
@@ -882,6 +927,10 @@ class TestCli:
         # 2^45 spectrum bins, past the 2^20 bound; allocating their axis used to fail
         ({"experiment": "sidelobes", "m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
           "n_frames": 2, "sidelobe_oversample": 2 ** 40}, "sidelobe_oversample"),
+        # an int at or past 2**53 is an int, but float arithmetic on it is not exact
+        ({"seed": 2 ** 53}, "seed: expected int, got 9007199254740992 (ints must be below 2**53"),
+        ({"channel": {"carrier_hz": 10 ** 20}},
+         "channel.carrier_hz: expected float, got 100000000000000000000 (ints must be below 2**53"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"

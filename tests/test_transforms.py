@@ -12,6 +12,8 @@ from ddwave.transforms import (
     FrameGeometry,
     dft_matrix,
     full_dft,
+    _oracle_conv,
+    _oracle_shifted_filter,
     oracle_matrix,
     to_delay_doppler,
     zak_demodulate,
@@ -220,6 +222,20 @@ class TestFastVsOracle:
         x2d = x.reshape(g.n_sc, -1)
         k = x2d.shape[1]
         assert np.max(np.abs(full_dft(x2d, axis=1) - x2d @ dft_matrix(k).T)) < 1e-12
+
+
+class TestOracleConvolution:
+    # the (n_sc, n_sc_rb, filter_len) of oracle_checks' banks and of the tests' T_0 and T_u
+    @pytest.mark.parametrize("n_sc,n_sc_rb,filter_len",
+                             [(32, 4, 1), (32, 4, 9), (8, 4, 1), (32, 4, 33), (512, 4, 129)])
+    def test_is_scipys_convolution_matrix(self, n_sc, n_sc_rb, filter_len):
+        from scipy.linalg import convolution_matrix
+        bank = FilterBankSpec.chebyshev(n_sc, n_sc_rb, filter_len)
+        for i in range(bank.n_rb):
+            h = _oracle_shifted_filter(bank, i)
+            conv = _oracle_conv(h, n_sc)
+            assert conv.dtype == complex
+            assert np.array_equal(conv, convolution_matrix(h, n_sc, mode="full")), i
 
 
 class TestCyclicPrefix:

@@ -73,6 +73,12 @@ class TestDolphChebyshevWindow:
                              640.5, 998.5, 1000.0):
                 self.assert_equals_scipy(length, atten_db)
 
+    def test_lengths_past_600_to_the_grid_cap(self):
+        # both parities up to 2^14, the largest grid; odd lengths take numpy's rfft
+        for length in (601, 1024, 1025, 4096, 4097, 16383, 16384):
+            for atten_db in (30.0, 60.0, 100.0):
+                self.assert_equals_scipy(length, atten_db)
+
     def test_every_half_db_to_1000(self):
         # 296 and 297 dB bracket rw_otfs's first non-positive 512-sample window
         for length in (63, 512, 2048):
