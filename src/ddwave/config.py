@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import DOPPLER_MODELS, PROFILES, ChannelConfig, quantized_profile
+from .detect import QAM_ORDERS
 from .metrics import band_has_welch_bin, centered_band_mask
 from .ufmc import FilterBankSpec, SingularPredistortionError, predistortion
 
@@ -265,7 +266,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         _expect(s in SCHEMES, f"schemes: unknown scheme {s!r}, expected one of {SCHEMES}")
     _expect(len(set(cfg.schemes)) == len(cfg.schemes),
             f"schemes: each scheme may appear once, got {list(cfg.schemes)}")
-    _expect(cfg.qam_order in (4, 16, 64), f"qam_order: {cfg.qam_order} not in (4, 16, 64)")
+    _expect(cfg.qam_order in QAM_ORDERS, f"qam_order: {cfg.qam_order} not in {QAM_ORDERS}")
+    # the string form is checked before it expands; both forms hold at most as many points
+    _expect(len(cfg.snr_grid_db) <= _MAX_SNR_POINTS,
+            f"snr_grid_db: {len(cfg.snr_grid_db)} points, more than {_MAX_SNR_POINTS}")
     inf, snr_max = math.inf, -10.0 * math.log10(max(cfg.n_sc, 1) * np.finfo(float).eps)
     for key, value, lo, hi in (
             ("m", cfg.m, 1, inf), ("n", cfg.n, 1, inf), ("n_sc_rb", cfg.n_sc_rb, 1, inf),
@@ -368,6 +372,17 @@ def _validate(cfg: ExperimentConfig) -> None:
                 f"{cfg.m}x{cfg.n}")
         _expect(m0 < cfg.m and n0 < cfg.n,
                 f"leakage_center: ({m0}, {n0}) outside grid {cfg.m}x{cfg.n}")
+    if cfg.experiment in ("sidelobes", "psd"):
+        # the spectral studies hold every frame's active-bin symbols and one scheme's frames
+        # at once: at most 2^27 complex values (2 GiB), 149,796 frames at the 64 x 8 default
+        tails = {"otfs": cfg.cp_len, "gf_otfs": cfg.gf_filter_len - 1,
+                 "rw_otfs": cfg.rw_cp_len, "dr_ufmc": cfg.du_filter_len - 1}
+        n_active = (cfg.n_sc // 2 if cfg.experiment == "sidelobes" else
+                    np.count_nonzero(centered_band_mask(cfg.n_sc, cfg.occupied_fraction)))
+        per_frame = n_active + cfg.n_sc + max(tails[s] for s in cfg.schemes)
+        _expect(cfg.n_frames * per_frame <= 2 ** 27,
+                f"n_frames: {cfg.n_frames} frames of {per_frame} complex values (active bins "
+                f"and the longest frame) hold more than {2 ** 27} (2 GiB)")
     if cfg.experiment == "sidelobes":
         # run_sidelobes averages bins b = k / os with n_sc/2 + n_sc_rb < b < n_sc - n_sc_rb
         os_factor, rb = cfg.sidelobe_oversample, cfg.n_sc_rb
@@ -385,8 +400,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             _expect(n_active > 0 and n_active % cfg.n_sc_rb == 0,
                     f"occupied_fraction: {cfg.occupied_fraction} must activate whole subbands "
                     f"symmetrically on the {n_bins}-bin grid")
-        tails = {"otfs": cfg.cp_len, "gf_otfs": cfg.gf_filter_len - 1,
-                 "rw_otfs": cfg.rw_cp_len, "dr_ufmc": cfg.du_filter_len - 1}
         stream = cfg.n_frames * (cfg.n_sc + min(tails[s] for s in cfg.schemes))
         _expect(cfg.psd_segment_len <= stream,
                 f"psd_segment_len: {cfg.psd_segment_len} is longer than the {stream}-sample "

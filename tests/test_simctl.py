@@ -106,17 +106,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="wat"):
             config_from_dict({"channel": {"wat": 1}})
 
-    def test_divisibility_error_names_fields(self):
-        with pytest.raises(ConfigError, match="n_sc_rb"):
-            config_from_dict({"m": 64, "n_sc_rb": 7})
-
-    def test_zero_frames_rejected(self):
-        with pytest.raises(ConfigError, match="n_frames"):
-            config_from_dict({"n_frames": 0})
-
-    def test_empty_snr_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            config_from_dict({"snr_grid_db": []})
+    @pytest.mark.parametrize("experiment", ["psd", "sidelobes"])
+    def test_spectral_frames_fit_the_memory_bound(self, experiment):
+        # 64 x 8: 256 active bins and a 640-sample longest frame; 2^27 / 896 = 149,796.6
+        assert config_from_dict({"experiment": experiment, "n_frames": 149_796}).n_frames
+        with pytest.raises(ConfigError, match="^n_frames: 149797 frames"):
+            config_from_dict({"experiment": experiment, "n_frames": 149_797})
 
     def test_malformed_json_reports_line(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -931,6 +926,17 @@ class TestCli:
         ({"seed": 2 ** 53}, "seed: expected int, got 9007199254740992 (ints must be below 2**53"),
         ({"channel": {"carrier_hz": 10 ** 20}},
          "channel.carrier_hz: expected float, got 100000000000000000000 (ints must be below 2**53"),
+        ({"n_frames": 0}, "n_frames"),
+        ({"snr_grid_db": []}, "snr_grid_db"),
+        ({"snr_grid_db": "0:1e-6:1"}, "snr_grid_db: '0:1e-6:1' has more than 1000 points"),
+        # the list form has the string form's bound
+        ({"snr_grid_db": [20.0] * 1001}, "snr_grid_db: 1001 points, more than 1000"),
+        # past the 2^27 complex values that the spectral studies may hold; allocating
+        # them used to fail, and at 10^12 frames building the chunk list did
+        ({"experiment": "psd", "n_frames": 10 ** 8}, "n_frames: 100000000 frames"),
+        ({"experiment": "psd", "n_frames": 10 ** 12}, "n_frames: 1000000000000 frames"),
+        ({"experiment": "sidelobes", "n_frames": 10 ** 8}, "n_frames: 100000000 frames"),
+        ({"experiment": "sidelobes", "n_frames": 10 ** 12}, "n_frames: 1000000000000 frames"),
     ])
     def test_out_of_range_config_exit_two(self, tmp_path, capsys, override, field):
         cfgfile = tmp_path / "bad.json"
@@ -992,10 +998,6 @@ class TestCli:
         assert cli_main(["run", str(cfgfile), "--workers", workers]) == 2
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_snr_string_with_too_many_points_rejected(self):
-        with pytest.raises(ConfigError, match="snr_grid_db"):
-            config_from_dict({"snr_grid_db": "0:1e-6:1"})
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys, monkeypatch):
         import ddwave.cli as cli_mod

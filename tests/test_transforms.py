@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddwave.transforms import (
@@ -132,36 +132,6 @@ class TestInterleave:
             to_delay_doppler(np.zeros(5), g)
 
 
-class TestBlockwiseDft:
-    """(I_N kron F_M), Gamma's block DFTs: full_dft of the N x M grid along its delay axis."""
-
-    def test_single_sample_blocks(self):
-        g = FrameGeometry(M=1, N=6)
-        rng = np.random.default_rng(0)
-        x = random_complex(rng, 6)
-        assert np.allclose(block_dft(x, g), x)
-
-    def test_roundtrip(self):
-        g = FrameGeometry(M=8, N=4)
-        rng = np.random.default_rng(1)
-        x = random_complex(rng, 32)
-        assert np.max(np.abs(block_dft(block_dft(x, g), g, inverse=True) - x)) < 1e-12
-
-    def test_impulse_block(self):
-        g = FrameGeometry(M=4, N=2)
-        x = np.zeros(8, dtype=complex)
-        x[0] = 1.0
-        y = block_dft(x, g)
-        assert np.allclose(y[:4], 0.5)
-        assert np.allclose(y[4:], 0.0)
-
-    def test_energy_preserved(self):
-        g = FrameGeometry(M=8, N=3)
-        rng = np.random.default_rng(2)
-        x = random_complex(rng, 24)
-        assert np.linalg.norm(block_dft(x, g)) == pytest.approx(np.linalg.norm(x))
-
-
 class TestCooleyTukeyFactorization:
     @pytest.mark.parametrize("m_dim", [2, 3, 4, 8])
     @pytest.mark.parametrize("n_dim", [2, 3, 4])
@@ -206,6 +176,13 @@ class TestFastVsOracle:
 
     @given(m_dim=st.integers(1, 9), n_dim=st.integers(1, 7), cols=st.sampled_from([None, 3]),
            seed=st.integers(0, 2**32 - 1))
+    @example(m_dim=6, n_dim=1, cols=None, seed=1)  # one Doppler bin: Z is the identity
+    @example(m_dim=1, n_dim=6, cols=None, seed=0)  # one-sample blocks: so is I_N kron F_M
+    @example(m_dim=8, n_dim=4, cols=None, seed=1)
+    @example(m_dim=8, n_dim=4, cols=None, seed=2)
+    @example(m_dim=8, n_dim=4, cols=None, seed=3)
+    @example(m_dim=4, n_dim=2, cols=None, seed=0)
+    @example(m_dim=8, n_dim=3, cols=None, seed=2)
     @settings(max_examples=40, deadline=None)
     def test_every_map_matches_its_dense_operator(self, m_dim, n_dim, cols, seed):
         g = FrameGeometry(M=m_dim, N=n_dim)
@@ -219,9 +196,25 @@ class TestFastVsOracle:
         assert np.max(np.abs(zak_demodulate(x, g) - np.kron(f_n, eye_m) @ x)) < 1e-12
         assert np.max(np.abs(block_dft(x, g) - blocks @ x)) < 1e-12
         assert np.max(np.abs(block_dft(x, g, inverse=True) - blocks.conj().T @ x)) < 1e-12
+        # each pair of maps is unitary: the inverse undoes the map, and the energy is kept
+        assert np.max(np.abs(zak_demodulate(zak_modulate(x, g), g) - x)) < 1e-12
+        assert np.max(np.abs(block_dft(block_dft(x, g), g, inverse=True) - x)) < 1e-12
+        for y in (zak_modulate(x, g), block_dft(x, g)):
+            assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x), abs=1e-12)
         x2d = x.reshape(g.n_sc, -1)
         k = x2d.shape[1]
         assert np.max(np.abs(full_dft(x2d, axis=1) - x2d @ dft_matrix(k).T)) < 1e-12
+
+    @pytest.mark.parametrize("fast, g, x, head", [
+        # a grid constant along Doppler: the whole frame in delay block 0, at sqrt(N) c
+        (zak_modulate, FrameGeometry(M=8, N=4), np.full(32, 0.7 - 0.2j), np.sqrt(4) * (0.7 - 0.2j)),
+        # an impulse at delay 0: flat over block 0's M bins, at 1 / sqrt(M)
+        (block_dft, FrameGeometry(M=4, N=2), np.eye(8, dtype=complex)[0], 0.5)],
+        ids=["zak-constant-grid", "block-dft-impulse"])
+    def test_structured_input_fills_block_zero(self, fast, g, x, head):
+        y = fast(x, g)
+        assert np.allclose(y[:g.M], head)
+        assert np.max(np.abs(y[g.M:])) < 1e-12
 
 
 class TestOracleConvolution:

@@ -2,7 +2,7 @@
 """Check that two checkouts of ddwave produce the same outputs.
 
 Usage: python3 tools/compare_outputs.py PARENT [CHANGE]
-       python3 tools/compare_outputs.py --record | --check
+       python3 tools/compare_outputs.py --record
 
 PARENT and CHANGE are checkout roots; CHANGE defaults to the checkout this
 script lives in. Each config of a fixed seed-5 table runs in a fresh
@@ -26,11 +26,10 @@ test ids count as a difference.
 ``--record`` runs the same table on this checkout alone and writes
 ``tools/outputs_manifest.json``: the SHA-256 of each run's CSVs, its
 ``config_hash``, and the numpy, scipy and bundled OpenBLAS versions they were
-made with. ``--check`` runs the table again and compares it with the
-manifest, so that no parent checkout is needed; it exits 0 when every hash
-matches, 1 otherwise, and names both version sets when they differ.
-``tests/test_outputs_manifest.py`` makes the same check in process. A change
-that moves an output on purpose records the manifest again in its own diff.
+made with. ``pytest tests/test_outputs_manifest.py`` runs the table in
+process and compares it with the manifest, so that no parent checkout is
+needed. A change that moves an output on purpose records the manifest again
+in its own diff.
 """
 
 from __future__ import annotations
@@ -145,30 +144,21 @@ def manifest_differences(recorded: dict, found: dict) -> list[str]:
     return diffs
 
 
-def record_or_check(mode: str) -> int:
-    """Write the manifest of this checkout's runs, or compare them with it."""
+def record() -> int:
+    """Write the manifest of this checkout's runs."""
     root = Path(__file__).resolve().parents[1]
     runs = {}
     with tempfile.TemporaryDirectory(prefix="ddwave-manifest-") as tmp:
         for name, config, workers in RUNS:
             runs[name] = digest(run_config(root, name, config, workers, Path(tmp)))
             print(f"{name}: {runs[name].get('error', 'ran')}", flush=True)
-    if mode == "--record":
-        if any("error" in run for run in runs.values()):
-            print(f"{MANIFEST.name} not written: a run failed")
-            return 1
-        MANIFEST.write_text(json.dumps({"versions": versions(), "runs": runs}, indent=1,
-                                       sort_keys=True) + "\n")
-        print(f"wrote {MANIFEST}")
-        return 0
-    manifest = json.loads(MANIFEST.read_text())
-    if manifest["versions"] != versions():
-        print(f"versions differ: recorded {manifest['versions']}, here {versions()}")
-    diffs = manifest_differences(manifest["runs"], runs)
-    for diff in diffs:
-        print(diff)
-    print(f"summary: {len(RUNS)} runs against {MANIFEST.name}; {len(diffs)} difference(s)")
-    return 1 if diffs else 0
+    if any("error" in run for run in runs.values()):
+        print(f"{MANIFEST.name} not written: a run failed")
+        return 1
+    MANIFEST.write_text(json.dumps({"versions": versions(), "runs": runs}, indent=1,
+                                   sort_keys=True) + "\n")
+    print(f"wrote {MANIFEST}")
+    return 0
 
 
 def heap_text(heap: dict | None) -> str:
@@ -265,8 +255,8 @@ def size_difference(old: bytes, new: bytes) -> str:
 
 
 def main(argv: list[str]) -> int:
-    if argv in (["--record"], ["--check"]):
-        return record_or_check(argv[0])
+    if argv == ["--record"]:
+        return record()
     if not 1 <= len(argv) <= 2 or any(arg.startswith("--") for arg in argv):
         print(__doc__, file=sys.stderr)
         return 2
