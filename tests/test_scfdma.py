@@ -1,8 +1,8 @@
 """The shared modem chain and the two modems on it.
 
-Topics, in order: the Zak route against the SC-FDMA route; the CP operators
-and rw_otfs's window; the filtered modem at one block and at N, with
-gf_otfs's dense chain and dr_ufmc's per-block oracles; the chain's
+Topics, in order: the frame and the Zak route against the SC-FDMA route; the
+CP operators and rw_otfs's window; the filtered modem at one block and at N,
+with gf_otfs's dense chain and dr_ufmc's per-block oracles; the chain's
 contract, each clause tested once for all four schemes (zero in, zero out,
 linearity, frame length, the unit filter, columnwise, short input); the
 effective channel (the probe against the signal path, a still or scaled
@@ -25,6 +25,7 @@ from ddwave.transforms import (
     full_dft,
     oracle_matrix,
     to_delay_doppler,
+    zak_demodulate,
     zak_modulate,
 )
 from ddwave.ufmc import dolph_chebyshev_window
@@ -52,6 +53,42 @@ def modem_8x4(scheme, **fields):
     cfg = config_from_dict({"m": 8, "n": 4, "gf_filter_len": 9, "du_filter_len": 5,
                             "rw_cp_len": 8, "schemes": [scheme]} | fields)
     return build_modems(cfg)[scheme]
+
+
+class TestFrame:
+    def test_unit_average_energy(self):
+        rng = np.random.default_rng(0)
+        bits = rng.integers(0, 2, size=32 * 4)
+        d = qam_map(bits, 16)
+        # i.i.d. unit-variance constellation: exact for the full constellation,
+        # the random frame stays close
+        assert np.mean(np.abs(d) ** 2) == pytest.approx(1.0, abs=0.2)
+        assert d.size == 32
+
+    def test_wrong_bit_count(self):
+        with pytest.raises(ValueError):
+            qam_map(np.zeros(7), 16)
+
+
+class TestZakPath:
+    def test_single_doppler_bin_identity(self):
+        g = FrameGeometry(M=6, N=1)
+        rng = np.random.default_rng(1)
+        d = random_complex(rng, 6)
+        assert np.allclose(zak_modulate(d, g), d)
+
+    def test_energy_preserved(self):
+        g = geom_8x4()
+        rng = np.random.default_rng(2)
+        d = random_complex(rng, 32)
+        assert np.linalg.norm(zak_modulate(d, g)) == pytest.approx(
+            np.linalg.norm(d), abs=1e-12)
+
+    def test_zak_demodulate_inverts(self):
+        g = geom_8x4()
+        rng = np.random.default_rng(3)
+        d = random_complex(rng, 32)
+        assert np.max(np.abs(zak_demodulate(zak_modulate(d, g), g) - d)) < 1e-12
 
 
 class TestPathEquivalence:

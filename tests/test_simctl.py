@@ -106,6 +106,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="wat"):
             config_from_dict({"channel": {"wat": 1}})
 
+    def test_divisibility_error_names_fields(self):
+        with pytest.raises(ConfigError, match="n_sc_rb"):
+            config_from_dict({"m": 64, "n_sc_rb": 7})
+
     @pytest.mark.parametrize("experiment", ["psd", "sidelobes"])
     def test_spectral_frames_fit_the_memory_bound(self, experiment):
         # 64 x 8: 256 active bins and a 640-sample longest frame; 2^27 / 896 = 149,796.6

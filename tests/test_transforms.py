@@ -132,6 +132,28 @@ class TestInterleave:
             to_delay_doppler(np.zeros(5), g)
 
 
+class TestBlockwiseDft:
+    """(I_N kron F_M), Gamma's block DFTs: full_dft of the N x M grid along its delay axis."""
+
+    def test_single_sample_blocks(self):
+        g = FrameGeometry(M=1, N=6)
+        rng = np.random.default_rng(0)
+        x = random_complex(rng, 6)
+        assert np.allclose(block_dft(x, g), x)
+
+    def test_roundtrip(self):
+        g = FrameGeometry(M=8, N=4)
+        rng = np.random.default_rng(1)
+        x = random_complex(rng, 32)
+        assert np.max(np.abs(block_dft(block_dft(x, g), g, inverse=True) - x)) < 1e-12
+
+    def test_energy_preserved(self):
+        g = FrameGeometry(M=8, N=3)
+        rng = np.random.default_rng(2)
+        x = random_complex(rng, 24)
+        assert np.linalg.norm(block_dft(x, g)) == pytest.approx(np.linalg.norm(x))
+
+
 class TestCooleyTukeyFactorization:
     @pytest.mark.parametrize("m_dim", [2, 3, 4, 8])
     @pytest.mark.parametrize("n_dim", [2, 3, 4])
@@ -176,13 +198,7 @@ class TestFastVsOracle:
 
     @given(m_dim=st.integers(1, 9), n_dim=st.integers(1, 7), cols=st.sampled_from([None, 3]),
            seed=st.integers(0, 2**32 - 1))
-    @example(m_dim=6, n_dim=1, cols=None, seed=1)  # one Doppler bin: Z is the identity
-    @example(m_dim=1, n_dim=6, cols=None, seed=0)  # one-sample blocks: so is I_N kron F_M
-    @example(m_dim=8, n_dim=4, cols=None, seed=1)
-    @example(m_dim=8, n_dim=4, cols=None, seed=2)
-    @example(m_dim=8, n_dim=4, cols=None, seed=3)
-    @example(m_dim=4, n_dim=2, cols=None, seed=0)
-    @example(m_dim=8, n_dim=3, cols=None, seed=2)
+    @example(m_dim=4, n_dim=2, cols=None, seed=0)  # the impulse test's size
     @settings(max_examples=40, deadline=None)
     def test_every_map_matches_its_dense_operator(self, m_dim, n_dim, cols, seed):
         g = FrameGeometry(M=m_dim, N=n_dim)
